@@ -9,6 +9,7 @@ around a cycle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -120,6 +121,26 @@ class GamePayoff:
             raise ValueError(f"cell weights sum to {total}, not 1")
         if any(c.weight < 0 for c in self.cells):
             raise ValueError("cell weights must be nonnegative")
+
+    def context(self, cell: PayoffCell) -> tuple[int, int]:
+        """The measurements a cell names in a two-wing table: wing A's
+        settings are measurements 1..n_a and wing B's setting b is n_a + b."""
+        return (cell.a, self.n_a + cell.b)
+
+    def value(self, table) -> float:
+        """Winning probability of a two-wing correlation table under this payoff.
+
+        The weights are put on a common denominator, so the sum runs over
+        integer multiples of the winning masses and a table that wins every
+        cell scores exactly 1.
+        """
+        denom = math.lcm(*(c.weight.denominator for c in self.cells))
+        total = math.fsum(
+            c.weight.numerator * (denom // c.weight.denominator) * table.prob(self.context(c), xy)
+            for c in self.cells
+            for xy in c.wins
+        )
+        return total / denom
 
 
 _EQUAL = frozenset({(0, 0), (1, 1)})

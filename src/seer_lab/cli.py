@@ -198,7 +198,10 @@ def cmd_povm(args) -> dict:
 def cmd_network(args) -> dict:
     with open(args.file, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    arities = {len(edge) for edge in doc.get("edges", ())}
+    edges = doc.get("edges", []) if isinstance(doc, dict) else None
+    if not isinstance(edges, list) or not all(isinstance(edge, list) for edge in edges):
+        raise ValueError('graph JSON needs an object whose "edges" is a list of lists')
+    arities = {len(edge) for edge in edges}
     if args.directed and not arities <= {4}:
         raise ValueError("directed graphs need 4-field edges [from, to, base, style]")
     if not args.directed and not arities <= {3}:
@@ -231,12 +234,13 @@ def cmd_game(args) -> dict:
         trials=args.trials,
         seed=args.seed,
         n=args.n,
-        workers=args.workers,
     )
     return games.simulate(spec).to_dict()
 
 
 def _sweep_values(args):
+    if args.step is not None and not args.step > 0:
+        raise ValueError("--step must be positive")
     if args.quantity in ("klyachko_R", "mermin_R"):
         start = int(args.start if args.start is not None else (5 if args.quantity == "klyachko_R" else 3))
         stop = int(args.stop if args.stop is not None else 21)
@@ -308,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=list(games.STRATEGIES), default="quantum")
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int)
     add_output_flags(p)
     p.set_defaults(func=cmd_game)
 

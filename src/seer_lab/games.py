@@ -1,17 +1,19 @@
 """Seeded Monte Carlo simulation of the prediction games.
 
-Each game draws a context uniformly per trial, samples the outcome tuple from
-the chosen strategy's exact distribution (Born rule for quantum strategies,
-the foil tables, or an optimal deterministic strategy), and scores the win
-predicate.  Trials are partitioned across workers with disjoint counter-based
-RNG streams, so results are bit-identical for a fixed (seed, workers) pair.
+Each game is a set of contexts with a weight each, the outcome distribution
+the chosen strategy gives every context (Born rule for quantum strategies,
+the foil tables, or an optimal deterministic strategy), and the outcomes that
+win there.  The two-wing games take all three from their ``GamePayoff``.  The
+reported win count is drawn exactly in two levels: context counts from a
+multinomial over the context weights, then each context's outcome counts from
+a multinomial over its outcome distribution.  That has the law of playing the
+trials one by one, costs nothing per trial, and is bit-identical for a fixed
+seed (one counter-based Philox stream keyed by the seed).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,15 +25,8 @@ GAME_KINDS = ("seer_ncycle", "bipartite_os", "odd_cycle", "diachronic")
 STRATEGIES = ("classical_best", "quantum", "foil")
 
 _MASK64 = (1 << 64) - 1
-
-
-def _worker_count(requested: Optional[int]) -> int:
-    if requested is not None:
-        if requested < 1:
-            raise ValueError("workers must be positive")
-        return requested
-    env = os.environ.get("SEER_LAB_THREADS")
-    return max(1, int(env)) if env else 1
+# numpy draws counts as int64.
+MAX_TRIALS = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -41,7 +36,6 @@ class GameSpec:
     trials: int
     seed: int
     n: Optional[int] = None
-    workers: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in GAME_KINDS:
@@ -50,6 +44,8 @@ class GameSpec:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.trials > MAX_TRIALS:
+            raise ValueError(f"at most {MAX_TRIALS} trials (2**63 - 1)")
         if self.kind == "diachronic":
             if self.n not in (None, 3):
                 raise ValueError("the diachronic game is defined for n=3 only")
@@ -66,7 +62,6 @@ class GameResult:
     n: int
     trials: int
     seed: int
-    workers: int
     wins: int
     empirical_rate: float
     expected_rate: float
@@ -80,7 +75,6 @@ class GameResult:
             "n": self.n,
             "trials": self.trials,
             "seed": self.seed,
-            "workers": self.workers,
             "wins": self.wins,
             "empirical_rate": self.empirical_rate,
             "expected_rate": self.expected_rate,
@@ -89,93 +83,49 @@ class GameResult:
         }
 
 
+_PAIR_OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 @dataclass
 class _SamplingModel:
-    """Uniform context draw, per-context outcome distribution, win mask."""
+    """Context weights, per-context outcome distribution, win mask."""
 
+    weights: np.ndarray  # (contexts,)
     outcome_probs: np.ndarray  # (contexts, outcomes)
     win: np.ndarray  # (contexts, outcomes) boolean
     expected: float
 
 
-def _model_from_table(
-    table: scenario.CorrelationTable, win_predicate
-) -> tuple[np.ndarray, np.ndarray]:
-    contexts = table.contexts_present()
-    n_out = 4
-    probs = np.zeros((len(contexts), n_out))
-    win = np.zeros((len(contexts), n_out), dtype=bool)
-    for i, ctx in enumerate(contexts):
-        for j, outcome in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-            probs[i, j] = table.prob(ctx, outcome)
-            win[i, j] = win_predicate(ctx, outcome)
-    return probs, win
-
-
-def _bipartite_win(n: int):
-    def predicate(ctx, outcome):
-        a, b = ctx[0], ctx[1] - n
-        return (outcome[0] == outcome[1]) if a == b else (outcome[0] != outcome[1])
-
-    return predicate
-
-
-def _deterministic_bipartite_table(n: int, payoff, bits_a, bits_b) -> scenario.CorrelationTable:
-    contexts = tuple((cell.a, n + cell.b) for cell in payoff.cells)
-    probs = {
-        (cell.a, n + cell.b): {(bits_a[cell.a - 1], bits_b[cell.b - 1]): 1.0}
-        for cell in payoff.cells
-    }
-    scen = scenario.Scenario(2 * n, contexts, wing_split=n)
-    return scenario.CorrelationTable(scen, probs)
-
-
 def _build_model(spec: GameSpec) -> _SamplingModel:
-    n = spec.n
     if spec.kind == "seer_ncycle":
-        return _seer_model(n, spec.strategy)
-    if spec.kind == "bipartite_os":
-        if spec.strategy == "quantum":
-            table = quantum.mermin_table(n)
-            expected = quantum.mermin_value(n)
-        elif spec.strategy == "foil":
-            table = scenario.build_bipartite_table("nonlocal_os_n", n)
-            expected = 1.0
-        else:
-            bound = classical.local_bound("os_ring", n)
-            table = _deterministic_bipartite_table(
-                n, classical.os_ring_payoff(n), bound.witness_a, bound.witness_b
-            )
-            expected = bound.value
-        probs, win = _model_from_table(table, _bipartite_win(n))
-        return _SamplingModel(probs, win, expected)
-    if spec.kind == "odd_cycle":
-        if spec.strategy == "quantum":
-            table = quantum.odd_cycle_table(n)
-            expected = quantum.odd_cycle_game_value(n)
-        elif spec.strategy == "foil":
-            contexts, probs_map = [], {}
-            for a in range(1, n + 1):
-                for b in (a, a % n + 1):
-                    ctx = (a, n + b)
-                    contexts.append(ctx)
-                    probs_map[ctx] = (
-                        {(0, 0): 0.5, (1, 1): 0.5} if b == a else {(0, 1): 0.5, (1, 0): 0.5}
-                    )
-            scen = scenario.Scenario(2 * n, tuple(contexts), wing_split=n)
-            table = scenario.CorrelationTable(scen, probs_map)
-            expected = 1.0
-        else:
-            bound = classical.local_bound("odd_cycle", n)
-            table = _deterministic_bipartite_table(
-                n, classical.odd_cycle_payoff(n), bound.witness_a, bound.witness_b
-            )
-            expected = bound.value
-        probs, win = _model_from_table(table, _bipartite_win(n))
-        return _SamplingModel(probs, win, expected)
+        return _seer_model(spec.n, spec.strategy)
     if spec.kind == "diachronic":
         return _diachronic_model(spec.strategy)
-    raise AssertionError(spec.kind)
+    return _two_wing_model(spec.kind, spec.n, spec.strategy)
+
+
+def _two_wing_model(kind: str, n: int, strategy: str) -> _SamplingModel:
+    ring = kind == "bipartite_os"
+    payoff = classical.os_ring_payoff(n) if ring else classical.odd_cycle_payoff(n)
+    if strategy == "quantum":
+        table = quantum.mermin_table(n) if ring else quantum.odd_cycle_table(n)
+        expected = payoff.value(table)
+    elif strategy == "foil":
+        table = scenario.foil_table(payoff)
+        expected = 1.0
+    else:
+        bound = classical.local_bound(payoff)
+        table = scenario.deterministic_table(
+            scenario.payoff_scenario(payoff), bound.witness_a + bound.witness_b
+        )
+        expected = bound.value
+    cells = payoff.cells
+    return _SamplingModel(
+        np.array([float(c.weight) for c in cells]),
+        np.array([[table.prob(payoff.context(c), o) for o in _PAIR_OUTCOMES] for c in cells]),
+        np.array([[o in c.wins for o in _PAIR_OUTCOMES] for c in cells]),
+        expected,
+    )
 
 
 def _seer_model(n: int, strategy: str) -> _SamplingModel:
@@ -187,14 +137,13 @@ def _seer_model(n: int, strategy: str) -> _SamplingModel:
     random position and filling, so the suitor wins with probability 1/(2n).
     foil: the perfect anti-correlation table never shows two empty boxes.
     """
-    outcomes = ((0, 0), (0, 1), (1, 0), (1, 1))
     win = np.zeros((n, 4), dtype=bool)
     win[:, 0] = True  # (0, 0): the both-empty prediction comes true
     if strategy == "quantum":
         table = quantum.klyachko_table(n)
         probs = np.zeros((n, 4))
         for i, ctx in enumerate(table.contexts_present()):
-            probs[i] = [table.prob(ctx, o) for o in outcomes]
+            probs[i] = [table.prob(ctx, o) for o in _PAIR_OUTCOMES]
         expected = quantum.seer_game_win_probability(n)
     elif strategy == "classical_best":
         # Marginal law of the opened pair under the adversarial preparation:
@@ -210,7 +159,7 @@ def _seer_model(n: int, strategy: str) -> _SamplingModel:
         expected = 0.0
     else:
         raise AssertionError(strategy)
-    return _SamplingModel(probs, win, expected)
+    return _SamplingModel(np.full(n, 1 / n), probs, win, expected)
 
 
 def _diachronic_model(strategy: str) -> _SamplingModel:
@@ -221,12 +170,7 @@ def _diachronic_model(strategy: str) -> _SamplingModel:
         pnc = classical.pnc_bound_diachronic()
         name = max(pnc.per_encoding, key=lambda k: (pnc.per_encoding[k], k))
         resp = pnc.best_responses[name]
-        encoder = {
-            "b": lambda t, b: b,
-            "c1": lambda t, b: classical.c_function(1, t, b),
-            "c2": lambda t, b: classical.c_function(2, t, b),
-            "c3": lambda t, b: classical.c_function(3, t, b),
-        }[name]
+        encoder = classical._ENCODINGS[name]
         expected = float(pnc.per_encoding[name])
     for i, (t, b, y) in enumerate(contexts):
         target = classical.c_function(y, t, b)
@@ -243,44 +187,20 @@ def _diachronic_model(strategy: str) -> _SamplingModel:
         expected = quantum.diachronic_quantum().r
     elif strategy == "foil":
         expected = 1.0
-    return _SamplingModel(probs, win, expected)
+    return _SamplingModel(np.full(18, 1 / 18), probs, win, expected)
 
 
-def _simulate_chunk(model: _SamplingModel, seed: int, worker: int, count: int) -> int:
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed & _MASK64, worker], dtype=np.uint64))
-    )
-    cum = np.cumsum(model.outcome_probs, axis=1)
-    n_ctx, n_out = model.outcome_probs.shape
-    wins = 0
-    for start in range(0, count, 1 << 20):
-        size = min(1 << 20, count - start)
-        ctx = rng.integers(0, n_ctx, size=size)
-        u = rng.random(size)
-        idx = (u[:, None] > cum[ctx]).sum(axis=1)
-        np.clip(idx, 0, n_out - 1, out=idx)
-        wins += int(model.win[ctx, idx].sum())
-    return wins
+def _draw_counts(model: _SamplingModel, trials: int, seed: int) -> np.ndarray:
+    """Outcome counts per context over ``trials`` plays, shape (contexts, outcomes)."""
+    rng = np.random.Generator(np.random.Philox(key=seed & _MASK64))
+    context_counts = rng.multinomial(trials, model.weights)
+    return rng.multinomial(context_counts, model.outcome_probs)
 
 
 def simulate(spec: GameSpec) -> GameResult:
     """Run the game and compare the empirical rate with the analytic value."""
     model = _build_model(spec)
-    workers = _worker_count(spec.workers)
-    counts = [
-        spec.trials // workers + (1 if i < spec.trials % workers else 0)
-        for i in range(workers)
-    ]
-    if workers == 1:
-        wins = _simulate_chunk(model, spec.seed, 0, counts[0])
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_simulate_chunk, model, spec.seed, i, c)
-                for i, c in enumerate(counts)
-                if c
-            ]
-            wins = sum(f.result() for f in futures)
+    wins = int(_draw_counts(model, spec.trials, spec.seed)[model.win].sum())
     empirical = wins / spec.trials
     expected = model.expected
     std_error = math.sqrt(max(expected * (1 - expected), 0.0) / spec.trials)
@@ -294,7 +214,6 @@ def simulate(spec: GameSpec) -> GameResult:
         n=spec.n,
         trials=spec.trials,
         seed=spec.seed,
-        workers=workers,
         wins=wins,
         empirical_rate=empirical,
         expected_rate=expected,

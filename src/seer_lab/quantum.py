@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numkit, scenario as scenario_mod
-from .classical import c_function
+from .classical import c_function, odd_cycle_payoff, os_ring_payoff
 from .numkit import ID2, born_probability, projector, spin_observable
 from .tolerances import NUM_TOL, STRUCT_TOL
 
@@ -110,13 +110,8 @@ def klyachko_value(n: int) -> KlyachkoValue:
             "n=3 has no quantum advantage: three pairwise commuting projectors "
             "are all three jointly diagonalizable"
         )
-    poly = star_polygon(n)
-    psi = symmetry_axis_state(poly)
-    projs = [projector(k) for k in poly.kets]
-    antis = []
-    for a in range(n):
-        dist = joint_pair_probs(psi, projs[a], projs[(a + 1) % n])
-        antis.append(dist[(0, 1)] + dist[(1, 0)])
+    table = klyachko_table(n)
+    antis = [table.prob(ctx, (0, 1)) + table.prob(ctx, (1, 0)) for ctx in table.scenario.contexts]
     r = float(np.mean(antis))
     if max(abs(x - r) for x in antis) > NUM_TOL:
         raise AssertionError("pair statistics are not symmetric")
@@ -136,8 +131,7 @@ def klyachko_table(n: int) -> scenario_mod.CorrelationTable:
     projs = [projector(k) for k in poly.kets]
     scen = scenario_mod.Scenario(n, tuple((a, a % n + 1) for a in range(1, n + 1)))
     probs = {}
-    for a in range(1, n + 1):
-        ctx = tuple(sorted((a, a % n + 1)))
+    for ctx in scen.contexts:
         first, second = ctx
         dist = joint_pair_probs(psi, projs[first - 1], projs[second - 1])
         probs[ctx] = {xy: p for xy, p in dist.items() if p > 1e-15}
@@ -147,11 +141,7 @@ def klyachko_table(n: int) -> scenario_mod.CorrelationTable:
 def seer_game_win_probability(n: int) -> float:
     """Chance that an adjacent pair of the star-polygon construction is found
     both-empty, i.e. the suitor's both-0 prediction succeeds."""
-    poly = star_polygon(n)
-    psi = symmetry_axis_state(poly)
-    projs = [projector(k) for k in poly.kets]
-    dist = joint_pair_probs(psi, projs[0], projs[1])
-    return dist[(0, 0)]
+    return klyachko_table(n).prob((1, 2), (0, 0))
 
 
 # --------------------------------------------------------------------------
@@ -396,17 +386,7 @@ def _pair_distribution(op_a: np.ndarray, op_b: np.ndarray) -> dict[tuple[int, in
 def mermin_value(n: int) -> float:
     """Born-rule value of the two-wing ring game with trine-style observables;
     equals 1/3 + (2/3) cos^2(pi/2n)."""
-    ops = ring_observables(n)
-    total = 0.0
-    w = 1.0 / (3 * n)
-    for a in range(1, n + 1):
-        nxt = a % n + 1
-        dist_same = _pair_distribution(ops[a - 1], ops[a - 1])
-        total += w * (dist_same[(0, 0)] + dist_same[(1, 1)])
-        for pair in ((a, nxt), (nxt, a)):
-            dist = _pair_distribution(ops[pair[0] - 1], ops[pair[1] - 1])
-            total += w * (dist[(0, 1)] + dist[(1, 0)])
-    return total
+    return os_ring_payoff(n).value(mermin_table(n))
 
 
 def mermin_closed_form(n: int) -> float:
@@ -414,19 +394,12 @@ def mermin_closed_form(n: int) -> float:
 
 
 def mermin_table(n: int) -> scenario_mod.CorrelationTable:
-    """Bipartite correlation table of the ring construction (constrained cells only)."""
+    """Bipartite correlation table of the ring construction on the ring
+    game's cells (the other setting pairs are unconstrained)."""
     ops = ring_observables(n)
-    contexts = []
-    probs = {}
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            if not (b == a or b == a % n + 1 or a == b % n + 1):
-                continue
-            ctx = (a, n + b)
-            contexts.append(ctx)
-            probs[ctx] = _pair_distribution(ops[a - 1], ops[b - 1])
-    scen = scenario_mod.Scenario(2 * n, tuple(contexts), wing_split=n)
-    return scenario_mod.CorrelationTable(scen, probs)
+    return scenario_mod.payoff_table(
+        os_ring_payoff(n), lambda cell: _pair_distribution(ops[cell.a - 1], ops[cell.b - 1])
+    )
 
 
 def bell_ring_operator(n: int) -> np.ndarray:
@@ -520,28 +493,14 @@ def odd_cycle_observables(n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
 
 def odd_cycle_game_value(n: int) -> float:
     """Born-rule winning probability of the odd-cycle game; equals cos^2(pi/4n)."""
-    ops_a, ops_b = odd_cycle_observables(n)
-    total = 0.0
-    w = 1.0 / (2 * n)
-    for a in range(1, n + 1):
-        dist = _pair_distribution(ops_a[a - 1], ops_b[a - 1])
-        total += w * (dist[(0, 0)] + dist[(1, 1)])
-        dist = _pair_distribution(ops_a[a - 1], ops_b[a % n])
-        total += w * (dist[(0, 1)] + dist[(1, 0)])
-    return total
+    return odd_cycle_payoff(n).value(odd_cycle_table(n))
 
 
 def odd_cycle_table(n: int) -> scenario_mod.CorrelationTable:
     ops_a, ops_b = odd_cycle_observables(n)
-    contexts = []
-    probs = {}
-    for a in range(1, n + 1):
-        for b in (a, a % n + 1):
-            ctx = (a, n + b)
-            contexts.append(ctx)
-            probs[ctx] = _pair_distribution(ops_a[a - 1], ops_b[b - 1])
-    scen = scenario_mod.Scenario(2 * n, tuple(contexts), wing_split=n)
-    return scenario_mod.CorrelationTable(scen, probs)
+    return scenario_mod.payoff_table(
+        odd_cycle_payoff(n), lambda cell: _pair_distribution(ops_a[cell.a - 1], ops_b[cell.b - 1])
+    )
 
 
 # --------------------------------------------------------------------------

@@ -13,12 +13,12 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 from scipy.optimize import linprog
 
-from . import signet
+from . import classical, signet
 from .tolerances import NUM_TOL, PROB_FLOOR, STRUCT_TOL
 
 Context = tuple[int, ...]
@@ -240,6 +240,32 @@ def deterministic_table(scenario: Scenario, assignment: Sequence[int]) -> Correl
     return CorrelationTable(scenario, probs)
 
 
+def payoff_scenario(payoff: classical.GamePayoff) -> Scenario:
+    """Two-wing scenario whose contexts are the cells of a game payoff."""
+    return Scenario(
+        payoff.n_a + payoff.n_b,
+        tuple(payoff.context(cell) for cell in payoff.cells),
+        wing_split=payoff.n_a,
+    )
+
+
+def payoff_table(
+    payoff: classical.GamePayoff,
+    cell_dist: Callable[[classical.PayoffCell], Mapping[Outcome, float]],
+) -> CorrelationTable:
+    """Table over a payoff's cells, with ``cell_dist(cell)`` as each cell's
+    outcome distribution."""
+    return CorrelationTable(
+        payoff_scenario(payoff), {payoff.context(cell): cell_dist(cell) for cell in payoff.cells}
+    )
+
+
+def foil_table(payoff: classical.GamePayoff) -> CorrelationTable:
+    """Each cell uniform over its winning outcomes, so the game is won with
+    certainty."""
+    return payoff_table(payoff, lambda cell: {xy: 1 / len(cell.wins) for xy in sorted(cell.wins)})
+
+
 def build_bipartite_table(kind: str, n: Optional[int] = None) -> CorrelationTable:
     """Two-wing foil correlation tables.
 
@@ -254,23 +280,7 @@ def build_bipartite_table(kind: str, n: Optional[int] = None) -> CorrelationTabl
     if kind == "nonlocal_os_n":
         if n is None or n < 3 or n % 2 == 0:
             raise ValueError("nonlocal_os_n needs odd n >= 3")
-        contexts = []
-        probs = {}
-        corr = {(0, 0): 0.5, (1, 1): 0.5}
-        anti = {(0, 1): 0.5, (1, 0): 0.5}
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                if b == a:
-                    dist = corr
-                elif b == a % n + 1 or a == b % n + 1:
-                    dist = anti
-                else:
-                    continue  # unconstrained cell: absent from the table
-                ctx = (a, n + b)
-                contexts.append(ctx)
-                probs[ctx] = dict(dist)
-        scenario = Scenario(2 * n, tuple(contexts), wing_split=n)
-        return CorrelationTable(scenario, probs)
+        return foil_table(classical.os_ring_payoff(n))
     if kind == "pr_box":
         # Settings: A1, A2 are measurements 1, 2; B1, B2 are 3, 4.
         corr = {(0, 0): 0.5, (1, 1): 0.5}

@@ -72,6 +72,7 @@ def test_game_json_fields(capsys):
     assert doc["seed"] == 7
     assert doc["results"]["expected_rate"] == pytest.approx(5 / 6, abs=1e-9)
     assert doc["results"]["sigma_distance"] < 5
+    assert "workers" not in doc["results"]
 
 
 def test_game_foil_rate_one(capsys):
@@ -258,6 +259,27 @@ def test_network_arity_mismatch_is_usage_error(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "network", "--file", str(path), "--directed",
                          "--start", "1", "--value", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "doc", [{"nodes": 3, "edges": [5]}, {"nodes": 3, "edges": 5}, [[1, 2, "-"]]]
+)
+def test_network_malformed_edges_is_usage_error(tmp_path, capsys, doc):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "network", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("quantity", ["hardy_p", "klyachko_R"])
+@pytest.mark.parametrize("step", ["0", "-2"])
+def test_sweep_nonpositive_step_is_usage_error(capsys, quantity, step):
+    code, out, err = run_cli(capsys, "sweep", quantity, "--step", step)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_povm_two_axis_presets(capsys):

@@ -1,9 +1,19 @@
 import math
 
+import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from seer_lab import quantum
-from seer_lab.games import EnsembleResult, GameResult, GameSpec, simulate, suitor_ensemble
+from seer_lab.games import (
+    EnsembleResult,
+    GameResult,
+    GameSpec,
+    _build_model,
+    _draw_counts,
+    simulate,
+    suitor_ensemble,
+)
 
 
 def test_same_seed_is_bit_identical():
@@ -19,12 +29,30 @@ def test_different_seeds_differ():
     assert a.wins != b.wins
 
 
-def test_worker_partition_is_deterministic():
-    base = dict(kind="bipartite_os", strategy="quantum", trials=100001, n=3, seed=7)
-    two = simulate(GameSpec(workers=2, **base))
-    again = simulate(GameSpec(workers=2, **base))
-    assert two == again
-    assert two.workers == 2
+def test_any_integer_seed_is_deterministic():
+    base = dict(kind="odd_cycle", strategy="quantum", trials=100000, n=5)
+    for seed in (-1, -(2**70), 2**70 + 3):
+        assert simulate(GameSpec(seed=seed, **base)) == simulate(GameSpec(seed=seed, **base))
+
+
+@pytest.mark.parametrize("kind, n", [("bipartite_os", 5), ("odd_cycle", 5), ("diachronic", None)])
+def test_sampler_counts_fit_context_weights_and_table_rows(kind, n):
+    spec = GameSpec(kind, "quantum", trials=10**6, seed=29, n=n)
+    model = _build_model(spec)
+    counts = _draw_counts(model, spec.trials, spec.seed)
+    assert counts.shape == model.outcome_probs.shape
+    assert counts.sum() == spec.trials
+
+    def pearson(observed, probs):
+        keep = probs > 0
+        assert not observed[~keep].any()
+        expected = observed.sum(axis=-1, keepdims=True) * probs
+        stat = ((observed - expected)[keep] ** 2 / expected[keep]).sum()
+        dof = keep.sum() - np.atleast_2d(probs).shape[0]
+        return chi2.sf(stat, dof)
+
+    assert pearson(counts.sum(axis=1), model.weights) > 1e-3
+    assert pearson(counts, model.outcome_probs) > 1e-3
 
 
 def test_bipartite_quantum_rate_close_to_five_sixths():
@@ -101,6 +129,15 @@ def test_spec_validation():
         GameSpec("bipartite_os", "psychic", trials=10, seed=1, n=3)
     with pytest.raises(ValueError):
         GameSpec("diachronic", "quantum", trials=10, seed=1, n=5)
+    with pytest.raises(ValueError):
+        GameSpec("diachronic", "quantum", trials=2**63, seed=1)
+
+
+def test_trial_count_up_to_int64_costs_nothing_per_trial():
+    result = simulate(GameSpec("bipartite_os", "quantum", trials=10**12, seed=8, n=3))
+    assert result.sigma_distance < 5
+    foil = simulate(GameSpec("odd_cycle", "foil", trials=2**63 - 1, seed=8, n=3))
+    assert foil.wins == 2**63 - 1
 
 
 def test_result_dict_round_trip():
@@ -134,15 +171,6 @@ def test_suitor_ensemble_crossover_at_n_101():
 
 def test_suitor_ensemble_result_type():
     assert isinstance(suitor_ensemble(5, 10, "quantum"), EnsembleResult)
-
-
-def test_env_var_sets_default_workers(monkeypatch):
-    monkeypatch.setenv("SEER_LAB_THREADS", "3")
-    result = simulate(GameSpec("diachronic", "quantum", trials=900, seed=2))
-    assert result.workers == 3
-    monkeypatch.delenv("SEER_LAB_THREADS")
-    result = simulate(GameSpec("diachronic", "quantum", trials=900, seed=2))
-    assert result.workers == 1
 
 
 def test_bipartite_ring_generalization_rates():

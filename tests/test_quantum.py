@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from seer_lab import classical, numkit, quantum
+from seer_lab import classical, numkit, quantum, scenario
 from seer_lab.quantum import (
     BELL_STATE,
     build_hardy,
@@ -260,6 +260,31 @@ def test_odd_cycle_specific_values():
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_odd_cycle_quantum_beats_local(n):
     assert 1 - 1 / (2 * n) < odd_cycle_game_value(n)
+
+
+# ---------------------------------------------------------------------------
+# One payoff per game scores every table of that game
+
+
+def test_payoff_scores_quantum_foil_and_witness_tables():
+    for n in range(3, 52, 2):
+        ring, odd = classical.os_ring_payoff(n), classical.odd_cycle_payoff(n)
+        assert abs(ring.value(quantum.mermin_table(n)) - mermin_closed_form(n)) < 1e-10
+        assert abs(odd.value(quantum.odd_cycle_table(n)) - math.cos(math.pi / (4 * n)) ** 2) < 1e-10
+        assert ring.value(scenario.build_bipartite_table("nonlocal_os_n", n)) == 1.0
+        for payoff in (ring, odd):
+            assert payoff.value(scenario.foil_table(payoff)) == 1.0
+    # local_bound enumerates 2^n strategies, so its witnesses stop at n=9.
+    for n in range(3, 10, 2):
+        for game, payoff in (
+            ("os_ring", classical.os_ring_payoff(n)),
+            ("odd_cycle", classical.odd_cycle_payoff(n)),
+        ):
+            bound = classical.local_bound(game, n)
+            witness = scenario.deterministic_table(
+                scenario.payoff_scenario(payoff), bound.witness_a + bound.witness_b
+            )
+            assert abs(payoff.value(witness) - bound.value) < 1e-12
 
 
 # ---------------------------------------------------------------------------
