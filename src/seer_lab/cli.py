@@ -157,7 +157,9 @@ def _load_axes(spec: str):
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return [tuple(map(float, axis)) for axis in data]
+        if not isinstance(data, list):
+            raise ValueError("the axes JSON must be a list of 3-vectors")
+        return data
     raise ValueError(f"--axes must be a preset {sorted(povm.PRESET_AXES)} or a JSON file")
 
 

@@ -49,9 +49,14 @@ def _as_axes(axes: Union[str, Iterable[Sequence[float]]]) -> tuple[np.ndarray, .
             raise ValueError(f"unknown axis preset {axes!r}") from None
     out = []
     for ax in axes:
-        v = np.asarray(ax, dtype=float)
+        try:
+            v = np.asarray(ax, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"axis {ax!r} is not a vector of numbers") from None
         if v.shape != (3,):
             raise ValueError("axes must be 3-vectors")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"axis {v} has a non-finite entry")
         if abs(np.linalg.norm(v) - 1.0) > STRUCT_TOL:
             raise ValueError(f"axis {v} is not unit length")
         out.append(v)

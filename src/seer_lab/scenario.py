@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from . import classical, signet
@@ -24,8 +25,11 @@ from .tolerances import NUM_TOL, PROB_FLOOR, STRUCT_TOL
 Context = tuple[int, ...]
 Outcome = tuple[int, ...]
 
-# Atom count 2^n; above this the dense feasibility system is refused.
-MAX_JOINT_MEASUREMENTS = 20
+# Largest n for the 2^n-atom feasibility LP, set from a 2 GB peak-RSS budget.
+# Measured on build_os_ncycle (2-core host, HiGHS via scipy 1.17): n=17 2.3 s
+# and 0.46 GB, n=19 12.2 s and 1.6 GB; an infeasible 20-measurement pair
+# table took 27 s and 3.3 GB.
+MAX_JOINT_MEASUREMENTS = 19
 
 
 @dataclass(frozen=True)
@@ -335,8 +339,7 @@ def check_no_signaling(table: CorrelationTable) -> NoSignalingReport:
 class FeasibilityResult:
     feasible: bool
     distribution: Optional[JointDistribution]
-    objective: float
-    certificate: Union[str, tuple, None] = None
+    certificate: Optional[tuple] = None
 
     def __bool__(self) -> bool:
         return self.feasible
@@ -345,60 +348,55 @@ class FeasibilityResult:
 def joint_distribution_feasible(table: CorrelationTable) -> FeasibilityResult:
     """Search for a joint distribution reproducing every context marginal.
 
-    Phase-1 linear program: minimize the total L1 marginal violation over
-    nonnegative atom weights summing to one.  An optimum above NUM_TOL is an
-    infeasibility certificate; for tables of perfectly (anti)correlated pairs
-    the offending odd cycle is reported instead of the bare objective.
+    One zero-cost linear program over nonnegative weights w of the 2^n atoms
+    (atom i sets measurement m to bit m-1 of i): A w = b, with one row per
+    context outcome and a normalisation row.  HiGHS status 0 is feasible, and
+    the weights are re-checked against every marginal to NUM_TOL; status 2 is
+    infeasible, and for tables of perfectly (anti)correlated pairs the
+    offending odd cycle is the certificate.
     """
     n = table.scenario.n_measurements
     if n > MAX_JOINT_MEASUREMENTS:
         raise ValueError(f"atom count 2^{n} exceeds the supported limit 2^{MAX_JOINT_MEASUREMENTS}")
-    natoms = 1 << n
-    atoms = np.arange(natoms, dtype=np.int64)
-    bits = ((atoms[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
-
+    atoms = np.arange(1 << n, dtype=np.int32)
     rows = []
     rhs = []
     for ctx, dist in sorted(table.probs.items()):
-        idx = [i - 1 for i in ctx]
-        for outcome in itertools.product((0, 1), repeat=len(ctx)):
-            mask = np.all(bits[:, idx] == np.array(outcome, dtype=np.int8), axis=1)
-            rows.append(mask.astype(float))
-            rhs.append(dist.get(outcome, 0.0))
-    rows.append(np.ones(natoms))
+        # The atom's outcome on ctx, read as a binary number first
+        # measurement first, indexes the context's block of rows.
+        code = np.zeros_like(atoms)
+        for m in ctx:
+            code = (code << 1) | ((atoms >> (m - 1)) & 1)
+        rows.append(len(rhs) + code)
+        rhs.extend(dist.get(outcome, 0.0) for outcome in itertools.product((0, 1), repeat=len(ctx)))
+    rows.append(np.full_like(atoms, len(rhs)))
     rhs.append(1.0)
-    a_eq = np.asarray(rows)
+    # Every column holds one 1 per row block, in increasing row order.
+    indices = np.stack(rows, axis=1).ravel()
+    indptr = np.arange(0, indices.size + 1, len(rows), dtype=np.int32)
+    a_eq = sparse.csc_array((np.ones(indices.size), indices, indptr), shape=(len(rhs), atoms.size))
     b_eq = np.asarray(rhs)
-
-    m = a_eq.shape[0]
-    # Artificial split variables absorb the residual A w - b; their total mass
-    # is the phase-1 objective.
-    a_full = np.hstack([a_eq, np.eye(m), -np.eye(m)])
-    cost = np.concatenate([np.zeros(natoms), np.ones(2 * m)])
-    res = linprog(cost, A_eq=a_full, b_eq=b_eq, bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"linear program failed: {res.message}")
-    objective = float(res.fun)
-    if objective <= NUM_TOL:
-        weights = res.x[:natoms]
-        residual = float(np.max(np.abs(a_eq @ weights - b_eq)))
+    res = linprog(np.zeros(atoms.size), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    if res.status == 0:
+        residual = float(np.max(np.abs(a_eq @ res.x - b_eq)))
         if residual > NUM_TOL:
             raise RuntimeError(
                 f"solver reported feasibility but marginals are off by {residual:.3e}"
             )
+        support = np.flatnonzero(res.x > 1e-15)
         dist = {
-            tuple(int(b) for b in bits[i]): float(w)
-            for i, w in enumerate(weights)
-            if w > 1e-15
+            tuple(int(i >> j) & 1 for j in range(n)): float(res.x[i]) for i in support
         }
-        return FeasibilityResult(True, JointDistribution(n, dist), objective)
-    certificate: Union[str, tuple] = f"phase-1 objective {objective:.3e}"
+        return FeasibilityResult(True, JointDistribution(n, dist))
+    if res.status != 2:
+        raise RuntimeError(f"linear program failed: {res.message}")
+    certificate = None
     graph = table_signed_graph(table)
     if graph is not None:
         report = signet.is_frustrated(graph)
         if report.frustrated:
             certificate = ("odd-parity cycle", report.witness)
-    return FeasibilityResult(False, None, objective, certificate)
+    return FeasibilityResult(False, None, certificate)
 
 
 # --------------------------------------------------------------------------

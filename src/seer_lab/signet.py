@@ -30,6 +30,20 @@ def _as_sign(value) -> int:
         raise ValueError(f"edge sign must be one of +1/-1/'+'/'-', got {value!r}") from None
 
 
+def _as_style(value) -> str:
+    try:
+        return _STYLE_CHARS[value]
+    except (KeyError, TypeError):
+        raise ValueError(f"arc style must be one of '+'/'-'/'solid'/'dashed', got {value!r}") from None
+
+
+def _json_int(value, what: str) -> int:
+    """An integer field of a graph document; booleans, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SignedGraph:
     """Simple undirected graph with +-1 edge signs; nodes are 1..n_nodes."""
@@ -56,10 +70,11 @@ class SignedGraph:
         object.__setattr__(self, "edges", tuple(canon))
 
     def adjacency(self) -> dict[int, list[tuple[int, int]]]:
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, self.n_nodes + 1)}
+        """Signed neighbours of every node that has an edge; isolated nodes are absent."""
+        adj: dict[int, list[tuple[int, int]]] = {}
         for u, v, s in self.edges:
-            adj[u].append((v, s))
-            adj[v].append((u, s))
+            adj.setdefault(u, []).append((v, s))
+            adj.setdefault(v, []).append((u, s))
         return adj
 
     def to_json_dict(self) -> dict:
@@ -70,8 +85,11 @@ class SignedGraph:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SignedGraph":
-        edges = tuple((int(u), int(v), _as_sign(s)) for u, v, s in doc["edges"])
-        return cls(int(doc["nodes"]), edges)
+        edges = tuple(
+            (_json_int(u, "edge endpoint"), _json_int(v, "edge endpoint"), _as_sign(s))
+            for u, v, s in doc["edges"]
+        )
+        return cls(_json_int(doc.get("nodes"), "node count"), edges)
 
 
 def cycle_graph(signs: Sequence[int]) -> SignedGraph:
@@ -102,7 +120,8 @@ def is_frustrated(g: SignedGraph) -> FrustrationReport:
     adj = g.adjacency()
     parity: dict[int, int] = {}
     parent: dict[int, Optional[int]] = {}
-    for root in range(1, g.n_nodes + 1):
+    # Isolated nodes close no cycle, so only nodes with edges are roots.
+    for root in sorted(adj):
         if root in parity:
             continue
         parity[root] = 0
@@ -232,7 +251,7 @@ class DirectedImplicationGraph:
 
     def __post_init__(self):
         arcs = tuple(
-            a if isinstance(a, Arc) else Arc(a[0], a[1], int(a[2]), _STYLE_CHARS[a[3]])
+            a if isinstance(a, Arc) else Arc(a[0], a[1], int(a[2]), _as_style(a[3]))
             for a in self.arcs
         )
         for a in arcs:
@@ -254,9 +273,11 @@ class DirectedImplicationGraph:
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "DirectedImplicationGraph":
         arcs = tuple(
-            Arc(int(u), int(v), int(x), _STYLE_CHARS[s]) for u, v, x, s in doc["edges"]
+            Arc(_json_int(u, "arc endpoint"), _json_int(v, "arc endpoint"),
+                _json_int(x, "arc base"), _as_style(s))
+            for u, v, x, s in doc["edges"]
         )
-        return cls(int(doc["nodes"]), arcs)
+        return cls(_json_int(doc.get("nodes"), "node count"), arcs)
 
 
 @dataclass
@@ -339,7 +360,7 @@ def chained_cycle(styles: Sequence[str], start_base: int = 1) -> DirectedImplica
     arcs = []
     base = start_base
     for a, style in enumerate(styles, start=1):
-        style = _STYLE_CHARS[style]
+        style = _as_style(style)
         arc = Arc(a, a % n + 1, base, style)
         arcs.append(arc)
         base = arc.consequent

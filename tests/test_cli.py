@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seer_lab import cli
 
@@ -109,10 +115,33 @@ def test_povm_axes_file(tmp_path, capsys):
     assert doc["results"]["threshold"] == pytest.approx(1.0)
 
 
-def test_povm_bad_axes(capsys):
-    code, _, err = run_cli(capsys, "povm", "--axes", "nonexistent")
+@pytest.mark.parametrize(
+    "axes",
+    [
+        "nonexistent",
+        [1, 2],
+        [[0, 0, None], [1, 0, 0]],
+        5,
+        {"x": [0, 0, 1]},
+        [],
+        [[0, 0, 1], {"x": 1}],
+        [[0, 0, 1, 0]],
+        [[0, 0, 2]],
+        [[10**400, 0, 0]],
+    ],
+)
+def test_povm_bad_axes(tmp_path, capsys, axes):
+    # A string is passed as the --axes argument, anything else as a JSON file.
+    spec = axes
+    if not isinstance(axes, str):
+        spec = tmp_path / "axes.json"
+        spec.write_text(json.dumps(axes))
+    code, out, err = run_cli(capsys, "povm", "--axes", str(spec))
     assert code == 2
-    assert "preset" in err
+    assert out == ""
+    assert err.startswith("error:")
+    if isinstance(axes, str):
+        assert "preset" in err
 
 
 def test_network_undirected(tmp_path, capsys):
@@ -262,7 +291,18 @@ def test_network_arity_mismatch_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "doc", [{"nodes": 3, "edges": [5]}, {"nodes": 3, "edges": 5}, [[1, 2, "-"]]]
+    "doc",
+    [
+        {"nodes": 3, "edges": [5]},
+        {"nodes": 3, "edges": 5},
+        [[1, 2, "-"]],
+        {"nodes": 3, "edges": [[[1], 2, "-"]]},
+        {"nodes": None, "edges": [[1, 2, "-"]]},
+        {"nodes": 3.5, "edges": [[1, 2, "-"]]},
+        {"edges": [[1, 2, "-"]]},
+        {"nodes": 3, "edges": [[1, "2", "-"]]},
+        {"nodes": 3, "edges": [[1, 2, [0]]]},
+    ],
 )
 def test_network_malformed_edges_is_usage_error(tmp_path, capsys, doc):
     path = tmp_path / "g.json"
@@ -271,6 +311,26 @@ def test_network_malformed_edges_is_usage_error(tmp_path, capsys, doc):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        ([1, 2, [0], "-"], "arc base must be an integer"),
+        ([1, 2, 0.5, "-"], "arc base must be an integer"),
+        ([None, 2, 0, "-"], "arc endpoint must be an integer"),
+        ([1, 2, 0, "x"], "arc style must be one of"),
+        ([1, 2, 0, ["-"]], "arc style must be one of"),
+    ],
+)
+def test_network_malformed_arcs_is_usage_error(tmp_path, capsys, edge, message):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"nodes": 3, "edges": [edge]}))
+    code, out, err = run_cli(capsys, "network", "--file", str(path), "--directed",
+                             "--start", "1", "--value", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("quantity", ["hardy_p", "klyachko_R"])
@@ -302,3 +362,58 @@ def test_sweep_json_envelope_validates(capsys):
     assert code == 0
     jsonschema.validate(doc, load_schema())
     assert doc["results"]["columns"] == ["parameter", "classical_bound", "quantum_value"]
+
+
+# --------------------------------------------------------------------------
+# Exit-code contract under arbitrary JSON inputs
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["+", "-", "solid", "dashed", 0, 1, -1, 1.0])
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+NETWORK_DOCS = JSON_VALUES | st.fixed_dictionaries(
+    {
+        "nodes": JSON_VALUES,
+        "edges": JSON_VALUES | st.lists(st.lists(JSON_VALUES, min_size=3, max_size=4), max_size=4),
+    }
+)
+AXIS_ENTRIES = st.sampled_from([0, 1, -1, 0.0, 1.0, -1.0]) | JSON_SCALARS
+AXES_DOCS = JSON_VALUES | st.lists(st.lists(AXIS_ENTRIES, min_size=2, max_size=4), max_size=4)
+EXIT_CODES = {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_VERIFICATION}
+
+
+def run_on_document(argv, doc) -> int:
+    """Write ``doc`` to a JSON file and run the CLI with its path after ``argv``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return cli.main([*argv, str(path)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=NETWORK_DOCS, directed=st.booleans())
+@example(doc={"nodes": 3, "edges": [[[1], 2, "-"]]}, directed=False)
+@example(doc={"nodes": None, "edges": [[1, 2, "-"]]}, directed=False)
+@example(doc={"nodes": 3, "edges": [[1, 2, [0], "-"]]}, directed=True)
+def test_network_exit_codes_on_arbitrary_json(doc, directed):
+    flags = ["--directed", "--start", "1", "--value", "1"] if directed else []
+    assert run_on_document(["network", *flags, "--file"], doc) in EXIT_CODES
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=AXES_DOCS)
+@example(doc=[1, 2])
+@example(doc=[[0, 0, None], [1, 0, 0]])
+@example(doc=5)
+def test_povm_exit_codes_on_arbitrary_json(doc):
+    assert run_on_document(["povm", "--axes"], doc) in EXIT_CODES

@@ -204,6 +204,14 @@ def test_m_vectors_rejects_empty_subset():
         m_vectors("trine3", subset=())
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_axes_rejected(bad):
+    # abs(nan - 1) > tol is False, so a NaN axis would pass the unit-length test.
+    for fn in (eta_necessary, eta_sufficient, simulating_povm):
+        with pytest.raises(ValueError, match="non-finite"):
+            fn([(0.0, 0.0, bad), (1.0, 0.0, 0.0)])
+
+
 def test_non_unit_axes_rejected():
     with pytest.raises(ValueError):
         eta_necessary([(0.0, 0.0, 2.0)])

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seer_lab import quantum, scenario, signet
 from seer_lab.scenario import (
@@ -117,7 +119,6 @@ def test_no_signaling_requires_bipartite():
 def test_os3_has_no_joint_distribution():
     result = joint_distribution_feasible(build_os_ncycle(3))
     assert not result.feasible
-    assert result.objective > 1e-9
     assert result.certificate[0] == "odd-parity cycle"
 
 
@@ -170,10 +171,52 @@ def test_point_distributions_always_feasible():
 
 
 def test_joint_feasibility_size_limit():
-    scen = Scenario(21, ((1, 2),))
-    table = CorrelationTable(scen, {(1, 2): {(0, 1): 0.5, (1, 0): 0.5}})
-    with pytest.raises(ValueError):
-        joint_distribution_feasible(table)
+    # 20 is one past the measured cap: refused before any 2^n array exists.
+    for n in (20, 21):
+        scen = Scenario(n, ((1, 2),))
+        table = CorrelationTable(scen, {(1, 2): {(0, 1): 0.5, (1, 0): 0.5}})
+        with pytest.raises(ValueError):
+            joint_distribution_feasible(table)
+
+
+def test_infeasible_table_without_signed_graph_has_no_certificate():
+    result = joint_distribution_feasible(quantum.mermin_table(3))
+    assert not result.feasible
+    assert result.certificate is None
+    assert not hasattr(result, "objective")
+
+
+@st.composite
+def pair_triple_scenarios(draw):
+    n = draw(st.integers(min_value=2, max_value=8))
+    candidates = list(itertools.combinations(range(1, n + 1), 2))
+    candidates += itertools.combinations(range(1, n + 1), 3)
+    contexts = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=12, unique=True))
+    return Scenario(n, tuple(contexts))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_mixtures_of_deterministic_tables_are_feasible(data):
+    # A convex mixture of valuations is a joint distribution, so the LP must
+    # find one; a single valuation is the deterministic case.
+    scen = data.draw(pair_triple_scenarios())
+    valuation = st.tuples(*[st.integers(0, 1)] * scen.n_measurements)
+    valuations = data.draw(st.lists(valuation, min_size=1, max_size=4))
+    weights = data.draw(st.lists(st.integers(1, 9), min_size=len(valuations), max_size=len(valuations)))
+    probs = {}
+    for ctx in scen.contexts:
+        dist = probs.setdefault(ctx, {})
+        for bits, w in zip(valuations, weights):
+            outcome = tuple(bits[i - 1] for i in ctx)
+            dist[outcome] = dist.get(outcome, 0.0) + w / sum(weights)
+    table = CorrelationTable(scen, probs)
+    result = joint_distribution_feasible(table)
+    assert result.feasible
+    for ctx, dist in table.probs.items():
+        recon = result.distribution.context_marginal(ctx)
+        for outcome in set(recon) | set(dist):
+            assert abs(recon.get(outcome, 0.0) - dist.get(outcome, 0.0)) <= 1e-9
 
 
 def test_solve_anticorrelation_constraints_forces_half():

@@ -104,6 +104,13 @@ def test_gauge_invariance_of_frustration(data):
     assert is_frustrated(gauge_transform(g, flips)).frustrated == is_frustrated(g).frustrated
 
 
+def test_adjacency_lists_only_nodes_with_edges():
+    # Isolated nodes close no cycle, so the frustration search never visits them.
+    g = SignedGraph(10, ((7, 3, DASHED), (3, 5, SOLID)))
+    assert g.adjacency() == {7: [(3, DASHED)], 3: [(7, DASHED), (5, SOLID)], 5: [(3, SOLID)]}
+    assert not is_frustrated(g).frustrated
+
+
 def test_json_round_trip():
     g = cycle_graph([DASHED, SOLID, DASHED, SOLID, DASHED])
     doc = g.to_json_dict()
