@@ -31,6 +31,12 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFICATION = 3
 
+# Largest sweeps, set from a 5 s budget (2-core host): a hardy_p row takes
+# 0.34 ms (10,000 rows 3.4 s); a cycle row costs O(n), and mermin_R over odd
+# n = 3..201 takes 5.0 s (klyachko_R over n = 5..201, 0.9 s).
+MAX_SWEEP_ROWS = 10_000
+MAX_SWEEP_N = 201
+
 
 def _quantize(obj):
     """Round floats to 12 significant digits for stable, diff-friendly output."""
@@ -241,15 +247,22 @@ def cmd_game(args) -> dict:
 
 
 def _sweep_values(args):
+    if not all(v is None or math.isfinite(v) for v in (args.start, args.stop, args.step)):
+        raise ValueError("--start, --stop and --step must be finite")
     if args.step is not None and not args.step > 0:
         raise ValueError("--step must be positive")
     if args.quantity in ("klyachko_R", "mermin_R"):
+        if args.step is not None and not args.step.is_integer():
+            raise ValueError("cycle sweeps need an integer --step")
         start = int(args.start if args.start is not None else (5 if args.quantity == "klyachko_R" else 3))
         stop = int(args.stop if args.stop is not None else 21)
         step = int(args.step if args.step is not None else 2)
         if start % 2 == 0 or step % 2 == 1:
             raise ValueError("cycle sweeps need odd start and even step")
-        for n in range(start, stop + 1, step):
+        ns = range(start, stop + 1, step)
+        if ns and ns[-1] > MAX_SWEEP_N:
+            raise ValueError(f"cycle sweeps are limited to n <= {MAX_SWEEP_N}")
+        for n in ns:
             if args.quantity == "klyachko_R":
                 yield n, 1 - 1 / n, quantum.klyachko_value(n).r
             else:
@@ -258,8 +271,10 @@ def _sweep_values(args):
         start = float(args.start if args.start is not None else 1.0)
         stop = float(args.stop if args.stop is not None else 3.0)
         step = float(args.step if args.step is not None else 0.05)
-        count = int(round((stop - start) / step))
-        for i in range(count + 1):
+        span = (stop - start) / step  # +-inf when the difference overflows
+        if span > MAX_SWEEP_ROWS - 1:
+            raise ValueError(f"hardy_p sweeps are limited to {MAX_SWEEP_ROWS} rows")
+        for i in range(round(max(span, -1.0)) + 1):
             eta = start + i * step
             yield eta, 0.0, quantum.hardy_value(eta)
     else:

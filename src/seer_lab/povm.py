@@ -41,6 +41,12 @@ PRESET_AXES: dict[str, tuple[np.ndarray, ...]] = {
 }
 
 
+# Largest axis count, set from a 5 s budget: the 2^N sign tuples make a
+# `seer-lab povm` run on N axes take 1.9 s at N=13, 3.6-3.8 s at N=14 and
+# 6.7-7.5 s at N=15 (whole process, 2-core host).
+MAX_AXES = 14
+
+
 def _as_axes(axes: Union[str, Iterable[Sequence[float]]]) -> tuple[np.ndarray, ...]:
     if isinstance(axes, str):
         try:
@@ -49,6 +55,8 @@ def _as_axes(axes: Union[str, Iterable[Sequence[float]]]) -> tuple[np.ndarray, .
             raise ValueError(f"unknown axis preset {axes!r}") from None
     out = []
     for ax in axes:
+        if len(out) == MAX_AXES:
+            raise ValueError(f"at most {MAX_AXES} axes are supported")
         try:
             v = np.asarray(ax, dtype=float)
         except (TypeError, ValueError, OverflowError):

@@ -66,8 +66,14 @@ def star_polygon(n: int) -> StarPolygon:
 
 
 def symmetry_axis_state(poly: StarPolygon) -> np.ndarray:
-    """The state along the polygon's symmetry axis (equal overlap with every ray)."""
-    return np.array([0.0, 0.0, 1.0])
+    """The state along the polygon's symmetry axis, the sum of its rays (equal
+    overlap with every ray)."""
+    total = np.sum(poly.kets, axis=0)
+    # The transverse components cancel.  Their rounding residue, under
+    # 5e-17 * n of the length for n up to 50001, is cleared so that the
+    # state lies exactly on the axis.
+    total[np.abs(total) < poly.n * STRUCT_TOL * np.linalg.norm(total)] = 0.0
+    return total / np.linalg.norm(total)
 
 
 def _require_commuting(p: np.ndarray, q: np.ndarray) -> None:
@@ -507,6 +513,11 @@ def odd_cycle_table(n: int) -> scenario_mod.CorrelationTable:
 # Hardy chain construction
 
 
+# Bound on eta: kappa_3 = eta^(5/2) is normalised through 1 + eta^5, which
+# overflows a double near eta = 4.5e61.
+HARDY_ETA_MAX = 1e61
+
+
 @dataclass(frozen=True)
 class HardyConfig:
     eta: float
@@ -521,6 +532,8 @@ def build_hardy(eta: float) -> HardyConfig:
     rays per wing, with kappa_a = eta^(((a+1) mod 3) + 1/2)."""
     if eta <= 0:
         raise ValueError("eta must be positive")
+    if not eta < HARDY_ETA_MAX:
+        raise ValueError(f"eta must be finite and below {HARDY_ETA_MAX:g}")
     k1, k2, k3 = (eta ** (((a + 1) % 3) + 0.5) for a in (1, 2, 3))
 
     def unit(x, y):

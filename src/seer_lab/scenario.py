@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from . import classical, signet
 from .tolerances import NUM_TOL, PROB_FLOOR, STRUCT_TOL
@@ -335,6 +333,14 @@ def check_no_signaling(table: CorrelationTable) -> NoSignalingReport:
 # Joint-distribution feasibility (linear program over atom weights)
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first marginal-problem LP
+    so that importing the package does not load scipy."""
+    from scipy import optimize
+
+    return optimize.linprog(*args, **kwargs)
+
+
 @dataclass
 class FeasibilityResult:
     feasible: bool
@@ -355,6 +361,8 @@ def joint_distribution_feasible(table: CorrelationTable) -> FeasibilityResult:
     infeasible, and for tables of perfectly (anti)correlated pairs the
     offending odd cycle is the certificate.
     """
+    from scipy import sparse
+
     n = table.scenario.n_measurements
     if n > MAX_JOINT_MEASUREMENTS:
         raise ValueError(f"atom count 2^{n} exceeds the supported limit 2^{MAX_JOINT_MEASUREMENTS}")

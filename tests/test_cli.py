@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seer_lab import cli
+from seer_lab import cli, povm
 
 
 def run_cli(capsys, *argv):
@@ -342,6 +343,60 @@ def test_sweep_nonpositive_step_is_usage_error(capsys, quantity, step):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hardy_p", "--stop", "inf"],
+        ["klyachko_R", "--stop", "inf"],
+        ["hardy_p", "--step", "inf"],
+        ["mermin_R", "--start", "nan"],
+        ["klyachko_R", "--step", "2.5"],
+        ["hardy_p", "--stop", "1e12"],
+        ["hardy_p", "--start=-1e308", "--stop=1e308"],
+        ["klyachko_R", "--stop", "1e300"],
+        ["mermin_R", "--start", "5", "--stop", "1e300", "--step", "1e299"],
+        ["hardy_p", "--start", "1e61", "--stop", "1e61"],
+    ],
+)
+def test_sweep_out_of_range_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "sweep", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_sweep_caps_bound_rows_and_cycle_size(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", 5)
+    monkeypatch.setattr(cli, "MAX_SWEEP_N", 9)
+    code, out, _ = run_cli(capsys, "sweep", "hardy_p", "--start", "1", "--stop", "1.4", "--step", "0.1")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 5
+    code, _, err = run_cli(capsys, "sweep", "hardy_p", "--start", "1", "--stop", "1.5", "--step", "0.1")
+    assert code == 2
+    assert err == "error: hardy_p sweeps are limited to 5 rows\n"
+    code, out, _ = run_cli(capsys, "sweep", "klyachko_R", "--stop", "10")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("9,")
+    code, _, err = run_cli(capsys, "sweep", "mermin_R", "--stop", "11")
+    assert code == 2
+    assert err == "error: cycle sweeps are limited to n <= 9\n"
+    # Empty ranges are not refused, whatever their bounds.
+    for quantity, start, stop in (("klyachko_R", "13", "11"), ("hardy_p", "1e300", "1")):
+        code, out, _ = run_cli(capsys, "sweep", quantity, "--start", start, "--stop", stop)
+        assert code == 0
+        assert out == "parameter,classical_bound,quantum_value\n"
+
+
+def test_povm_axis_cap(tmp_path, capsys):
+    assert len(povm._as_axes([[0.0, 0.0, 1.0]] * povm.MAX_AXES)) == povm.MAX_AXES
+    path = tmp_path / "axes.json"
+    path.write_text(json.dumps([[0.0, 0.0, 1.0]] * (povm.MAX_AXES + 1)))
+    code, out, err = run_cli(capsys, "povm", "--axes", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: at most {povm.MAX_AXES} axes are supported\n"
+
+
 def test_povm_two_axis_presets(capsys):
     code, out, _ = run_cli(capsys, "povm", "--axes", "trine2", "--json")
     doc = json.loads(out)
@@ -417,3 +472,71 @@ def test_network_exit_codes_on_arbitrary_json(doc, directed):
 @example(doc=5)
 def test_povm_exit_codes_on_arbitrary_json(doc):
     assert run_on_document(["povm", "--axes"], doc) in EXIT_CODES
+
+
+# --------------------------------------------------------------------------
+# Exit-code contract under arbitrary argv
+
+INTS = st.integers(-3, 61)
+FLOATS = st.floats(-1e3, 1e3) | st.sampled_from([math.inf, -math.inf, math.nan, 1e12, 1e300])
+OUTPUT_FLAGS = st.sampled_from([[], ["--json"], ["--csv"]])
+
+
+def options(**values):
+    """Each option absent or set to a drawn value, as ``--name=value``; a
+    drawn ``True`` is a bare flag."""
+    drawn = [
+        st.none() | value.map(lambda v, name=name: f"--{name}" if v is True else f"--{name}={v}")
+        for name, value in values.items()
+    ]
+    return st.tuples(*drawn).map(lambda opts: [o for o in opts if o is not None])
+
+
+def command(*head, **values):
+    return st.tuples(st.tuples(*head), options(**values), OUTPUT_FLAGS).map(
+        lambda parts: [*parts[0], *parts[1], *parts[2]]
+    )
+
+
+ARGVS = st.one_of(
+    command(st.just("bounds"), st.sampled_from(["ks_ncycle", "bell_ring", "odd_cycle", "pnc"]), n=INTS),
+    command(st.just("povm"), st.just("--axes"), st.sampled_from([*povm.PRESET_AXES, "nonexistent"])),
+    command(st.just("network"), st.just("--file"), st.sampled_from(["GRAPH", "ARCS"]),
+            directed=st.just(True), start=INTS, value=INTS),
+    command(st.just("game"), st.sampled_from(["bipartite_os", "odd_cycle", "seer_ncycle", "diachronic"]),
+            n=INTS, strategy=st.sampled_from(["classical_best", "quantum", "foil"]),
+            trials=st.integers(-2, 2**64), seed=st.integers(-(2**70), 2**70)),
+    command(st.just("sweep"), st.sampled_from(["klyachko_R", "mermin_R", "hardy_p"]),
+            start=FLOATS, stop=FLOATS, step=FLOATS),
+)
+GRAPHS = {
+    "GRAPH": {"nodes": 3, "edges": [[1, 2, "-"], [2, 3, "-"], [3, 1, "-"]]},
+    "ARCS": {"nodes": 3, "edges": [[1, 2, 1, "-"], [2, 3, 0, "-"], [3, 1, 1, "-"]]},
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=ARGVS)
+@example(argv=["sweep", "hardy_p", "--stop=inf"])
+@example(argv=["sweep", "klyachko_R", "--stop=inf"])
+@example(argv=["sweep", "hardy_p", "--step=inf"])
+@example(argv=["sweep", "hardy_p", "--stop=1e12"])
+@example(argv=["sweep", "klyachko_R", "--step=2.5"])
+@example(argv=["sweep", "hardy_p", "--start=-1e308", "--stop=1e308"])
+@example(argv=["sweep", "hardy_p", "--start=1e300", "--stop=1e300"])
+def test_exit_codes_on_arbitrary_argv(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in GRAPHS.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            argv = [str(path) if a == name else a for a in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # argparse usage errors
+                    code = exc.code
+    assert code in EXIT_CODES
+    assert "Traceback" not in err.getvalue()

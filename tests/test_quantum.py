@@ -6,6 +6,7 @@ import pytest
 from seer_lab import classical, numkit, quantum, scenario
 from seer_lab.quantum import (
     BELL_STATE,
+    StarPolygon,
     build_hardy,
     clifton_check,
     diachronic_quantum,
@@ -53,6 +54,19 @@ def test_star_polygon_symmetry_axis(n):
     psi = symmetry_axis_state(poly)
     overlaps = [(k @ psi) ** 2 for k in poly.kets]
     assert max(overlaps) - min(overlaps) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 5, 21, 201, 2001])
+def test_symmetry_axis_of_star_polygon_is_exactly_z(n):
+    assert np.array_equal(symmetry_axis_state(star_polygon(n)), [0.0, 0.0, 1.0])
+
+
+def test_symmetry_axis_follows_a_rotated_polygon():
+    poly = star_polygon(7)
+    c, s = math.cos(0.3), math.sin(0.3)
+    rotation = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    turned = StarPolygon(7, poly.theta, poly.phis, tuple(rotation @ k for k in poly.kets))
+    assert np.allclose(symmetry_axis_state(turned), rotation @ [0.0, 0.0, 1.0], atol=1e-15)
 
 
 def test_star_polygon_rejects_even():
@@ -322,6 +336,18 @@ def test_hardy_vanishes_for_product_state_limit():
 def test_hardy_rejects_nonpositive_eta():
     with pytest.raises(ValueError):
         hardy_value(0.0)
+
+
+@pytest.mark.parametrize("eta", [quantum.HARDY_ETA_MAX, 1e200, math.inf, math.nan])
+def test_hardy_rejects_eta_beyond_float_range(eta):
+    with pytest.raises(ValueError, match="finite"):
+        hardy_value(eta)
+
+
+def test_hardy_just_below_eta_bound_is_finite(recwarn):
+    value = hardy_value(math.nextafter(quantum.HARDY_ETA_MAX, 0))
+    assert 0 <= value < 1e-100
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,25 @@ def test_no_signaling_passes_for_quantum_tables():
         assert check_no_signaling(table).max_violation < 1e-12
 
 
+@pytest.mark.parametrize("n", range(3, 16, 2))
+def test_quantum_tables_are_normalised_and_no_signaling(n):
+    two_wing = [quantum.mermin_table(n), quantum.odd_cycle_table(n)]
+    cycle = quantum.klyachko_table(n)
+    for table in [cycle, *two_wing]:
+        assert set(table.contexts_present()) == set(table.scenario.contexts)
+        for dist in table.probs.values():
+            assert min(dist.values()) >= 0
+            assert abs(sum(dist.values()) - 1) < 1e-12
+    for table in two_wing:
+        assert check_no_signaling(table).passed()
+    # The star-polygon table has one wing, so check_no_signaling does not
+    # apply; its analogue is that each measurement's marginal is the same in
+    # both cycle contexts that contain it.
+    for m in range(1, n + 1):
+        first, second = (cycle.marginal(ctx, m) for ctx in cycle.scenario.contexts if m in ctx)
+        assert max(abs(first[x] - second[x]) for x in (0, 1)) < 1e-12
+
+
 def test_no_signaling_detects_maximal_signaling():
     scen = Scenario(3, ((1, 2), (1, 3)), wing_split=1)
     table = CorrelationTable(
