@@ -252,8 +252,9 @@ def _sweep_values(args):
     if args.step is not None and not args.step > 0:
         raise ValueError("--step must be positive")
     if args.quantity in ("klyachko_R", "mermin_R"):
-        if args.step is not None and not args.step.is_integer():
-            raise ValueError("cycle sweeps need an integer --step")
+        for flag, value in (("start", args.start), ("stop", args.stop), ("step", args.step)):
+            if value is not None and not value.is_integer():
+                raise ValueError(f"cycle sweeps need an integer --{flag}")
         start = int(args.start if args.start is not None else (5 if args.quantity == "klyachko_R" else 3))
         stop = int(args.stop if args.stop is not None else 21)
         step = int(args.step if args.step is not None else 2)

@@ -27,6 +27,10 @@ STRATEGIES = ("classical_best", "quantum", "foil")
 _MASK64 = (1 << 64) - 1
 # numpy draws counts as int64.
 MAX_TRIALS = (1 << 63) - 1
+# Largest n, set from a 5 s budget: the quantum tables are built context by
+# context, and the slowest kind, bipartite_os, takes 4.5 s (85 MB peak RSS)
+# at n = 10,001 for the whole `seer-lab game` process on a 2-core host.
+MAX_N = 10_001
 
 
 @dataclass(frozen=True)
@@ -53,6 +57,8 @@ class GameSpec:
         else:
             if self.n is None or self.n < 3 or self.n % 2 == 0:
                 raise ValueError(f"{self.kind} needs odd n >= 3")
+            if self.n > MAX_N:
+                raise ValueError(f"games are limited to n <= {MAX_N}")
 
 
 @dataclass

@@ -243,10 +243,11 @@ def deterministic_table(scenario: Scenario, assignment: Sequence[int]) -> Correl
 
 
 def payoff_scenario(payoff: classical.GamePayoff) -> Scenario:
-    """Two-wing scenario whose contexts are the cells of a game payoff."""
+    """Two-wing scenario whose contexts are the cells of a game payoff (one
+    context for cells that share their settings)."""
     return Scenario(
         payoff.n_a + payoff.n_b,
-        tuple(payoff.context(cell) for cell in payoff.cells),
+        tuple(dict.fromkeys(payoff.context(cell) for cell in payoff.cells)),
         wing_split=payoff.n_a,
     )
 
@@ -257,9 +258,10 @@ def payoff_table(
 ) -> CorrelationTable:
     """Table over a payoff's cells, with ``cell_dist(cell)`` as each cell's
     outcome distribution."""
-    return CorrelationTable(
-        payoff_scenario(payoff), {payoff.context(cell): cell_dist(cell) for cell in payoff.cells}
-    )
+    probs = {payoff.context(cell): cell_dist(cell) for cell in payoff.cells}
+    if len(probs) < len(payoff.cells):
+        raise ValueError("a payoff table needs one cell per pair of settings")
+    return CorrelationTable(payoff_scenario(payoff), probs)
 
 
 def foil_table(payoff: classical.GamePayoff) -> CorrelationTable:

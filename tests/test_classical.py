@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seer_lab import scenario
 from seer_lab.classical import (
+    MAX_LOCAL_SETTINGS,
     GamePayoff,
     PayoffCell,
     algebraic_contradiction,
@@ -72,9 +75,22 @@ def test_local_bound_witness_attains_value():
     assert value == bound.value_exact
 
 
+@pytest.mark.parametrize("n", range(3, MAX_LOCAL_SETTINGS + 1, 2))
+def test_local_bound_closed_forms_up_to_cap(n):
+    assert local_bound("os_ring", n).value_exact == 1 - Fraction(2, 3 * n)
+    assert local_bound("odd_cycle", n).value_exact == 1 - Fraction(1, 2 * n)
+
+
 def test_local_bound_oversize_rejected():
-    with pytest.raises(ValueError):
-        local_bound("os_ring", 15)
+    # The ring games need odd n, so the first ring past the cap is cap + 2;
+    # a one-cell payoff puts cap + 1 settings on either wing.
+    message = f"limited to {MAX_LOCAL_SETTINGS} settings per wing"
+    with pytest.raises(ValueError, match=message):
+        local_bound("os_ring", MAX_LOCAL_SETTINGS + 2)
+    cell = PayoffCell(1, 1, Fraction(1), frozenset({(0, 0)}))
+    for n_a, n_b in ((MAX_LOCAL_SETTINGS + 1, 1), (1, MAX_LOCAL_SETTINGS + 1)):
+        with pytest.raises(ValueError, match=message):
+            local_bound(GamePayoff(n_a, n_b, (cell,)))
 
 
 def test_local_bound_gauge_invariance():
@@ -154,6 +170,30 @@ def test_payoff_weight_validation():
         GamePayoff(1, 1, (PayoffCell(1, 1, Fraction(1, 2), frozenset({(0, 0)})),))
 
 
+@pytest.mark.parametrize(
+    "cell",
+    [
+        PayoffCell(0, 1, Fraction(1), frozenset({(0, 0)})),
+        PayoffCell(3, 1, Fraction(1), frozenset({(0, 0)})),
+        PayoffCell(1, 3, Fraction(1), frozenset({(0, 0)})),
+        PayoffCell(1, 1, Fraction(1), frozenset({(0, 2)})),
+    ],
+)
+def test_payoff_cell_range_validation(cell):
+    with pytest.raises(ValueError, match="cells need settings"):
+        GamePayoff(2, 2, (cell,))
+
+
+def test_local_bound_rejects_denominators_beyond_int64():
+    # The strategies are scored in int64 units of the weights' common denominator.
+    tiny = Fraction(1, 2**62)
+    cells = (PayoffCell(1, 1, tiny, frozenset({(0, 0)})), PayoffCell(1, 1, 1 - tiny, frozenset()))
+    with pytest.raises(ValueError, match="below 2\\*\\*62"):
+        local_bound(GamePayoff(1, 1, cells))
+    cells = (PayoffCell(1, 1, 2 * tiny, frozenset({(0, 0)})), PayoffCell(1, 1, 1 - 2 * tiny, frozenset()))
+    assert local_bound(GamePayoff(1, 1, cells)).value_exact == 2 * tiny
+
+
 def test_custom_payoff_local_bound():
     # Two settings per wing, all four cells weight 1/4, win on equal outcomes:
     # trivially winnable with constant strategies.
@@ -185,3 +225,76 @@ def test_algebraic_contradiction_input_validation():
         algebraic_contradiction((1, 0, -1))
     with pytest.raises(ValueError):
         algebraic_contradiction((1, -1))
+
+
+# --------------------------------------------------------------------------
+# local_bound against an independent enumeration
+
+_OUTCOMES = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+@st.composite
+def payoffs(draw):
+    n_a, n_b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    size = draw(st.integers(1, 8))
+    raw = draw(st.lists(st.fractions(0, 1, max_denominator=24), min_size=size, max_size=size)
+               .filter(lambda ws: sum(ws) > 0))
+    cells = tuple(
+        PayoffCell(
+            draw(st.integers(1, n_a)),
+            draw(st.integers(1, n_b)),
+            w / sum(raw),
+            frozenset(draw(st.sets(st.sampled_from(_OUTCOMES)))),
+        )
+        for w in raw
+    )
+    return GamePayoff(n_a, n_b, cells)
+
+
+def brute_force_local_bound(payoff):
+    """All 2^(n_a + n_b) strategy pairs in exact Fractions, in lexicographic
+    order, keeping the first strictly better pair."""
+    best = None
+    for bits_a in itertools.product((0, 1), repeat=payoff.n_a):
+        for bits_b in itertools.product((0, 1), repeat=payoff.n_b):
+            value = sum(
+                (c.weight for c in payoff.cells if (bits_a[c.a - 1], bits_b[c.b - 1]) in c.wins),
+                Fraction(0),
+            )
+            if best is None or value > best[0]:
+                best = (value, bits_a, bits_b)
+    return best
+
+
+@settings(max_examples=100, deadline=None)
+@given(payoffs())
+def test_local_bound_matches_brute_force(payoff):
+    bound = local_bound(payoff)
+    assert (bound.value_exact, bound.witness_a, bound.witness_b) == brute_force_local_bound(payoff)
+    assert bound.value == float(bound.value_exact)
+    witness = scenario.deterministic_table(
+        scenario.payoff_scenario(payoff), bound.witness_a + bound.witness_b
+    )
+    assert abs(payoff.value(witness) - float(bound.value_exact)) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_mixtures_of_deterministic_tables_score_within_local_bound(data):
+    # The payoff is linear in the table, so no mixture of deterministic
+    # strategies scores above the best one.
+    n = data.draw(st.sampled_from([3, 5, 7, 9]))
+    payoff = data.draw(st.sampled_from([os_ring_payoff(n), odd_cycle_payoff(n)]))
+    strategy = st.tuples(*[st.integers(0, 1)] * (2 * n))
+    strategies = data.draw(st.lists(strategy, min_size=1, max_size=6))
+    weights = data.draw(st.lists(st.integers(1, 9), min_size=len(strategies), max_size=len(strategies)))
+
+    def mixture(cell):
+        dist = {}
+        for bits, w in zip(strategies, weights):
+            outcome = (bits[cell.a - 1], bits[n + cell.b - 1])
+            dist[outcome] = dist.get(outcome, 0.0) + w / sum(weights)
+        return dist
+
+    value = payoff.value(scenario.payoff_table(payoff, mixture))
+    assert 0 <= value <= local_bound(payoff).value + 1e-12

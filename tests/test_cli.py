@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seer_lab import cli, povm
+from seer_lab import classical, cli, games, povm
 
 
 def run_cli(capsys, *argv):
@@ -58,6 +58,31 @@ def test_bounds_requires_valid_n(capsys):
     assert "odd" in err
     code, _, _ = run_cli(capsys, "bounds", "ks_ncycle", "--n", "3")
     assert code == 2  # three pairwise commuting projectors: no quantum gap
+
+
+@pytest.mark.parametrize("family", ["bell_ring", "odd_cycle"])
+def test_bounds_beyond_local_bound_cap(capsys, family):
+    # The cap + 1 is even and fails the parity check, so the first odd n past
+    # the cap reaches the local_bound limit.
+    code, out, err = run_cli(capsys, "bounds", family, "--n", str(classical.MAX_LOCAL_SETTINGS + 2))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: local bounds are limited to {classical.MAX_LOCAL_SETTINGS} settings per wing\n"
+
+
+def test_game_n_cap(capsys):
+    code, out, _ = run_cli(capsys, "game", "seer_ncycle", "--n", str(games.MAX_N),
+                           "--strategy", "foil", "--trials", "10", "--json")
+    assert code == 0
+    assert json.loads(out)["results"]["n"] == games.MAX_N
+    for kind in ("seer_ncycle", "bipartite_os", "odd_cycle"):
+        # cap + 1 is even; cap + 2 is the first odd n past the cap.
+        for n in (games.MAX_N + 1, 10**30 + 1, games.MAX_N + 2):
+            code, out, err = run_cli(capsys, "game", kind, "--n", str(n), "--trials", "10")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+        assert err == f"error: games are limited to n <= {games.MAX_N}\n"
 
 
 def test_byte_identical_reruns(capsys):
@@ -356,6 +381,8 @@ def test_sweep_nonpositive_step_is_usage_error(capsys, quantity, step):
         ["klyachko_R", "--stop", "1e300"],
         ["mermin_R", "--start", "5", "--stop", "1e300", "--step", "1e299"],
         ["hardy_p", "--start", "1e61", "--stop", "1e61"],
+        ["klyachko_R", "--start", "5.5", "--stop", "9"],
+        ["mermin_R", "--stop", "9.5"],
     ],
 )
 def test_sweep_out_of_range_is_usage_error(capsys, argv):
@@ -524,6 +551,9 @@ GRAPHS = {
 @example(argv=["sweep", "klyachko_R", "--step=2.5"])
 @example(argv=["sweep", "hardy_p", "--start=-1e308", "--stop=1e308"])
 @example(argv=["sweep", "hardy_p", "--start=1e300", "--stop=1e300"])
+@example(argv=["sweep", "klyachko_R", "--start=5.5", "--stop=9"])
+@example(argv=["game", "bipartite_os", f"--n={games.MAX_N + 2}", "--trials=10"])
+@example(argv=["bounds", "bell_ring", f"--n={classical.MAX_LOCAL_SETTINGS + 2}"])
 def test_exit_codes_on_arbitrary_argv(argv):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from seer_lab import quantum
+from seer_lab import games, quantum
 from seer_lab.games import (
     EnsembleResult,
     GameResult,
@@ -131,6 +131,9 @@ def test_spec_validation():
         GameSpec("diachronic", "quantum", trials=10, seed=1, n=5)
     with pytest.raises(ValueError):
         GameSpec("diachronic", "quantum", trials=2**63, seed=1)
+    assert GameSpec("seer_ncycle", "foil", trials=10, seed=1, n=games.MAX_N).n == games.MAX_N
+    with pytest.raises(ValueError, match="limited to n"):
+        GameSpec("seer_ncycle", "foil", trials=10, seed=1, n=games.MAX_N + 2)
 
 
 def test_trial_count_up_to_int64_costs_nothing_per_trial():

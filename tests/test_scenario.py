@@ -1,11 +1,12 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seer_lab import quantum, scenario, signet
+from seer_lab import classical, quantum, scenario, signet
 from seer_lab.scenario import (
     CorrelationTable,
     Scenario,
@@ -85,6 +86,20 @@ def test_no_signaling_passes_for_foil_tables():
         build_bipartite_table("pr_box"),
     ):
         assert check_no_signaling(table).max_violation < 1e-12
+
+
+def test_cells_sharing_settings_have_one_context_and_no_payoff_table():
+    # Two cells at settings (1, 1) that win on different outcomes: one
+    # context, but no single distribution can stand for both cells.
+    half = Fraction(1, 2)
+    payoff = classical.GamePayoff(1, 1, (
+        classical.PayoffCell(1, 1, half, frozenset({(0, 0)})),
+        classical.PayoffCell(1, 1, half, frozenset({(1, 1)})),
+    ))
+    assert scenario.payoff_scenario(payoff).contexts == ((1, 2),)
+    assert payoff.value(scenario.deterministic_table(scenario.payoff_scenario(payoff), (1, 1))) == 0.5
+    with pytest.raises(ValueError, match="one cell per pair of settings"):
+        scenario.foil_table(payoff)
 
 
 def test_no_signaling_passes_for_quantum_tables():
