@@ -150,6 +150,37 @@ class GamePayoff:
         )
         return total / denom
 
+    def _win_units(self) -> tuple[int, np.ndarray]:
+        """Common denominator D of the weights, and the units of 1/D won at
+        settings (a, b) on outcomes (x_a, x_b) as ``won[a - 1, x_a, b - 1, x_b]``."""
+        denom = math.lcm(*(c.weight.denominator for c in self.cells))
+        if denom >= 1 << 62:
+            raise ValueError("the cell weights need a common denominator below 2**62")
+        won = np.zeros((self.n_a, 2, self.n_b, 2), dtype=np.int64)
+        for c in self.cells:
+            for xa, xb in c.wins:
+                won[c.a - 1, xa, c.b - 1, xb] += c.weight.numerator * (denom // c.weight.denominator)
+        return denom, won
+
+    def operator(self, ops_a: Sequence[np.ndarray], ops_b: Sequence[np.ndarray]) -> np.ndarray:
+        """Sum over cells of weight * sum over winning (x, y) of Pi_a^x (x) Pi_b^y,
+        with Pi^x = (1 + (-1)^x O)/2 for the wing observable O at each setting
+        (outcome 0 is eigenvalue +1); for +-1 observables its expectation in a
+        state is the state's winning probability."""
+        if len(ops_a) != self.n_a or len(ops_b) != self.n_b:
+            raise ValueError(f"the payoff needs {self.n_a} and {self.n_b} wing observables")
+        denom, won = self._win_units()
+        proj_a, proj_b = _outcome_projectors(ops_a), _outcome_projectors(ops_b)
+        out = np.einsum("axby,axij,bykl->ikjl", won, proj_a, proj_b, optimize=True)
+        return out.reshape(out.shape[0] * out.shape[1], -1) / denom
+
+
+def _outcome_projectors(ops: Sequence[np.ndarray]) -> np.ndarray:
+    """(1 + O)/2 and (1 - O)/2 for each observable O, stacked as (settings, 2, d, d)."""
+    ops = np.asarray(ops, dtype=complex)
+    eye = np.eye(ops.shape[-1])
+    return np.stack([(eye + ops) / 2, (eye - ops) / 2], axis=1)
+
 
 _OUTCOMES = frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
 _EQUAL = frozenset({(0, 0), (1, 1)})
@@ -212,14 +243,9 @@ def local_bound(game: Union[str, GamePayoff], n: Optional[int] = None) -> LocalB
     if n_a > MAX_LOCAL_SETTINGS or n_b > MAX_LOCAL_SETTINGS:
         raise ValueError(f"local bounds are limited to {MAX_LOCAL_SETTINGS} settings per wing")
 
-    denom = math.lcm(*(c.weight.denominator for c in payoff.cells))
-    if denom >= 1 << 62:
-        raise ValueError("the cell weights need a common denominator below 2**62")
+    denom, won = payoff._win_units()
     # score[x_b, x_a, a, b]: weight won at settings (a, b) on outcomes (x_a, x_b).
-    score = np.zeros((2, 2, n_a, n_b), dtype=np.int64)
-    for c in payoff.cells:
-        for xa, xb in c.wins:
-            score[xb, xa, c.a - 1, c.b - 1] += c.weight.numerator * (denom // c.weight.denominator)
+    score = won.transpose(3, 1, 0, 2)
     # Row k holds the bits of A strategy k, X_1 the most significant.
     bits_a = (np.arange(1 << n_a)[:, None] >> np.arange(n_a - 1, -1, -1)) & 1
     s0, s1 = (score[xb, 0].sum(axis=0) + bits_a @ (score[xb, 1] - score[xb, 0]) for xb in (0, 1))
@@ -236,37 +262,29 @@ def _require_n(n: Optional[int]) -> int:
 
 
 def bell_s3(strategy_a: Sequence[int], strategy_b: Sequence[int]) -> int:
-    """S_3 = sum_a <A_a B_a> - sum_{a != b} <A_a B_b> for deterministic strategies."""
-    xa = [1 - 2 * int(b) for b in strategy_a]
-    xb = [1 - 2 * int(b) for b in strategy_b]
-    if len(xa) != 3 or len(xb) != 3:
+    """S_3 = sum_a <A_a B_a> - sum_{a != b} <A_a B_b> for deterministic strategies,
+    which is 18 P - 9 for the n=3 ring game's payoff P: its nine cells cover
+    every setting pair with weight 1/9, and each correlator is 2 p(win) - 1."""
+    bits_a = tuple(int(b) for b in strategy_a)
+    bits_b = tuple(int(b) for b in strategy_b)
+    if len(bits_a) != 3 or len(bits_b) != 3 or not set(bits_a + bits_b) <= {0, 1}:
         raise ValueError("strategies must assign three bits each")
-    total = sum(xa[a] * xb[a] for a in range(3))
-    total -= sum(xa[a] * xb[b] for a in range(3) for b in range(3) if a != b)
-    return total
+    won = sum(
+        c.weight for c in os_ring_payoff(3).cells if (bits_a[c.a - 1], bits_b[c.b - 1]) in c.wins
+    )
+    return int(18 * won - 9)
 
 
 def s3_local_bound() -> LocalBoundResult:
-    """Enumerated maximum of S_3 over the 2^3 x 2^3 deterministic strategies (= 5)."""
-    best = None
-    for ba in itertools.product((0, 1), repeat=3):
-        for bb in itertools.product((0, 1), repeat=3):
-            value = bell_s3(ba, bb)
-            if best is None or value > best[0]:
-                best = (value, ba, bb)
-    value, ba, bb = best
-    return LocalBoundResult(float(value), Fraction(value), ba, bb)
+    """Maximum of S_3 over deterministic strategies: 18 * 7/9 - 9 = 5."""
+    ring = local_bound("os3")
+    value = 18 * ring.value_exact - 9
+    return LocalBoundResult(float(value), value, ring.witness_a, ring.witness_b)
 
 
 def s3_of_table(table) -> float:
-    """S_3 evaluated from a bipartite 3x3 correlation table's correlators."""
-    total = 0.0
-    for a in range(1, 4):
-        for b in range(1, 4):
-            dist = table.probs[(a, 3 + b)]
-            corr = sum(p * (1 - 2 * xa) * (1 - 2 * xb) for (xa, xb), p in dist.items())
-            total += corr if a == b else -corr
-    return total
+    """S_3 of a bipartite 3x3 correlation table, 18 P - 9."""
+    return 18 * os_ring_payoff(3).value(table) - 9
 
 
 # --------------------------------------------------------------------------

@@ -136,6 +136,8 @@ def cmd_bounds(args) -> dict:
         quantum_value = quantum.odd_cycle_game_value(n)
         certificate = "n/a"
     elif family == "pnc":
+        if args.n not in (None, 3):
+            raise ValueError("the pnc game is defined for n=3 only")
         n = 3
         classical_bound = classical.pnc_bound_diachronic().bound
         result = quantum.diachronic_quantum()

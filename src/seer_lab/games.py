@@ -150,7 +150,7 @@ def _seer_model(n: int, strategy: str) -> _SamplingModel:
         probs = np.zeros((n, 4))
         for i, ctx in enumerate(table.contexts_present()):
             probs[i] = [table.prob(ctx, o) for o in _PAIR_OUTCOMES]
-        expected = quantum.seer_game_win_probability(n)
+        expected = table.prob((1, 2), (0, 0))  # = quantum.seer_game_win_probability(n)
     elif strategy == "classical_best":
         # Marginal law of the opened pair under the adversarial preparation:
         # the correlated pair sits under the pick with probability 1/n.
@@ -239,16 +239,10 @@ class EnsembleResult:
 
 def suitor_ensemble(n: int, suitors: int, strategy: str) -> EnsembleResult:
     """Chance that at least one of `suitors` independent players wins the
-    n-box adjacent-pair game: 1 - (1 - p)^suitors for the analytic p."""
+    n-box adjacent-pair game: 1 - (1 - p)^suitors for the win probability p
+    that `simulate` expects of the seer_ncycle game."""
     if suitors < 0:
         raise ValueError("suitor count must be nonnegative")
-    if strategy == "classical_best":
-        p = 1 / (2 * n)
-    elif strategy == "quantum":
-        p = quantum.seer_game_win_probability(n)
-    elif strategy == "foil":
-        p = 0.0
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    p = _build_model(GameSpec("seer_ncycle", strategy, trials=1, seed=0, n=n)).expected
     p_any = -math.expm1(suitors * math.log1p(-p)) if p > 0 else 0.0
     return EnsembleResult(n, suitors, strategy, p, p_any)

@@ -93,10 +93,6 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def tensor_kets(a: Sequence[complex], b: Sequence[complex]) -> np.ndarray:
-    return np.kron(as_ket(a), as_ket(b))
-
-
 def projector(ket: Sequence[complex]) -> np.ndarray:
     """Rank-one projector |k><k| onto a normalized ket."""
     ket = as_ket(ket)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -229,36 +230,28 @@ def anticorrelation_value(
     return float(np.mean(pair_values))
 
 
-def nc_bound_noisy(eta: float, grid_step: float = 1e-3, verify: bool = True) -> float:
+def nc_bound_noisy(eta: float, verify: bool = True) -> float:
     """Anti-correlation ceiling 1 - eta/3 for noncontextual models of eta-sharp pairs.
 
     The joint response function decomposes into a sharp part (weight alpha),
     one-sided mixtures (beta = gamma), correlated noise (delta) and
     anti-correlated noise (epsilon), with alpha + beta = eta and total weight
     one.  The sharp part anti-correlates on at most two of the three pairs,
-    so the payoff 2/3 alpha + 1/2 (beta+gamma) + epsilon is maximized by
-    beta = gamma = delta = 0.  With verify=True the maximizer is confirmed on
-    a grid over the free parameters.
+    so the payoff 2/3 alpha + 1/2 (beta+gamma) + epsilon = 2/3 alpha + 1 -
+    eta - delta is maximized by beta = gamma = delta = 0.  With verify=True
+    the maximum over the vertices of the feasible polygon max(0, 2 eta - 1)
+    <= alpha <= eta, 0 <= delta <= 1 - 2 eta + alpha must be 1 - eta/3 in
+    exact rationals.
     """
     if not 0 <= eta <= 1:
         raise ValueError("eta must lie in [0, 1]")
-    bound = 1 - eta / 3
     if verify:
-        best = -1.0
-        lo = max(0.0, 2 * eta - 1)
-        alphas = np.append(np.arange(lo, eta, grid_step), eta)
-        for alpha in alphas:
-            beta = max(eta - alpha, 0.0)  # = gamma
-            slack = 1 - alpha - 2 * beta  # delta + epsilon
-            if slack < -1e-12:
-                continue
-            deltas = np.arange(0.0, slack + grid_step / 2, grid_step)
-            values = (2 / 3) * alpha + beta + (slack - deltas)
-            if values.size:
-                best = max(best, float(values.max()))
-        if best > bound + 1e-9:
-            raise AssertionError("grid search exceeded the analytic bound")
-        # The analytic maximizer alpha=eta, delta=0 must be reproduced.
-        if abs(((2 / 3) * eta + (1 - eta)) - bound) > 1e-12:
-            raise AssertionError("analytic maximizer mismatch")
-    return bound
+        e = Fraction(eta)
+        best = max(
+            Fraction(2, 3) * alpha + 1 - e - delta
+            for alpha in (max(Fraction(0), 2 * e - 1), e)
+            for delta in (Fraction(0), 1 - 2 * e + alpha)
+        )
+        if best != 1 - e / 3:
+            raise AssertionError("vertex maximum differs from the analytic bound")
+    return 1 - eta / 3

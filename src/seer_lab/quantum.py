@@ -399,24 +399,32 @@ def mermin_closed_form(n: int) -> float:
     return 1 / 3 + 2 / 3 * math.cos(math.pi / (2 * n)) ** 2
 
 
+def _born_table(payoff, ops_a, ops_b) -> scenario_mod.CorrelationTable:
+    """Table of a payoff's cells, the wings measuring on the maximally entangled pair."""
+    return scenario_mod.payoff_table(
+        payoff, lambda cell: _pair_distribution(ops_a[cell.a - 1], ops_b[cell.b - 1])
+    )
+
+
 def mermin_table(n: int) -> scenario_mod.CorrelationTable:
     """Bipartite correlation table of the ring construction on the ring
     game's cells (the other setting pairs are unconstrained)."""
     ops = ring_observables(n)
-    return scenario_mod.payoff_table(
-        os_ring_payoff(n), lambda cell: _pair_distribution(ops[cell.a - 1], ops[cell.b - 1])
-    )
+    return _born_table(os_ring_payoff(n), ops, ops)
+
+
+def _ring_correlator(ops_a: Sequence[np.ndarray], ops_b: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_a A_a B_a minus the adjacent-setting correlators: each ring cell is
+    (1 +- A (x) B)/2 with weight 1/(3n), so this is 6n P - 3n for the payoff P."""
+    n = len(ops_a)
+    payoff = os_ring_payoff(n).operator(ops_a, ops_b)
+    return 6 * n * payoff - 3 * n * np.eye(payoff.shape[0])
 
 
 def bell_ring_operator(n: int) -> np.ndarray:
     """The two-wing operator whose spectrum bounds the ring-game value."""
     ops = ring_observables(n)
-    abar = [numkit.tensor(op, ID2) for op in ops]
-    bbar = [numkit.tensor(ID2, op) for op in ops]
-    out = sum(abar[a] @ bbar[a] for a in range(n))
-    out -= sum(abar[a - 1] @ bbar[a % n] for a in range(1, n + 1))  # b = a+1 (1-based)
-    out -= sum(abar[b % n] @ bbar[b - 1] for b in range(1, n + 1))  # a = b+1
-    return out
+    return _ring_correlator(ops, ops)
 
 
 def bell_decomposition_residual(
@@ -426,29 +434,20 @@ def bell_decomposition_residual(
     operator, valid for arbitrary Hermitian wing observables."""
     n = len(ops_a)
     da, db = ops_a[0].shape[0], ops_b[0].shape[0]
-    abar = [numkit.tensor(op, np.eye(db)) for op in ops_a]
-    bbar = [numkit.tensor(np.eye(da), op) for op in ops_b]
-    d = da * db
-    eye = np.eye(d, dtype=complex)
-    bell_op = sum(abar[a] @ bbar[a] for a in range(n))
-    bell_op -= sum(abar[a - 1] @ bbar[a % n] for a in range(1, n + 1))
-    bell_op -= sum(abar[b % n] @ bbar[b - 1] for b in range(1, n + 1))
-    lams = [1 - 2 * math.cos(2 * math.pi * a / n) for a in range(1, n + 1)]
-    lam_star = max(lams)
-    lhs = n * lam_star * eye - bell_op
-    omega = np.exp(-2j * math.pi / n)
-    rhs = np.zeros((d, d), dtype=complex)
-    for a in range(1, n + 1):
-        vm = sum(omega ** (a * k) * (abar[k - 1] - bbar[k - 1]) for k in range(1, n + 1))
-        vp = sum(omega ** (a * k) * (abar[k - 1] + bbar[k - 1]) for k in range(1, n + 1))
-        vm /= math.sqrt(2 * n)
-        vp /= math.sqrt(2 * n)
-        rhs += 0.5 * (
-            (lam_star + lams[a - 1]) * (vm.conj().T @ vm)
-            + (lam_star - lams[a - 1]) * (vp.conj().T @ vp)
-        )
-    rhs += 0.5 * lam_star * sum(eye - ab @ ab for ab in abar)
-    rhs += 0.5 * lam_star * sum(eye - bb @ bb for bb in bbar)
+    abar = np.array([numkit.tensor(op, np.eye(db)) for op in ops_a])
+    bbar = np.array([numkit.tensor(np.eye(da), op) for op in ops_b])
+    ks = np.arange(1, n + 1)
+    lams = 1 - 2 * np.cos(2 * np.pi * ks / n)
+    lam_star = lams.max()
+    eye = np.eye(da * db)
+    lhs = n * lam_star * eye - _ring_correlator(ops_a, ops_b)
+    squares = sum(np.einsum("aij,ajk->ik", w, w) for w in (abar, bbar))
+    rhs = 0.5 * lam_star * (2 * n * eye - squares)
+    # Row a of `fourier` is omega^(a k) / sqrt(2n) over k, omega = exp(-2 pi i / n).
+    fourier = np.exp(-2j * np.pi * np.outer(ks, ks) / n) / math.sqrt(2 * n)
+    for sign, coeffs in ((-1, lam_star + lams), (1, lam_star - lams)):
+        v = np.einsum("ak,kij->aij", fourier, abar + sign * bbar)
+        rhs += 0.5 * np.einsum("a,aji,ajk->ik", coeffs, v.conj(), v)
     return float(np.linalg.norm(lhs - rhs))
 
 
@@ -503,10 +502,7 @@ def odd_cycle_game_value(n: int) -> float:
 
 
 def odd_cycle_table(n: int) -> scenario_mod.CorrelationTable:
-    ops_a, ops_b = odd_cycle_observables(n)
-    return scenario_mod.payoff_table(
-        odd_cycle_payoff(n), lambda cell: _pair_distribution(ops_a[cell.a - 1], ops_b[cell.b - 1])
-    )
+    return _born_table(odd_cycle_payoff(n), *odd_cycle_observables(n))
 
 
 # --------------------------------------------------------------------------

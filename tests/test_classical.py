@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seer_lab import scenario
+from seer_lab import numkit, scenario
 from seer_lab.classical import (
     MAX_LOCAL_SETTINGS,
     GamePayoff,
@@ -118,6 +118,20 @@ def test_s3_local_bound_is_five():
 
 def test_s3_all_equal_strategy():
     assert bell_s3((0, 0, 0), (0, 0, 0)) == 3 - 6
+
+
+def test_bell_s3_matches_literal_correlator_sum():
+    def literal(bits_a, bits_b):
+        xa = [1 - 2 * b for b in bits_a]
+        xb = [1 - 2 * b for b in bits_b]
+        return sum(xa[a] * xb[b] * (1 if a == b else -1) for a in range(3) for b in range(3))
+
+    for bits_a in itertools.product((0, 1), repeat=3):
+        for bits_b in itertools.product((0, 1), repeat=3):
+            assert bell_s3(bits_a, bits_b) == literal(bits_a, bits_b)
+    for bad in ((0, 1), (0, 1, 2), (0, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            bell_s3(bad, (0, 0, 0))
 
 
 def test_s3_of_foil_and_quantum_tables():
@@ -298,3 +312,47 @@ def test_mixtures_of_deterministic_tables_score_within_local_bound(data):
 
     value = payoff.value(scenario.payoff_table(payoff, mixture))
     assert 0 <= value <= local_bound(payoff).value + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Payoff operators
+
+
+def _outcome_effect(op, x):
+    return (np.eye(2) + (1 - 2 * x) * op) / 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    make=st.sampled_from([os_ring_payoff, odd_cycle_payoff]),
+    n=st.sampled_from([3, 5, 7, 9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_payoff_operator_expectation_is_born_table_value(make, n, seed):
+    rng = np.random.default_rng(seed)
+    payoff = make(n)
+    ops_a, ops_b = ([numkit.pauli_dot(v / np.linalg.norm(v)) for v in rng.normal(size=(n, 3))]
+                    for _ in range(2))
+    psi = numkit.normalize(rng.normal(size=4) + 1j * rng.normal(size=4))
+
+    def born(cell):
+        op_a, op_b = ops_a[cell.a - 1], ops_b[cell.b - 1]
+        return {
+            (x, y): numkit.born_probability(psi, np.kron(_outcome_effect(op_a, x), _outcome_effect(op_b, y)))
+            for x in (0, 1)
+            for y in (0, 1)
+        }
+
+    table = scenario.payoff_table(payoff, born)
+    expectation = np.vdot(psi, payoff.operator(ops_a, ops_b) @ psi)
+    assert abs(expectation.imag) < 1e-12
+    assert abs(expectation.real - payoff.value(table)) < 1e-12
+
+
+def test_payoff_operator_needs_one_observable_per_setting():
+    payoff = os_ring_payoff(3)
+    ops = [numkit.PAULI_Z] * 3
+    with pytest.raises(ValueError):
+        payoff.operator(ops[:2], ops)
+    with pytest.raises(ValueError):
+        payoff.operator(ops, ops + [numkit.PAULI_X])

@@ -52,6 +52,16 @@ def test_bounds_pnc(capsys):
     assert doc["results"]["quantum"] == pytest.approx(5 / 6, abs=1e-9)
 
 
+def test_bounds_pnc_refuses_other_n(capsys):
+    for n in ("1", "5", "7"):
+        code, out, err = run_cli(capsys, "bounds", "pnc", "--n", n)
+        assert (code, out) == (2, "")
+        assert err == "error: the pnc game is defined for n=3 only\n"
+    code, out, _ = run_cli(capsys, "bounds", "pnc", "--n", "3")
+    assert code == 0
+    assert "n            3\n" in out
+
+
 def test_bounds_requires_valid_n(capsys):
     code, _, err = run_cli(capsys, "bounds", "ks_ncycle", "--n", "4")
     assert code == 2

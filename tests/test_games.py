@@ -189,3 +189,23 @@ def test_suitor_ensemble_validation():
         suitor_ensemble(5, -1, "quantum")
     with pytest.raises(ValueError):
         suitor_ensemble(5, 10, "telepathy")
+    for strategy in games.STRATEGIES:
+        for n in (0, 1, 4, 100, games.MAX_N + 2):
+            with pytest.raises(ValueError):
+                suitor_ensemble(n, 10, strategy)
+
+
+@pytest.mark.parametrize("strategy", games.STRATEGIES)
+@pytest.mark.parametrize("n", [3, 5, 101])
+def test_suitor_ensemble_uses_the_simulated_win_probability(strategy, n):
+    assert suitor_ensemble(n, 10, strategy).p_single == simulate(
+        GameSpec("seer_ncycle", strategy, trials=1, seed=0, n=n)).expected_rate
+
+
+def test_quantum_seer_game_builds_its_table_once(monkeypatch):
+    calls = []
+    build = quantum.klyachko_table
+    monkeypatch.setattr(quantum, "klyachko_table", lambda n: calls.append(n) or build(n))
+    result = simulate(GameSpec("seer_ncycle", "quantum", trials=10, seed=0, n=7))
+    assert calls == [7]
+    assert result.expected_rate == quantum.seer_game_win_probability(7)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -150,6 +151,18 @@ def test_nc_bound_values():
     assert nc_bound_noisy(1.0, verify=False) == pytest.approx(2 / 3)
     with pytest.raises(ValueError):
         nc_bound_noisy(1.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eta=st.floats(0, 1), alpha_at=st.fractions(0, 1), delta_at=st.fractions(0, 1))
+def test_nc_bound_is_the_exact_maximum(eta, alpha_at, delta_at):
+    assert nc_bound_noisy(eta) == 1 - eta / 3
+    # Any feasible decomposition scores at most the bound, in exact rationals.
+    e = Fraction(eta)
+    lo = max(Fraction(0), 2 * e - 1)
+    alpha = lo + alpha_at * (e - lo)
+    delta = delta_at * (1 - 2 * e + alpha)
+    assert Fraction(2, 3) * alpha + 1 - e - delta <= 1 - e / 3
 
 
 def test_quantum_anticorrelation_below_nc_bound():

@@ -234,7 +234,7 @@ def test_ring_observables_square_to_identity():
         assert np.max(np.abs(op @ op - np.eye(2))) < 1e-12
 
 
-@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("n", range(3, 52, 2))
 def test_ring_certificate(n):
     report = sos_certificate_bell(n)
     assert report.residual < 1e-9
@@ -264,6 +264,13 @@ def test_odd_cycle_game_value(n):
     assert odd_cycle_game_value(n) == pytest.approx(
         math.cos(math.pi / (4 * n)) ** 2, abs=1e-10
     )
+
+
+def test_odd_cycle_payoff_operator_top_eigenvalue_is_game_value():
+    for n in range(3, 52, 2):
+        op = classical.odd_cycle_payoff(n).operator(*quantum.odd_cycle_observables(n))
+        top = np.linalg.eigvalsh(op)[-1]
+        assert abs(top - math.cos(math.pi / (4 * n)) ** 2) < 1e-12
 
 
 def test_odd_cycle_specific_values():
