@@ -1,9 +1,9 @@
-"""Classical bounds by exhaustive enumeration of deterministic strategies.
+"""Classical bounds: optima over deterministic strategies.
 
-Covers the noncontextual bound for anti-correlation cycles, Bell-local bounds
-for the two-wing prediction games, the preparation-noncontextual bound for
-the two-time game, and algebraic (parity) satisfiability of sign constraints
-around a cycle.
+Covers the noncontextual bound for anti-correlation cycles (in closed form),
+Bell-local bounds for the two-wing prediction games and the
+preparation-noncontextual bound for the two-time game (by enumeration), and
+algebraic (parity) satisfiability of sign constraints around a cycle.
 """
 
 from __future__ import annotations
@@ -16,17 +16,11 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-_CHUNK = 1 << 22
 # Largest per-wing setting count for local_bound, set from a 1 s / 0.5 GB
 # budget: it holds a few int64 rows of n entries per A strategy.  Whole
 # process on a 2-core host: n = 17 0.2 s / 100 MB, n = 19 0.8 s / 339 MB,
 # n = 20 1.5 s / 679 MB, n = 21 3.4 s / 1.4 GB peak RSS.
 MAX_LOCAL_SETTINGS = 19
-
-
-def _assignment_bits(value: int, n: int) -> tuple[int, ...]:
-    """Bits (X_1..X_n) of an assignment encoded with X_1 as the most significant bit."""
-    return tuple((value >> (n - a)) & 1 for a in range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -40,37 +34,28 @@ class KsBoundResult:
 
 
 def ks_bound_ncycle(n: int) -> KsBoundResult:
-    """Best anti-correlated adjacent-pair count over all 2^n valuations of an odd cycle.
+    """Best anti-correlated adjacent-pair count over the 2^n valuations of an odd cycle.
 
-    The enumerated optimum is n-1 pairs, i.e. R = 1 - 1/n and S = -(n-2);
-    ties are broken toward the lexicographically first assignment bit-string.
+    An odd cycle cannot alternate all the way round, so at most n-1 adjacent
+    pairs differ: R = 1 - 1/n and S = -(n-2), the gamma = (-1, ..., -1) case
+    of the n-cycle inequalities (Araujo et al., PRA 88, 022118 (2013)).  The
+    witness 0, 0, 1, 0, 1, ..., 0, 1 is the lexicographically first optimum:
+    an optimum has one equal adjacent pair, and X_1 = X_2 = 0 puts it first.
     """
+    from .games import MAX_N  # games imports this module
+
     if n % 2 == 0:
         raise ValueError("the cycle bound is only nontrivial for odd n")
-    if not 3 <= n <= 25:
-        raise ValueError("supported cycle sizes are odd 3..25")
-    best = -1
-    witness_code = 0
-    mask = np.uint32((1 << n) - 1)
-    for start in range(0, 1 << n, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, 1 << n), dtype=np.uint32)
-        # Bit k of `codes` holds X_{n-k}; a cyclic shift pairs each X_a with
-        # X_{a+1}, so the popcount of code XOR shift counts anti-correlated
-        # adjacent pairs.
-        shifted = ((codes >> np.uint32(1)) | ((codes & np.uint32(1)) << np.uint32(n - 1))) & mask
-        anti = np.bitwise_count(codes ^ shifted)
-        top = int(anti.max())
-        if top > best:
-            best = top
-            witness_code = int(codes[int(np.argmax(anti == top))])
-    r_exact = Fraction(best, n)
+    if not 3 <= n <= MAX_N:
+        raise ValueError(f"supported cycle sizes are odd 3..{MAX_N}")
+    r_exact = Fraction(n - 1, n)
     return KsBoundResult(
         n=n,
-        max_anticorrelated=best,
+        max_anticorrelated=n - 1,
         r_nc=float(r_exact),
-        s_nc=float(n - 2 * best),
+        s_nc=float(2 - n),
         r_nc_exact=r_exact,
-        witness=_assignment_bits(witness_code, n),
+        witness=(0,) + (0, 1) * ((n - 1) // 2),
     )
 
 

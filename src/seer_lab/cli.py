@@ -33,7 +33,9 @@ EXIT_VERIFICATION = 3
 
 # Largest sweeps, set from a 5 s budget (2-core host): a hardy_p row takes
 # 0.34 ms (10,000 rows 3.4 s); a cycle row costs O(n), and mermin_R over odd
-# n = 3..201 takes 5.0 s (klyachko_R over n = 5..201, 0.9 s).
+# n = 3..201 takes 1.6 s (klyachko_R over n = 5..201, 1.2 s).  MAX_SWEEP_N
+# also caps `bounds ks_ncycle`: its certificate costs O(n^2), 0.6 s at
+# n = 201, and its residual reaches NUM_TOL near n = 401.
 MAX_SWEEP_ROWS = 10_000
 MAX_SWEEP_N = 201
 
@@ -120,6 +122,8 @@ def cmd_bounds(args) -> dict:
     family = args.family
     if family == "ks_ncycle":
         n = _require_odd(args.n, 5, "ks_ncycle")
+        if n > MAX_SWEEP_N:
+            raise ValueError(f"ks_ncycle is limited to n <= {MAX_SWEEP_N}")
         classical_bound = classical.ks_bound_ncycle(n).r_nc
         quantum_value = quantum.klyachko_value(n).r
         cert = quantum.sos_certificate_klyachko(n)

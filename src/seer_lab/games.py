@@ -27,9 +27,9 @@ STRATEGIES = ("classical_best", "quantum", "foil")
 _MASK64 = (1 << 64) - 1
 # numpy draws counts as int64.
 MAX_TRIALS = (1 << 63) - 1
-# Largest n, set from a 5 s budget: the quantum tables are built context by
-# context, and the slowest kind, bipartite_os, takes 4.5 s (85 MB peak RSS)
-# at n = 10,001 for the whole `seer-lab game` process on a 2-core host.
+# Largest n, set from a 5 s budget: the quantum tables cost O(n), and the
+# slowest kind, bipartite_os, takes 1.8-2.0 s (133 MB peak RSS) at n = 10,001
+# for the whole `seer-lab game` process on a 2-core host.
 MAX_N = 10_001
 
 

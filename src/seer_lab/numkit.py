@@ -140,7 +140,10 @@ def spin_observable(angle: float) -> np.ndarray:
 def born_probability(state: Sequence[complex], effect: np.ndarray) -> float:
     """<psi|E|psi> for a pure state, clamped of floating-point noise."""
     psi = as_ket(state)
-    p = float(np.real(np.vdot(psi, as_matrix(effect) @ psi)))
-    if p < 0 and p > -1e-12:
-        p = 0.0
-    return p
+    return born_overlap(psi, as_matrix(effect) @ psi)
+
+
+def born_overlap(psi: np.ndarray, image: np.ndarray) -> float:
+    """Re <psi|image> for image = E psi: born_probability from the image of the state."""
+    p = float(np.real(np.vdot(psi, image)))
+    return 0.0 if -1e-12 < p < 0 else p

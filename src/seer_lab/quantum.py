@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from . import numkit, scenario as scenario_mod
-from .classical import c_function, odd_cycle_payoff, os_ring_payoff
-from .numkit import ID2, born_probability, projector, spin_observable
+from .classical import _outcome_projectors, c_function, odd_cycle_payoff, os_ring_payoff
+from .numkit import ID2, born_overlap, born_probability, projector, spin_observable
 from .tolerances import NUM_TOL, STRUCT_TOL
 
 BELL_STATE = np.zeros(4, dtype=complex)
@@ -377,18 +377,6 @@ def ring_observables(n: int) -> list[np.ndarray]:
     return [spin_observable((n - 1) * math.pi * (a - 1) / n) for a in range(1, n + 1)]
 
 
-def _pair_distribution(op_a: np.ndarray, op_b: np.ndarray) -> dict[tuple[int, int], float]:
-    """Joint outcome distribution (outcome 0 <-> +1 eigenvalue) on the
-    maximally entangled two-qubit state."""
-    pa = [(ID2 + s * op_a) / 2 for s in (1, -1)]
-    pb = [(ID2 + s * op_b) / 2 for s in (1, -1)]
-    return {
-        (i, j): born_probability(BELL_STATE, numkit.tensor(pa[i], pb[j]))
-        for i in (0, 1)
-        for j in (0, 1)
-    }
-
-
 def mermin_value(n: int) -> float:
     """Born-rule value of the two-wing ring game with trine-style observables;
     equals 1/3 + (2/3) cos^2(pi/2n)."""
@@ -400,10 +388,23 @@ def mermin_closed_form(n: int) -> float:
 
 
 def _born_table(payoff, ops_a, ops_b) -> scenario_mod.CorrelationTable:
-    """Table of a payoff's cells, the wings measuring on the maximally entangled pair."""
-    return scenario_mod.payoff_table(
-        payoff, lambda cell: _pair_distribution(ops_a[cell.a - 1], ops_b[cell.b - 1])
-    )
+    """Table of a payoff's cells, the wings measuring on the maximally entangled
+    pair (outcome 0 <-> +1 eigenvalue).
+
+    Every effect Pi_a^x (x) Pi_b^y is formed by broadcasting, the products
+    np.kron takes, and all are applied to the state in one stacked product;
+    each entry is then finished as born_probability finishes it."""
+    proj_a = _outcome_projectors(ops_a)[[c.a - 1 for c in payoff.cells]]
+    proj_b = _outcome_projectors(ops_b)[[c.b - 1 for c in payoff.cells]]
+    # effects[c, x, y, i, k, j, l] = Pi_a^x[i, j] Pi_b^y[k, l] for cell c.
+    effects = proj_a[:, :, None, :, None, :, None] * proj_b[:, None, :, None, :, None, :]
+    dim = BELL_STATE.size
+    images = effects.reshape(len(payoff.cells), 2, 2, dim, dim) @ BELL_STATE
+    dists = {
+        (c.a, c.b): {(x, y): born_overlap(BELL_STATE, image[x, y]) for x in (0, 1) for y in (0, 1)}
+        for c, image in zip(payoff.cells, images)
+    }
+    return scenario_mod.payoff_table(payoff, lambda cell: dists[cell.a, cell.b])
 
 
 def mermin_table(n: int) -> scenario_mod.CorrelationTable:
@@ -434,8 +435,11 @@ def bell_decomposition_residual(
     operator, valid for arbitrary Hermitian wing observables."""
     n = len(ops_a)
     da, db = ops_a[0].shape[0], ops_b[0].shape[0]
-    abar = np.array([numkit.tensor(op, np.eye(db)) for op in ops_a])
-    bbar = np.array([numkit.tensor(np.eye(da), op) for op in ops_b])
+    ops_a, ops_b = np.asarray(ops_a, dtype=complex), np.asarray(ops_b, dtype=complex)
+    eye_a, eye_b = np.eye(da, dtype=complex), np.eye(db, dtype=complex)
+    # A (x) 1 and 1 (x) B for every setting, the products np.kron takes.
+    abar = (ops_a[:, :, None, :, None] * eye_b[:, None, :]).reshape(n, da * db, -1)
+    bbar = (eye_a[:, None, :, None] * ops_b[:, None, :, None, :]).reshape(n, da * db, -1)
     ks = np.arange(1, n + 1)
     lams = 1 - 2 * np.cos(2 * np.pi * ks / n)
     lam_star = lams.max()

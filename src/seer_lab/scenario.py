@@ -386,7 +386,9 @@ def joint_distribution_feasible(table: CorrelationTable) -> FeasibilityResult:
     indptr = np.arange(0, indices.size + 1, len(rows), dtype=np.int32)
     a_eq = sparse.csc_array((np.ones(indices.size), indices, indptr), shape=(len(rhs), atoms.size))
     b_eq = np.asarray(rhs)
-    res = linprog(np.zeros(atoms.size), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    # HiGHS presolve costs these LPs more time than it saves.
+    res = linprog(np.zeros(atoms.size), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                  options={"presolve": False})
     if res.status == 0:
         residual = float(np.max(np.abs(a_eq @ res.x - b_eq)))
         if residual > NUM_TOL:

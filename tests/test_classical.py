@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seer_lab import numkit, scenario
+from seer_lab import games, numkit, scenario
 from seer_lab.classical import (
     MAX_LOCAL_SETTINGS,
     GamePayoff,
@@ -40,6 +40,39 @@ def test_ks_bound_witness_is_lexicographic_optimum():
         result.witness[a] != result.witness[(a + 1) % 5] for a in range(5)
     )
     assert anti == 4
+
+
+def _ks_enumeration(n):
+    """Oracle: the best anti-correlated adjacent-pair count over all 2^n
+    valuations, with the lexicographically first valuation attaining it."""
+    best, code = -1, 0
+    for start in range(0, 1 << n, 1 << 22):  # blocks of 2^22 bound the memory
+        codes = np.arange(start, min(start + (1 << 22), 1 << n), dtype=np.uint32)
+        # Bit k of a code holds X_{n-k}; a cyclic shift pairs each X_a with
+        # X_{a+1}, so the popcount of code XOR shift counts anti-correlated pairs.
+        shifted = ((codes >> 1) | ((codes & 1) << (n - 1))) & ((1 << n) - 1)
+        anti = np.bitwise_count(codes ^ shifted)
+        if anti.max() > best:
+            best, code = int(anti.max()), int(codes[np.argmax(anti)])
+    return best, tuple((code >> (n - a)) & 1 for a in range(1, n + 1))
+
+
+@pytest.mark.parametrize("n", range(3, 26, 2))
+def test_ks_bound_matches_enumeration(n):
+    best, witness = _ks_enumeration(n)
+    result = ks_bound_ncycle(n)
+    assert (result.max_anticorrelated, result.witness) == (best, witness)
+    assert result.r_nc_exact == Fraction(best, n)
+    assert result.r_nc == float(Fraction(best, n))
+    assert result.s_nc == float(n - 2 * best)
+
+
+def test_ks_bound_witness_attains_the_bound_up_to_game_cap():
+    for n in [*range(3, 1002, 2), *range(games.MAX_N - 10, games.MAX_N + 1, 2)]:
+        result = ks_bound_ncycle(n)
+        witness = np.array(result.witness)
+        assert witness.size == n and set(result.witness) == {0, 1}
+        assert np.count_nonzero(witness != np.roll(witness, -1)) == result.max_anticorrelated == n - 1
 
 
 def test_ks_bound_rejects_even_n():
@@ -230,8 +263,9 @@ def test_ks_bound_larger_cycle_chunked_enumeration():
     assert result.max_anticorrelated == 16
     assert result.r_nc_exact == Fraction(16, 17)
     assert result.s_nc == -15.0
-    with pytest.raises(ValueError):
-        ks_bound_ncycle(27)
+    for n in (games.MAX_N + 2, games.MAX_N + 1, 26, 1, -1):
+        with pytest.raises(ValueError):
+            ks_bound_ncycle(n)
 
 
 def test_algebraic_contradiction_input_validation():

@@ -70,6 +70,19 @@ def test_bounds_requires_valid_n(capsys):
     assert code == 2  # three pairwise commuting projectors: no quantum gap
 
 
+def test_bounds_ks_ncycle_cap(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "ks_ncycle", "--n", str(cli.MAX_SWEEP_N), "--json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["n"] == cli.MAX_SWEEP_N
+    assert results["classical"] == pytest.approx(1 - 1 / cli.MAX_SWEEP_N, abs=1e-12)
+    assert results["certificate"].startswith("ok")
+    for n in (cli.MAX_SWEEP_N + 2, games.MAX_N, 10**30 + 1):
+        code, out, err = run_cli(capsys, "bounds", "ks_ncycle", "--n", str(n))
+        assert (code, out) == (2, "")
+        assert err == f"error: ks_ncycle is limited to n <= {cli.MAX_SWEEP_N}\n"
+
+
 @pytest.mark.parametrize("family", ["bell_ring", "odd_cycle"])
 def test_bounds_beyond_local_bound_cap(capsys, family):
     # The cap + 1 is even and fails the parity check, so the first odd n past
@@ -564,6 +577,9 @@ GRAPHS = {
 @example(argv=["sweep", "klyachko_R", "--start=5.5", "--stop=9"])
 @example(argv=["game", "bipartite_os", f"--n={games.MAX_N + 2}", "--trials=10"])
 @example(argv=["bounds", "bell_ring", f"--n={classical.MAX_LOCAL_SETTINGS + 2}"])
+@example(argv=["bounds", "ks_ncycle", "--n=27"])
+@example(argv=["bounds", "ks_ncycle", f"--n={cli.MAX_SWEEP_N + 2}"])
+@example(argv=["bounds", "ks_ncycle", f"--n={10**30 + 1}"])
 def test_exit_codes_on_arbitrary_argv(argv):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:

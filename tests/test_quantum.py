@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from seer_lab import classical, numkit, quantum, scenario
+from seer_lab import classical, games, numkit, quantum, scenario
 from seer_lab.quantum import (
     BELL_STATE,
     StarPolygon,
@@ -285,6 +285,42 @@ def test_odd_cycle_quantum_beats_local(n):
 
 # ---------------------------------------------------------------------------
 # One payoff per game scores every table of that game
+
+
+def _per_cell_born_table(payoff, ops_a, ops_b):
+    """Oracle: each cell's four effects as np.kron products of the wing
+    projectors, each entry by numkit.born_probability."""
+    probs = {}
+    for cell in payoff.cells:
+        pa = [(numkit.ID2 + s * ops_a[cell.a - 1]) / 2 for s in (1, -1)]
+        pb = [(numkit.ID2 + s * ops_b[cell.b - 1]) / 2 for s in (1, -1)]
+        probs[payoff.context(cell)] = {
+            (i, j): numkit.born_probability(BELL_STATE, np.kron(pa[i], pb[j]))
+            for i in (0, 1)
+            for j in (0, 1)
+        }
+    return probs
+
+
+@pytest.mark.parametrize("n", [*range(3, 52, 2), 201])
+def test_born_tables_equal_the_per_cell_born_rule_exactly(n):
+    # The sampler reads these rows, so a same-seed game can change with any last
+    # bit: the tables must equal the per-effect Born rule exactly, not closely.
+    ops = ring_observables(n)
+    for table, payoff, (ops_a, ops_b) in (
+        (quantum.mermin_table(n), classical.os_ring_payoff(n), (ops, ops)),
+        (quantum.odd_cycle_table(n), classical.odd_cycle_payoff(n), quantum.odd_cycle_observables(n)),
+    ):
+        expected = _per_cell_born_table(payoff, ops_a, ops_b)
+        assert list(table.probs) == list(expected)
+        for ctx, dist in expected.items():
+            assert list(table.probs[ctx].items()) == list(dist.items())
+
+
+@pytest.mark.parametrize("kind, n, wins", [("bipartite_os", 7, 966636), ("odd_cycle", 9, 992513)])
+def test_same_seed_quantum_games_keep_their_win_counts(kind, n, wins):
+    spec = games.GameSpec(kind, "quantum", trials=1_000_000, seed=2024, n=n)
+    assert games.simulate(spec).wins == wins
 
 
 def test_payoff_scores_quantum_foil_and_witness_tables():
