@@ -164,46 +164,43 @@ class SosCertificateReport:
     ok: bool
 
 
-def _cycle_operator(xbars: Sequence[np.ndarray]) -> np.ndarray:
-    n = len(xbars)
-    return sum(xbars[a] @ xbars[(a + 1) % n] for a in range(n))
+def _fourier_squares(stack: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k c_k F_k^dagger F_k over the Fourier modes F_k = sum_m omega^(k m) W_m,
+    omega = exp(-2 pi i/n), of a family stacked on axis 0; c has the stack's shape
+    without the matrix axes.  A square of v_j = sum_a omega^(j a) W_a over
+    a = 1..n is that of mode j mod n: v_j = omega^j F_(j mod n)."""
+    dim = stack.shape[-1]
+    modes = np.fft.fft(stack, axis=0).reshape(-1, dim, dim)
+    return np.einsum("k,kji,kjl->il", np.ravel(coeffs), modes.conj(), modes)
 
 
 def klyachko_decomposition_residual(xbars: Sequence[np.ndarray]) -> float:
     """Frobenius residual of the sum-of-nonnegative-terms identity for the
-    cycle operator, valid for any Hermitian family with adjacent members
-    commuting (no dichotomy assumption)."""
-    n = len(xbars)
-    d = xbars[0].shape[0]
-    eye = np.eye(d, dtype=complex)
+    cycle operator, valid for any Hermitian family of n >= 3 members with
+    adjacent members commuting (no dichotomy assumption)."""
+    xb = np.asarray(xbars, dtype=complex)
+    n = len(xb)
+    if n < 3:
+        raise ValueError("the cycle identity needs at least three operators")
+    eye = np.eye(xb.shape[-1])
     sec = 1 / math.cos(math.pi / n)
-    cos = math.cos(math.pi / n)
-    bound = n * (1 - 4 * cos / (1 + cos))
-    lhs = _cycle_operator(xbars) - bound * eye
-
-    rhs = np.zeros((d, d), dtype=complex)
-    rhs += 0.25 * (2 - sec) * sum(eye - xb @ xb for xb in xbars)
-    rhs += 0.25 * sum(
-        eye - np.linalg.matrix_power(xbars[a] @ xbars[(a + 1) % n], 2) for a in range(n)
+    squares = xb @ xb
+    prods = xb @ np.roll(xb, -1, axis=0)  # X_a X_a+1
+    cycle = prods.sum(axis=0)
+    lhs = cycle - klyachko_closed_form(n)[1] * eye
+    sites = (
+        (2 - sec) * (eye - squares)
+        + (eye - prods @ prods)
+        + sec * xb @ np.roll(xb, -2, axis=0) @ (eye - np.roll(squares, -1, axis=0))
     )
-    rhs += (
-        0.25
-        * sec
-        * sum(
-            xbars[a] @ xbars[(a + 2) % n] @ (eye - xbars[(a + 1) % n] @ xbars[(a + 1) % n])
-            for a in range(n)
-        )
-    )
-    v0 = n * (3 - 2 / math.cos(math.pi / (2 * n)) ** 2) * eye + _cycle_operator(xbars)
+    rhs = 0.25 * sites.sum(axis=0)
+    v0 = n * (3 - 2 / math.cos(math.pi / (2 * n)) ** 2) * eye + cycle
     rhs += (1 + sec) / (4 * n) * (v0.conj().T @ v0)
-    omega = np.exp(-2j * math.pi / n)
+    # The squares of the members take lam1 over j = 1..n, those of the adjacent
+    # products lam2 over j = 1..n-1; mode j mod n of each.
     lam1, lam2 = klyachko_certificate_coefficients(n)
-    for j in range(1, n + 1):
-        v1 = sum(omega ** (j * a) * xbars[a - 1] for a in range(1, n + 1))
-        rhs += lam1[j - 1] / n * (v1.conj().T @ v1)
-    for j in range(1, n):
-        v2 = sum(omega ** (j * a) * xbars[a - 1] @ xbars[a % n] for a in range(1, n + 1))
-        rhs += lam2[j - 1] / n * (v2.conj().T @ v2)
+    coeffs = np.stack([np.roll(lam1, 1), [0.0, *lam2]], axis=1) / n
+    rhs += _fourier_squares(np.stack([xb, prods], axis=1), coeffs)
     return float(np.linalg.norm(lhs - rhs))
 
 
@@ -224,13 +221,13 @@ def sos_certificate_klyachko(n: int) -> SosCertificateReport:
     if n < 5 or n % 2 == 0:
         raise ValueError("the certificate applies to odd n >= 5")
     poly = star_polygon(n)
-    xbars = [2 * projector(k) - np.eye(3) for k in poly.kets]
+    xbars = np.array([2 * projector(k) - np.eye(3) for k in poly.kets])
     residual = klyachko_decomposition_residual(xbars)
     lam1, lam2 = klyachko_certificate_coefficients(n)
     min_coeff = min(min(lam1), min(lam2))
-    cos = math.cos(math.pi / n)
-    bound = n * (1 - 4 * cos / (1 + cos))
-    extremum = numkit.eig_extrema(_cycle_operator(xbars)).min_eigenvalue
+    bound = klyachko_closed_form(n)[1]
+    cycle = (xbars @ np.roll(xbars, -1, axis=0)).sum(axis=0)
+    extremum = numkit.eig_extrema(cycle).min_eigenvalue
     ok = (
         residual < NUM_TOL
         and min_coeff >= -STRUCT_TOL
@@ -269,6 +266,12 @@ def intersection_ray(
     return ray / norm
 
 
+def _pentagram_psi2(k: Sequence[np.ndarray]) -> np.ndarray:
+    """The ray spanning span{l2,l3} and span{l4,l5}, signed to overlap l1 positively."""
+    psi2 = intersection_ray((k[1], k[2]), (k[3], k[4]))
+    return -psi2 if k[0] @ psi2 < 0 else psi2
+
+
 def transitivity_chain_klyachko() -> TransitivityChainResult:
     """State supporting the pentagram implication chain with a nonzero start.
 
@@ -276,11 +279,8 @@ def transitivity_chain_klyachko() -> TransitivityChainResult:
     state-dependent inferences (X2=0 => X3=1 and X4=0 => X5=1) hold with
     certainty, while p(X1=1) = 1 - 2/sqrt(5) > 0 starts the chain.
     """
-    poly = star_polygon(5)
-    k = poly.kets
-    psi2 = intersection_ray((k[1], k[2]), (k[3], k[4]))
-    if k[0] @ psi2 < 0:
-        psi2 = -psi2
+    k = star_polygon(5).kets
+    psi2 = _pentagram_psi2(k)
     projs = [projector(v) for v in k]
     holds = True
     for a, b in ((1, 2), (3, 4)):  # zero-based: pairs (l2,l3) and (l4,l5)
@@ -325,10 +325,7 @@ def clifton_check() -> CliftonReport:
     chi /= np.linalg.norm(chi)
     chip = np.cross(k[3], k[4])
     chip /= np.linalg.norm(chip)
-    psi2 = intersection_ray((k[1], k[2]), (k[3], k[4]))
-    if k[0] @ psi2 < 0:
-        psi2 = -psi2
-    rays = k + [chi, chip, psi2]
+    rays = k + [chi, chip, _pentagram_psi2(k)]
     names = ("l1", "l2", "l3", "l4", "l5", "chi", "chi'", "psi2")
     edges = tuple(
         (names[i], names[j])
@@ -428,6 +425,11 @@ def bell_ring_operator(n: int) -> np.ndarray:
     return _ring_correlator(ops, ops)
 
 
+def _ring_certificate_coefficients(n: int) -> np.ndarray:
+    """lam_k = 1 - 2cos(2 pi k/n) of Fourier mode k = 0..n-1."""
+    return 1 - 2 * np.cos(2 * np.pi * np.arange(n) / n)
+
+
 def bell_decomposition_residual(
     ops_a: Sequence[np.ndarray], ops_b: Sequence[np.ndarray]
 ) -> float:
@@ -440,18 +442,15 @@ def bell_decomposition_residual(
     # A (x) 1 and 1 (x) B for every setting, the products np.kron takes.
     abar = (ops_a[:, :, None, :, None] * eye_b[:, None, :]).reshape(n, da * db, -1)
     bbar = (eye_a[:, None, :, None] * ops_b[:, None, :, None, :]).reshape(n, da * db, -1)
-    ks = np.arange(1, n + 1)
-    lams = 1 - 2 * np.cos(2 * np.pi * ks / n)
+    lams = _ring_certificate_coefficients(n)
     lam_star = lams.max()
     eye = np.eye(da * db)
     lhs = n * lam_star * eye - _ring_correlator(ops_a, ops_b)
     squares = sum(np.einsum("aij,ajk->ik", w, w) for w in (abar, bbar))
     rhs = 0.5 * lam_star * (2 * n * eye - squares)
-    # Row a of `fourier` is omega^(a k) / sqrt(2n) over k, omega = exp(-2 pi i / n).
-    fourier = np.exp(-2j * np.pi * np.outer(ks, ks) / n) / math.sqrt(2 * n)
-    for sign, coeffs in ((-1, lam_star + lams), (1, lam_star - lams)):
-        v = np.einsum("ak,kij->aij", fourier, abar + sign * bbar)
-        rhs += 0.5 * np.einsum("a,aji,ajk->ik", coeffs, v.conj(), v)
+    # (lam* + lam_k)|A - B|^2 and (lam* - lam_k)|A + B|^2 of mode k, over 4n.
+    coeffs = np.stack([lam_star + lams, lam_star - lams], axis=1) / (4 * n)
+    rhs += _fourier_squares(np.stack([abar - bbar, abar + bbar], axis=1), coeffs)
     return float(np.linalg.norm(lhs - rhs))
 
 
@@ -462,12 +461,12 @@ def sos_certificate_bell(n: int) -> SosCertificateReport:
         raise ValueError("the certificate applies to odd n >= 3")
     ops = ring_observables(n)
     residual = bell_decomposition_residual(ops, ops)
-    lams = [1 - 2 * math.cos(2 * math.pi * a / n) for a in range(1, n + 1)]
-    lam_star = max(lams)
+    lams = _ring_certificate_coefficients(n)
+    lam_star = float(lams.max())
     closed = 4 * math.cos(math.pi / (2 * n)) ** 2 - 1
     bound = n * lam_star
     extremum = numkit.eig_extrema(bell_ring_operator(n)).max_eigenvalue
-    min_coeff = min(min(lam_star + lam for lam in lams), min(lam_star - lam for lam in lams))
+    min_coeff = float(min((lam_star + lams).min(), (lam_star - lams).min()))
     ok = (
         residual < NUM_TOL
         and abs(lam_star - closed) < NUM_TOL
@@ -664,13 +663,17 @@ def relative_state_chain(
     return RelativeStateChainResult(overlap, tuple(chain), p_initial)
 
 
+def _sqrt_psd(rho: np.ndarray) -> np.ndarray:
+    """Square root of a PSD matrix, rounding-negative eigenvalues clipped to 0."""
+    vals, vecs = np.linalg.eigh(numkit.as_matrix(rho))
+    return (vecs * np.sqrt(np.clip(vals, 0, None))) @ vecs.conj().T
+
+
 def relative_state_partner(
     rho: np.ndarray, u: np.ndarray, phi: Sequence[complex]
 ) -> np.ndarray:
     """The state of the far wing after finding phi locally: U sqrt(rho) phi*."""
-    vals, vecs = np.linalg.eigh(numkit.as_matrix(rho))
-    sqrt_rho = (vecs * np.sqrt(np.clip(vals, 0, None))) @ vecs.conj().T
-    partner = numkit.as_matrix(u) @ sqrt_rho @ np.conj(numkit.normalize(phi))
+    partner = numkit.as_matrix(u) @ _sqrt_psd(rho) @ np.conj(numkit.normalize(phi))
     norm = np.linalg.norm(partner)
     if norm < 1e-13:
         raise ValueError("phi has no support on the bipartite state")
@@ -679,15 +682,8 @@ def relative_state_partner(
 
 def purification_state(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     """(1 x U sqrt(rho)) sum_k |k>|k> as a d^2 vector (normalized)."""
-    rho = numkit.as_matrix(rho)
-    d = rho.shape[0]
-    vals, vecs = np.linalg.eigh(rho)
-    sqrt_rho = (vecs * np.sqrt(np.clip(vals, 0, None))) @ vecs.conj().T
-    mat = numkit.as_matrix(u) @ sqrt_rho
-    psi = np.zeros(d * d, dtype=complex)
-    for k in range(d):
-        psi += np.kron(np.eye(d)[k], mat[:, k])
-    return psi
+    # Entry (k, i) of the d^2 vector is (U sqrt(rho))[i, k].
+    return (numkit.as_matrix(u) @ _sqrt_psd(rho)).T.ravel()
 
 
 # --------------------------------------------------------------------------

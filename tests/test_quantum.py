@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seer_lab import classical, games, numkit, quantum, scenario
 from seer_lab.quantum import (
@@ -137,7 +139,7 @@ def test_klyachko_table_is_valid_and_symmetric():
 # Cycle certificate
 
 
-@pytest.mark.parametrize("n", [5, 7, 9])
+@pytest.mark.parametrize("n", [*range(5, 52, 2), 401, 1001])
 def test_cycle_certificate(n):
     report = sos_certificate_klyachko(n)
     cos = math.cos(math.pi / n)
@@ -161,6 +163,69 @@ def test_cycle_decomposition_holds_for_generic_commuting_operators():
     for n in (5, 7):
         xbars = [np.diag(rng.normal(size=4)).astype(complex) for _ in range(n)]
         assert klyachko_decomposition_residual(xbars) < 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 8])
+def test_cycle_decomposition_holds_for_every_cycle_length(n):
+    rng = np.random.default_rng(n)
+    xbars = [np.diag(rng.normal(size=3)).astype(complex) for _ in range(n)]
+    assert klyachko_decomposition_residual(xbars) < 1e-9
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_cycle_decomposition_refuses_fewer_than_three_operators(n):
+    with pytest.raises(ValueError):
+        klyachko_decomposition_residual([np.eye(2)] * n)
+
+
+def _loop_cycle_residual(xbars):
+    """The identity written term by term, with the Fourier squares over
+    v_j = sum_a omega^(j a) X_a (a = 1..n, omega = exp(-2 pi i/n)) summed mode
+    by mode."""
+    n = len(xbars)
+    d = xbars[0].shape[0]
+    eye = np.eye(d, dtype=complex)
+    sec = 1 / math.cos(math.pi / n)
+    cos = math.cos(math.pi / n)
+    cycle = sum(xbars[a] @ xbars[(a + 1) % n] for a in range(n))
+    lhs = cycle - n * (1 - 4 * cos / (1 + cos)) * eye
+    rhs = np.zeros((d, d), dtype=complex)
+    rhs += 0.25 * (2 - sec) * sum(eye - xb @ xb for xb in xbars)
+    rhs += 0.25 * sum(
+        eye - np.linalg.matrix_power(xbars[a] @ xbars[(a + 1) % n], 2) for a in range(n)
+    )
+    rhs += 0.25 * sec * sum(
+        xbars[a] @ xbars[(a + 2) % n] @ (eye - xbars[(a + 1) % n] @ xbars[(a + 1) % n])
+        for a in range(n)
+    )
+    v0 = n * (3 - 2 / math.cos(math.pi / (2 * n)) ** 2) * eye + cycle
+    rhs += (1 + sec) / (4 * n) * (v0.conj().T @ v0)
+    omega = np.exp(-2j * math.pi / n)
+    lam1, lam2 = quantum.klyachko_certificate_coefficients(n)
+    for j in range(1, n + 1):
+        v1 = sum(omega ** (j * a) * xbars[a - 1] for a in range(1, n + 1))
+        rhs += lam1[j - 1] / n * (v1.conj().T @ v1)
+    for j in range(1, n):
+        v2 = sum(omega ** (j * a) * xbars[a - 1] @ xbars[a % n] for a in range(1, n + 1))
+        rhs += lam2[j - 1] / n * (v2.conj().T @ v2)
+    return float(np.linalg.norm(lhs - rhs))
+
+
+def _random_hermitian_family(seed, n, d):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    return list((m + m.conj().transpose(0, 2, 1)) / 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 15), d=st.integers(2, 4))
+def test_cycle_residual_matches_the_mode_by_mode_sum(seed, n, d):
+    # Adjacent members do not commute, so the residual is O(1) or larger and
+    # every term of the identity shows in it.
+    xbars = _random_hermitian_family(seed, n, d)
+    reference = _loop_cycle_residual(xbars)
+    assert reference > 1e-3
+    assert klyachko_decomposition_residual(xbars) == pytest.approx(reference, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +318,13 @@ def test_ring_decomposition_holds_for_generic_observables():
         ops_a = [np.diag(rng.normal(size=2)).astype(complex) for _ in range(n)]
         ops_b = [np.diag(rng.normal(size=2)).astype(complex) for _ in range(n)]
         assert quantum.bell_decomposition_residual(ops_a, ops_b) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from(range(3, 16, 2)), d=st.integers(2, 3))
+def test_ring_decomposition_holds_for_noncommuting_observables(seed, n, d):
+    ops = _random_hermitian_family(seed, 2 * n, d)
+    assert quantum.bell_decomposition_residual(ops[:n], ops[n:]) < 1e-9
 
 
 # ---------------------------------------------------------------------------
