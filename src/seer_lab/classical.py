@@ -2,8 +2,9 @@
 
 Covers the noncontextual bound for anti-correlation cycles (in closed form),
 Bell-local bounds for the two-wing prediction games and the
-preparation-noncontextual bound for the two-time game (by enumeration), and
-algebraic (parity) satisfiability of sign constraints around a cycle.
+preparation-noncontextual bound for the two-time game (both by best
+responses over a payoff's cells), and algebraic (parity) satisfiability of
+sign constraints around a cycle.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -274,19 +275,23 @@ def s3_of_table(table) -> float:
 
 # --------------------------------------------------------------------------
 # Preparation-noncontextual bound for the two-time game
+#
+# The two-time game is the n = 3 ring payoff with the preparation as wing A
+# (trit t the setting, bit b the outcome) and the query y with its answer X as
+# wing B: the target X = c_y(t, b) makes (b, X) equal when t = y and differ
+# otherwise, which is exactly the ring game's win rule.
 
 
-def c_function(y: int, t: int, b: int) -> int:
-    """Target output: the stored bit when queried at the encoded position, else its flip."""
-    return b if t == y else 1 - b
+def c_function(y, t, b):
+    """Target output: the stored bit when queried at the encoded position, else
+    its flip (elementwise on arrays)."""
+    return b ^ (t != y)
 
 
-_ENCODINGS: dict[str, Callable[[int, int], int]] = {
-    "b": lambda t, b: b,
-    "c1": lambda t, b: c_function(1, t, b),
-    "c2": lambda t, b: c_function(2, t, b),
-    "c3": lambda t, b: c_function(3, t, b),
-}
+_T, _B = np.arange(1, 4)[:, None], np.arange(2)
+# The trit-oblivious one-bit encodings e(t, b) of a preparation, as arrays
+# indexed [t - 1, b]: the stored bit itself, or the target output of query k.
+_ENCODINGS = {"b": np.broadcast_to(_B, (3, 2)), **{f"c{k}": c_function(k, _T, _B) for k in (1, 2, 3)}}
 
 
 @dataclass(frozen=True)
@@ -300,31 +305,40 @@ class PncBoundResult:
 def pnc_bound_diachronic() -> PncBoundResult:
     """Optimal success of trit-oblivious one-bit encodings in the two-time game.
 
-    The ontic state must be one of the four trit-oblivious functions of
-    (t, b); for each, every deterministic response map from (state, query) to
-    an output bit is enumerated.  The per-encoding optima are {2/3, 7/9, 7/9,
-    7/9}, so the overall bound is 7/9.
+    The ontic state s = e(t, b) is one of the four trit-oblivious encodings,
+    and a deterministic response map gives the answer to query y in state s
+    at index 3 s + y - 1.  For a fixed encoding the ring payoff splits over
+    those six answers, so the best response is chosen answer by answer; ties
+    prefer 0, which picks the lexicographically first optimal map.  The
+    per-encoding optima are {2/3, 7/9, 7/9, 7/9}, so the overall bound is 7/9.
     """
+    denom, won = os_ring_payoff(3)._win_units()
     per: dict[str, Fraction] = {}
     responses: dict[str, tuple[int, ...]] = {}
     for name, enc in _ENCODINGS.items():
-        best = Fraction(-1)
-        best_resp = None
-        for resp in itertools.product((0, 1), repeat=6):
-            wins = sum(
-                1
-                for t in (1, 2, 3)
-                for b in (0, 1)
-                for y in (1, 2, 3)
-                if resp[enc(t, b) * 3 + (y - 1)] == c_function(y, t, b)
-            )
-            value = Fraction(wins, 18)
-            if value > best:
-                best, best_resp = value, resp
-        per[name] = best
-        responses[name] = best_resp
+        # score[s, y - 1, x]: units of 1/(2 denom) won by answering x to query
+        # y in state s, the stored bit being uniform.
+        score = np.einsum("tbs,tbyx->syx", np.eye(2, dtype=np.int64)[enc], won)
+        per[name] = Fraction(int(score.max(axis=-1).sum()), 2 * denom)
+        responses[name] = tuple(int(x) for x in (score[..., 1] > score[..., 0]).ravel())
     bound = max(per.values())
     return PncBoundResult(float(bound), bound, per, responses)
+
+
+def pnc_response_table(encoding: str, response_probs: Sequence[float]):
+    """Two-time statistics p(b, X | t, y) = p(X | e(t, b), y) / 2 of an encoding
+    and a response map p(X = 1 | state, query) (index 3 state + query - 1), as
+    a table over the n = 3 ring payoff's cells."""
+    from .scenario import payoff_table  # scenario imports this module
+
+    p1 = np.asarray(response_probs, dtype=float).reshape(2, 3)
+    answers = np.stack([1 - p1, p1], axis=-1) / 2  # [state, y - 1, x]
+    # dist[t - 1, y - 1, b, x] = answers[e(t, b), y - 1, x]
+    dist = answers[_ENCODINGS[encoding][:, None, :], np.arange(3)[None, :, None]]
+    return payoff_table(
+        os_ring_payoff(3),
+        lambda cell: dict(zip(np.ndindex(2, 2), dist[cell.a - 1, cell.b - 1].ravel().tolist())),
+    )
 
 
 def pnc_stochastic_response_value(
@@ -335,12 +349,4 @@ def pnc_stochastic_response_value(
     Used to spot-check that randomized responses never beat the deterministic
     optimum (the payoff is linear in the response probabilities).
     """
-    enc = _ENCODINGS[encoding]
-    total = 0.0
-    for t in (1, 2, 3):
-        for b in (0, 1):
-            for y in (1, 2, 3):
-                p1 = response_probs[enc(t, b) * 3 + (y - 1)]
-                target = c_function(y, t, b)
-                total += p1 if target == 1 else 1 - p1
-    return total / 18
+    return os_ring_payoff(3).value(pnc_response_table(encoding, response_probs))

@@ -179,14 +179,15 @@ def cmd_povm(args) -> dict:
     axes = _load_axes(args.axes)
     axes_tuple = povm.PRESET_AXES[axes] if isinstance(axes, str) else axes
     n_axes = len(axes_tuple)
+    necessary, sufficient = povm.eta_necessary(axes), povm.eta_sufficient(axes)
     results: dict = {
         "axes": args.axes,
         "n_axes": n_axes,
-        "eta_necessary": povm.eta_necessary(axes),
-        "eta_sufficient": povm.eta_sufficient(axes),
+        "eta_necessary": necessary,
+        "eta_sufficient": sufficient,
     }
     if n_axes == 1:
-        results["threshold"] = povm.eta_necessary(axes)
+        results["threshold"] = necessary
         return results
     pair_thresholds = [
         povm.eta_sufficient([axes_tuple[j], axes_tuple[k]])
@@ -195,11 +196,10 @@ def cmd_povm(args) -> dict:
     pair_threshold = min(pair_thresholds)
     results["pair"] = pair_threshold
     if n_axes >= 3:
-        triple_threshold = povm.eta_sufficient(axes)
-        results["triple"] = triple_threshold
+        results["triple"] = sufficient
         results["verdict"] = (
             "pairwise beyond triplewise"
-            if pair_threshold > triple_threshold + 1e-12
+            if pair_threshold > sufficient + 1e-12
             else "no pairwise/triplewise gap"
         )
     povm.simulating_povm(axes)  # raises on completeness/marginal failure
@@ -279,9 +279,12 @@ def _sweep_values(args):
         stop = float(args.stop if args.stop is not None else 3.0)
         step = float(args.step if args.step is not None else 0.05)
         span = (stop - start) / step  # +-inf when the difference overflows
-        if span > MAX_SWEEP_ROWS - 1:
+        # Rows start + i * step for i = 0..floor(span); the slack keeps a stop
+        # that the steps reach up to rounding.
+        rows = math.floor(min(max(span, -1.0), MAX_SWEEP_ROWS) + 1e-9) + 1
+        if rows > MAX_SWEEP_ROWS:
             raise ValueError(f"hardy_p sweeps are limited to {MAX_SWEEP_ROWS} rows")
-        for i in range(round(max(span, -1.0)) + 1):
+        for i in range(rows):
             eta = start + i * step
             yield eta, 0.0, quantum.hardy_value(eta)
     else:

@@ -3,12 +3,14 @@
 Each game is a set of contexts with a weight each, the outcome distribution
 the chosen strategy gives every context (Born rule for quantum strategies,
 the foil tables, or an optimal deterministic strategy), and the outcomes that
-win there.  The two-wing games take all three from their ``GamePayoff``.  The
-reported win count is drawn exactly in two levels: context counts from a
-multinomial over the context weights, then each context's outcome counts from
-a multinomial over its outcome distribution.  That has the law of playing the
-trials one by one, costs nothing per trial, and is bit-identical for a fixed
-seed (one counter-based Philox stream keyed by the seed).
+win there.  The two-wing games take all three from their ``GamePayoff``; the
+two-time (diachronic) game is the n = 3 ring payoff with the preparation as
+wing A and the query as wing B.  The reported win count is drawn exactly in
+two levels: context counts from a multinomial over the context weights, then
+each context's outcome counts from a multinomial over its outcome
+distribution.  That has the law of playing the trials one by one, costs
+nothing per trial, and is bit-identical for a fixed seed (one counter-based
+Philox stream keyed by the seed).
 """
 
 from __future__ import annotations
@@ -105,20 +107,26 @@ class _SamplingModel:
 def _build_model(spec: GameSpec) -> _SamplingModel:
     if spec.kind == "seer_ncycle":
         return _seer_model(spec.n, spec.strategy)
-    if spec.kind == "diachronic":
-        return _diachronic_model(spec.strategy)
     return _two_wing_model(spec.kind, spec.n, spec.strategy)
 
 
 def _two_wing_model(kind: str, n: int, strategy: str) -> _SamplingModel:
-    ring = kind == "bipartite_os"
-    payoff = classical.os_ring_payoff(n) if ring else classical.odd_cycle_payoff(n)
+    """Model of a two-wing game.  The diachronic game's quantum table is the
+    n = 3 ring table (``quantum.diachronic_quantum``); its classical strategy
+    is the best trit-oblivious encoding with its best response."""
+    odd = kind == "odd_cycle"
+    payoff = classical.odd_cycle_payoff(n) if odd else classical.os_ring_payoff(n)
     if strategy == "quantum":
-        table = quantum.mermin_table(n) if ring else quantum.odd_cycle_table(n)
+        table = quantum.odd_cycle_table(n) if odd else quantum.mermin_table(n)
         expected = payoff.value(table)
     elif strategy == "foil":
         table = scenario.foil_table(payoff)
         expected = 1.0
+    elif kind == "diachronic":
+        pnc = classical.pnc_bound_diachronic()
+        name = max(pnc.per_encoding, key=lambda k: (pnc.per_encoding[k], k))
+        table = classical.pnc_response_table(name, pnc.best_responses[name])
+        expected = float(pnc.per_encoding[name])
     else:
         bound = classical.local_bound(payoff)
         table = scenario.deterministic_table(
@@ -166,34 +174,6 @@ def _seer_model(n: int, strategy: str) -> _SamplingModel:
     else:
         raise AssertionError(strategy)
     return _SamplingModel(np.full(n, 1 / n), probs, win, expected)
-
-
-def _diachronic_model(strategy: str) -> _SamplingModel:
-    contexts = [(t, b, y) for t in (1, 2, 3) for b in (0, 1) for y in (1, 2, 3)]
-    probs = np.zeros((18, 2))
-    win = np.zeros((18, 2), dtype=bool)
-    if strategy == "classical_best":
-        pnc = classical.pnc_bound_diachronic()
-        name = max(pnc.per_encoding, key=lambda k: (pnc.per_encoding[k], k))
-        resp = pnc.best_responses[name]
-        encoder = classical._ENCODINGS[name]
-        expected = float(pnc.per_encoding[name])
-    for i, (t, b, y) in enumerate(contexts):
-        target = classical.c_function(y, t, b)
-        win[i, target] = True
-        if strategy == "quantum":
-            p_win = quantum.diachronic_success_probability(t, b, y)
-        elif strategy == "foil":
-            p_win = 1.0
-        else:
-            p_win = 1.0 if resp[encoder(t, b) * 3 + (y - 1)] == target else 0.0
-        probs[i, target] = p_win
-        probs[i, 1 - target] = 1 - p_win
-    if strategy == "quantum":
-        expected = quantum.diachronic_quantum().r
-    elif strategy == "foil":
-        expected = 1.0
-    return _SamplingModel(np.full(18, 1 / 18), probs, win, expected)
 
 
 def _draw_counts(model: _SamplingModel, trials: int, seed: int) -> np.ndarray:

@@ -66,7 +66,9 @@ def _as_axes(axes: Union[str, Iterable[Sequence[float]]]) -> tuple[np.ndarray, .
             raise ValueError("axes must be 3-vectors")
         if not np.all(np.isfinite(v)):
             raise ValueError(f"axis {v} has a non-finite entry")
-        if abs(np.linalg.norm(v) - 1.0) > STRUCT_TOL:
+        # An entry beyond 1 already rules out unit length, and squaring one
+        # near 1e154 would overflow in the norm.
+        if np.max(np.abs(v)) > 1.0 + STRUCT_TOL or abs(np.linalg.norm(v) - 1.0) > STRUCT_TOL:
             raise ValueError(f"axis {v} is not unit length")
         out.append(v)
     if not out:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numkit, scenario as scenario_mod
-from .classical import _outcome_projectors, c_function, odd_cycle_payoff, os_ring_payoff
+from .classical import _outcome_projectors, odd_cycle_payoff, os_ring_payoff
 from .numkit import ID2, born_overlap, born_probability, projector, spin_observable
 from .tolerances import NUM_TOL, STRUCT_TOL
 
@@ -135,7 +135,7 @@ def klyachko_table(n: int) -> scenario_mod.CorrelationTable:
     poly = star_polygon(n)
     psi = symmetry_axis_state(poly)
     projs = [projector(k) for k in poly.kets]
-    scen = scenario_mod.Scenario(n, tuple((a, a % n + 1) for a in range(1, n + 1)))
+    scen = scenario_mod.cycle_scenario(n)
     probs = {}
     for ctx in scen.contexts:
         first, second = ctx
@@ -690,30 +690,6 @@ def purification_state(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
 # Two-time (diachronic) protocol
 
 
-def trine_qubit_states() -> dict[tuple[int, int], np.ndarray]:
-    """Eigenstates |phi_{t,b}> of the three trine observables; b=0 tags the
-    +1 eigenvector."""
-    out = {}
-    for t in (1, 2, 3):
-        op = spin_observable(2 * math.pi * (t - 1) / 3)
-        vals, vecs = np.linalg.eigh(op)
-        out[(t, 0)] = vecs[:, 1]  # eigenvalue +1
-        out[(t, 1)] = vecs[:, 0]  # eigenvalue -1
-    return out
-
-
-def diachronic_success_probability(t: int, b: int, y: int) -> float:
-    """Born probability that measuring observable y on |phi_{t,b}> returns the
-    target bit c_y(t,b)."""
-    states = trine_qubit_states()
-    op = spin_observable(2 * math.pi * (y - 1) / 3)
-    vals, vecs = np.linalg.eigh(op)
-    proj0 = np.outer(vecs[:, 1], vecs[:, 1].conj())
-    p0 = born_probability(states[(t, b)], proj0)
-    target = c_function(y, t, b)
-    return p0 if target == 0 else 1 - p0
-
-
 @dataclass(frozen=True)
 class DiachronicResult:
     r: float
@@ -723,21 +699,15 @@ class DiachronicResult:
 def diachronic_quantum() -> DiachronicResult:
     """Average two-time success (5/6) and the trit-obliviousness defect.
 
+    Preparing the eigenstate phi_{t,b} of trine observable t (b = 0 for +1)
+    and measuring trine observable y gives (b, X) with probability
+    |<psi_{y,X}|phi_{t,b}>|^2 / 2 = <Phi+|Pi_t^b (x) Pi_y^X|Phi+>, because
+    the trine projectors are real.  The trines are ring_observables(3), so the
+    two-time table is mermin_table(3) and its success the n = 3 ring value.
     The defect is the largest trace distance between the unconditioned
-    mixtures for different first-measurement choices; all three mixtures
-    equal 1/2 identity, so it vanishes.
+    mixtures (Pi_t^0 + Pi_t^1)/2 for different t; all equal 1/2 identity, so
+    it vanishes.
     """
-    total = sum(
-        diachronic_success_probability(t, b, y)
-        for t in (1, 2, 3)
-        for b in (0, 1)
-        for y in (1, 2, 3)
-    ) / 18
-    states = trine_qubit_states()
-    mixes = [
-        0.5 * (projector(states[(t, 0)]) + projector(states[(t, 1)])) for t in (1, 2, 3)
-    ]
-    defect = 0.0
-    for r1, r2 in itertools.combinations(mixes, 2):
-        defect = max(defect, 0.5 * float(np.abs(np.linalg.eigvalsh(r1 - r2)).sum()))
-    return DiachronicResult(total, defect)
+    mixes = _outcome_projectors(ring_observables(3)).mean(axis=1)
+    gaps = np.linalg.eigvalsh(mixes[:, None] - mixes[None, :])
+    return DiachronicResult(mermin_value(3), 0.5 * float(np.abs(gaps).sum(axis=-1).max()))

@@ -185,6 +185,12 @@ class JointDistribution:
 # Builders
 
 
+def cycle_scenario(n: int) -> Scenario:
+    """n measurements whose contexts are the adjacent pairs (a, a + 1) of an
+    n-cycle, (n, 1) closing it."""
+    return Scenario(n, tuple((a, a % n + 1) for a in range(1, n + 1)))
+
+
 def build_os_ncycle(n: int) -> CorrelationTable:
     """Perfect anti-correlation with uniform marginals on every adjacent pair.
 
@@ -194,15 +200,12 @@ def build_os_ncycle(n: int) -> CorrelationTable:
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("the anti-correlation cycle needs odd n >= 3")
-    scenario = Scenario(n, tuple((a, a % n + 1) for a in range(1, n + 1)))
-    half = {(0, 1): 0.5, (1, 0): 0.5}
-    return CorrelationTable(scenario, {ctx: dict(half) for ctx in scenario.contexts})
+    return cycle_correlation_table((signet.DASHED,) * n)
 
 
 def cycle_correlation_table(signs: Sequence[int]) -> CorrelationTable:
     """Perfectly correlated (+1) or anti-correlated (-1) adjacent pairs on a cycle."""
-    n = len(signs)
-    scenario = Scenario(n, tuple((a, a % n + 1) for a in range(1, n + 1)))
+    scenario = cycle_scenario(len(signs))
     probs = {}
     for ctx, s in zip(scenario.contexts, signs):
         if s == signet.SOLID:
@@ -430,7 +433,7 @@ def solve_anticorrelation_constraints(n: int = 3) -> CorrelationTable:
     q = np.linalg.solve(system, np.ones(n))
     if np.max(np.abs(q - 0.5)) > STRUCT_TOL:
         raise AssertionError("elimination did not force q = 1/2")
-    scenario = Scenario(n, tuple((a, a % n + 1) for a in range(1, n + 1)))
+    scenario = cycle_scenario(n)
     probs = {
         ctx: {(0, 1): float(qa), (1, 0): float(1 - qa)}
         for ctx, qa in zip(scenario.contexts, q)

@@ -14,6 +14,7 @@ from seer_lab.classical import (
     algebraic_contradiction,
     bell_s3,
     brute_force_cycle_satisfiable,
+    c_function,
     ks_bound_ncycle,
     local_bound,
     odd_cycle_payoff,
@@ -175,6 +176,48 @@ def test_s3_of_foil_and_quantum_tables():
     assert s3_of_table(quantum.mermin_table(3)) == pytest.approx(6.0, abs=1e-10)
 
 
+# Reference route for the two-time game: the win rule and the encodings
+# written out over (t, b, y), independent of the ring payoff.
+_PNC_ENCODINGS = {
+    "b": lambda t, b: b,
+    **{f"c{k}": (lambda t, b, k=k: b if t == k else 1 - b) for k in (1, 2, 3)},
+}
+
+
+def _pnc_success(encoding, response_probs):
+    """Mean over the 18 (t, b, y) of the chance that the answer p(X=1 | state,
+    query) hits the target c_y(t, b)."""
+    enc = _PNC_ENCODINGS[encoding]
+    total = 0.0
+    for t, b, y in itertools.product((1, 2, 3), (0, 1), (1, 2, 3)):
+        p1 = response_probs[enc(t, b) * 3 + (y - 1)]
+        total += p1 if (b if t == y else 1 - b) == 1 else 1 - p1
+    return total / 18
+
+
+def _pnc_by_enumeration():
+    """Every one of the 2^6 deterministic response maps of each encoding; the
+    first optimum in lexicographic order is kept."""
+    per, responses = {}, {}
+    for name in _PNC_ENCODINGS:
+        best, best_resp = Fraction(-1), None
+        for resp in itertools.product((0, 1), repeat=6):
+            value = Fraction(round(18 * _pnc_success(name, resp)), 18)
+            if value > best:
+                best, best_resp = value, resp
+        per[name], responses[name] = best, best_resp
+    return per, responses
+
+
+def test_two_time_win_rule_is_the_n3_ring_payoff():
+    cells = {(c.a, c.b): c for c in os_ring_payoff(3).cells}
+    assert len(cells) == 9 and all(c.weight == Fraction(1, 9) for c in cells.values())
+    for t, y, b, x in itertools.product((1, 2, 3), (1, 2, 3), (0, 1), (0, 1)):
+        target = b if t == y else 1 - b
+        assert c_function(y, t, b) == target
+        assert ((b, x) in cells[t, y].wins) == (x == target)
+
+
 def test_pnc_bound():
     result = pnc_bound_diachronic()
     assert result.bound_exact == Fraction(7, 9)
@@ -184,6 +227,7 @@ def test_pnc_bound():
         "c2": Fraction(7, 9),
         "c3": Fraction(7, 9),
     }
+    assert (result.per_encoding, result.best_responses) == _pnc_by_enumeration()
 
 
 def test_pnc_stochastic_responses_never_beat_deterministic():
@@ -191,7 +235,14 @@ def test_pnc_stochastic_responses_never_beat_deterministic():
     for _ in range(200):
         name = rng.choice(["b", "c1", "c2", "c3"])
         probs = rng.random(6)
-        assert pnc_stochastic_response_value(name, probs) <= 7 / 9 + 1e-12
+        value = pnc_stochastic_response_value(name, probs)
+        assert value == pytest.approx(_pnc_success(name, probs), abs=1e-12)
+        assert value <= 7 / 9 + 1e-12
+    result = pnc_bound_diachronic()
+    for name, resp in result.best_responses.items():
+        assert pnc_stochastic_response_value(name, resp) == pytest.approx(
+            float(result.per_encoding[name]), abs=1e-15
+        )
 
 
 @pytest.mark.parametrize(

@@ -253,6 +253,7 @@ def test_sweep_hardy_peaks_near_optimum(capsys):
     )
     assert code == 0
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 41
     best = max(float(r[2]) for r in rows)
     assert best == pytest.approx(0.17455, abs=2e-4)
     assert all(float(r[1]) == 0.0 for r in rows)
@@ -415,12 +416,27 @@ def test_sweep_out_of_range_is_usage_error(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, etas",
+    [
+        (["--start", "1", "--stop", "1.15", "--step", "0.25"], ["1"]),
+        (["--start", "1", "--stop", "0.9", "--step", "0.25"], []),
+        (["--start", "1", "--stop", "1.4", "--step", "0.1"], ["1", "1.1", "1.2", "1.3", "1.4"]),
+    ],
+)
+def test_sweep_hardy_rows_stop_at_stop(capsys, argv, etas):
+    code, out, _ = run_cli(capsys, "sweep", "hardy_p", *argv)
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == etas
+
+
 def test_sweep_caps_bound_rows_and_cycle_size(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", 5)
     monkeypatch.setattr(cli, "MAX_SWEEP_N", 9)
-    code, out, _ = run_cli(capsys, "sweep", "hardy_p", "--start", "1", "--stop", "1.4", "--step", "0.1")
-    assert code == 0
-    assert len(out.splitlines()) == 1 + 5
+    for stop in ("1.4", "1.45"):
+        code, out, _ = run_cli(capsys, "sweep", "hardy_p", "--start", "1", "--stop", stop, "--step", "0.1")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 5
     code, _, err = run_cli(capsys, "sweep", "hardy_p", "--start", "1", "--stop", "1.5", "--step", "0.1")
     assert code == 2
     assert err == "error: hardy_p sweeps are limited to 5 rows\n"
@@ -520,6 +536,7 @@ def test_network_exit_codes_on_arbitrary_json(doc, directed):
 @example(doc=[1, 2])
 @example(doc=[[0, 0, None], [1, 0, 0]])
 @example(doc=5)
+@example(doc=[[0, 0, 1.3407807929942597e154]])
 def test_povm_exit_codes_on_arbitrary_json(doc):
     assert run_on_document(["povm", "--axes"], doc) in EXIT_CODES
 

@@ -35,9 +35,17 @@ def test_any_integer_seed_is_deterministic():
         assert simulate(GameSpec(seed=seed, **base)) == simulate(GameSpec(seed=seed, **base))
 
 
-@pytest.mark.parametrize("kind, n", [("bipartite_os", 5), ("odd_cycle", 5), ("diachronic", None)])
-def test_sampler_counts_fit_context_weights_and_table_rows(kind, n):
-    spec = GameSpec(kind, "quantum", trials=10**6, seed=29, n=n)
+@pytest.mark.parametrize(
+    "kind, n, strategy",
+    [
+        pytest.param("bipartite_os", 5, "quantum", id="bipartite_os-5"),
+        pytest.param("odd_cycle", 5, "quantum", id="odd_cycle-5"),
+        pytest.param("diachronic", None, "quantum", id="diachronic-None"),
+        pytest.param("diachronic", None, "classical_best", id="diachronic-classical_best"),
+    ],
+)
+def test_sampler_counts_fit_context_weights_and_table_rows(kind, n, strategy):
+    spec = GameSpec(kind, strategy, trials=10**6, seed=29, n=n)
     model = _build_model(spec)
     counts = _draw_counts(model, spec.trials, spec.seed)
     assert counts.shape == model.outcome_probs.shape

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from seer_lab.quantum import (
     build_hardy,
     clifton_check,
     diachronic_quantum,
-    diachronic_success_probability,
     hardy_chain_constraints,
     hardy_closed_form_sqrt3,
     hardy_optimize,
@@ -556,15 +556,28 @@ def test_diachronic_value_and_obliviousness():
     assert result.obliviousness_defect < 1e-12
 
 
-def test_diachronic_same_and_cross_cases():
+def _trine_eigenstates():
+    """Reference route: |phi_{t,b}> from the eigenvectors of the trine
+    observable t, b = 0 for eigenvalue +1."""
+    states = {}
     for t in (1, 2, 3):
-        for b in (0, 1):
-            assert diachronic_success_probability(t, b, t) == pytest.approx(1, abs=1e-12)
-            for y in (1, 2, 3):
-                if y != t:
-                    assert diachronic_success_probability(t, b, y) == pytest.approx(
-                        3 / 4, abs=1e-12
-                    )
+        _, vecs = np.linalg.eigh(numkit.spin_observable(2 * math.pi * (t - 1) / 3))
+        states[t, 0], states[t, 1] = vecs[:, 1], vecs[:, 0]
+    return states
+
+
+def test_diachronic_same_and_cross_cases():
+    """Prepare phi_{t,b}, measure trine y: (b, X) has probability
+    |<psi_{y,X}|phi_{t,b}>|^2 / 2, and that is the two-time table entry."""
+    states = _trine_eigenstates()
+    table = quantum.mermin_table(3)
+    for t, b, y in itertools.product((1, 2, 3), (0, 1), (1, 2, 3)):
+        target = b if t == y else 1 - b
+        success = abs(np.vdot(states[y, target], states[t, b])) ** 2
+        assert success == pytest.approx(1 if t == y else 3 / 4, abs=1e-12)
+        for x in (0, 1):
+            prepared = abs(np.vdot(states[y, x], states[t, b])) ** 2 / 2
+            assert table.prob((t, 3 + y), (b, x)) == pytest.approx(prepared, abs=1e-12)
 
 
 def test_diachronic_beats_pnc_bound():
