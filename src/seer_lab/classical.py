@@ -9,7 +9,6 @@ sign constraints around a cycle.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,15 +74,6 @@ def algebraic_contradiction(cycle_signs: Sequence[int]) -> bool:
     for s in signs:
         prod *= s
     return prod == 1
-
-
-def brute_force_cycle_satisfiable(cycle_signs: Sequence[int]) -> bool:
-    """Independent oracle: try all 2^n signed valuations."""
-    n = len(cycle_signs)
-    for bits in itertools.product((1, -1), repeat=n):
-        if all(bits[a] * bits[(a + 1) % n] == cycle_signs[a] for a in range(n)):
-            return True
-    return False
 
 
 # --------------------------------------------------------------------------

@@ -31,10 +31,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFICATION = 3
 
-# Largest sweeps, set from a 5 s budget (2-core host): a hardy_p row takes
-# 0.34 ms (10,000 rows 3.4 s); a cycle row costs O(n), and mermin_R over odd
-# n = 3..201 takes 1.6 s (klyachko_R over n = 5..201, 1.2 s).  MAX_SWEEP_N
-# also caps `bounds ks_ncycle`, which takes 0.39 s as a whole process at
+# Largest sweeps, set from a 5 s budget (whole processes, 2-core host): a
+# hardy_p row takes 0.33 ms (10,000 rows 3.3 s); a cycle row costs O(n), and
+# mermin_R over odd n = 3..201 takes 1.7 s (klyachko_R over n = 5..201,
+# 0.58 s).  MAX_SWEEP_N also caps `bounds ks_ncycle`, which takes 0.36 s at
 # n = 201 (certificate residual 3.0e-13).
 MAX_SWEEP_ROWS = 10_000
 MAX_SWEEP_N = 201

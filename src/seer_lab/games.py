@@ -30,8 +30,9 @@ _MASK64 = (1 << 64) - 1
 # numpy draws counts as int64.
 MAX_TRIALS = (1 << 63) - 1
 # Largest n, set from a 5 s budget: the quantum tables cost O(n), and the
-# slowest kind, bipartite_os, takes 1.8-2.0 s (133 MB peak RSS) at n = 10,001
-# for the whole `seer-lab game` process on a 2-core host.
+# slowest kind, bipartite_os, takes 1.9 s (135 MB peak RSS) at n = 10,001
+# for the whole `seer-lab game` process on a 2-core host (odd_cycle 1.4 s,
+# seer_ncycle 0.62 s).
 MAX_N = 10_001
 
 

@@ -145,5 +145,5 @@ def born_probability(state: Sequence[complex], effect: np.ndarray) -> float:
 
 def born_overlap(psi: np.ndarray, image: np.ndarray) -> float:
     """Re <psi|image> for image = E psi: born_probability from the image of the state."""
-    p = float(np.real(np.vdot(psi, image)))
+    p = float(np.vdot(psi, image).real)
     return 0.0 if -1e-12 < p < 0 else p

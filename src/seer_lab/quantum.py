@@ -19,7 +19,7 @@ import numpy as np
 
 from . import numkit, scenario as scenario_mod
 from .classical import _outcome_projectors, odd_cycle_payoff, os_ring_payoff
-from .numkit import ID2, born_overlap, born_probability, projector, spin_observable
+from .numkit import born_overlap, projector, spin_observable
 from .tolerances import NUM_TOL, STRUCT_TOL
 
 BELL_STATE = np.zeros(4, dtype=complex)
@@ -76,25 +76,28 @@ def symmetry_axis_state(poly: StarPolygon) -> np.ndarray:
     return total / np.linalg.norm(total)
 
 
-def _require_commuting(p: np.ndarray, q: np.ndarray) -> None:
-    if np.max(np.abs(p @ q - q @ p)) > STRUCT_TOL:
-        raise AssertionError("projectors do not commute; no joint measurement")
+def _ray_effects(kets: Sequence[np.ndarray]) -> np.ndarray:
+    """[1 - P, P] for the projector P onto each ray, stacked as (rays, 2, d, d):
+    outcome 1 means the projector fires."""
+    projs = np.stack([projector(k) for k in kets])
+    return np.stack([np.eye(projs.shape[-1]) - projs, projs], axis=1)
 
 
-def joint_pair_probs(
-    state: np.ndarray, proj_a: np.ndarray, proj_b: np.ndarray
-) -> dict[tuple[int, int], float]:
-    """Outcome distribution of the four-effect joint measurement of two
-    commuting projectors, with outcome 1 meaning "projector fires"."""
-    _require_commuting(proj_a, proj_b)
-    eye = np.eye(proj_a.shape[0])
-    effects = {
-        (1, 1): proj_a @ proj_b,
-        (1, 0): proj_a @ (eye - proj_b),
-        (0, 1): (eye - proj_a) @ proj_b,
-        (0, 0): (eye - proj_a) @ (eye - proj_b),
-    }
-    return {xy: born_probability(state, eff) for xy, eff in effects.items()}
+def _joint_born(state, first: np.ndarray, second: np.ndarray) -> list[dict[tuple[int, int], float]]:
+    """Born distribution of each context's joint measurement of two binary
+    measurements, given their outcome effects stacked as (contexts, 2, D, D).
+
+    Outcome (x, y) has the effect E_x F_y of effect x of `first` and y of
+    `second`, which must commute; checking outcome 1 suffices, since each
+    measurement's two effects sum to the identity.  Every product is applied
+    to the state in one stacked matmul and each entry finished by born_overlap.
+    """
+    psi = numkit.as_ket(state)
+    products = first[:, :, None] @ second[:, None, :]
+    if np.max(np.abs(products[:, 1, 1] - second[:, 1] @ first[:, 1])) > STRUCT_TOL:
+        raise AssertionError("effects do not commute; no joint measurement")
+    images = products @ psi
+    return [{(x, y): born_overlap(psi, im[x, y]) for x in (0, 1) for y in (0, 1)} for im in images]
 
 
 @dataclass(frozen=True)
@@ -133,14 +136,11 @@ def klyachko_closed_form(n: int) -> tuple[float, float]:
 def klyachko_table(n: int) -> scenario_mod.CorrelationTable:
     """Adjacent-pair outcome statistics of the star-polygon state as a table."""
     poly = star_polygon(n)
-    psi = symmetry_axis_state(poly)
-    projs = [projector(k) for k in poly.kets]
     scen = scenario_mod.cycle_scenario(n)
-    probs = {}
-    for ctx in scen.contexts:
-        first, second = ctx
-        dist = joint_pair_probs(psi, projs[first - 1], projs[second - 1])
-        probs[ctx] = {xy: p for xy, p in dist.items() if p > 1e-15}
+    effects = _ray_effects(poly.kets)
+    first, second = (effects[[ctx[i] - 1 for ctx in scen.contexts]] for i in (0, 1))
+    dists = _joint_born(symmetry_axis_state(poly), first, second)
+    probs = {ctx: {xy: p for xy, p in d.items() if p > 1e-15} for ctx, d in zip(scen.contexts, dists)}
     return scenario_mod.CorrelationTable(scen, probs)
 
 
@@ -220,8 +220,7 @@ def sos_certificate_klyachko(n: int) -> SosCertificateReport:
     and attainment of the certified minimum eigenvalue."""
     if n < 5 or n % 2 == 0:
         raise ValueError("the certificate applies to odd n >= 5")
-    poly = star_polygon(n)
-    xbars = np.array([2 * projector(k) - np.eye(3) for k in poly.kets])
+    xbars = 2 * _ray_effects(star_polygon(n).kets)[:, 1] - np.eye(3)
     residual = klyachko_decomposition_residual(xbars)
     lam1, lam2 = klyachko_certificate_coefficients(n)
     min_coeff = min(min(lam1), min(lam2))
@@ -281,12 +280,10 @@ def transitivity_chain_klyachko() -> TransitivityChainResult:
     """
     k = star_polygon(5).kets
     psi2 = _pentagram_psi2(k)
-    projs = [projector(v) for v in k]
-    holds = True
-    for a, b in ((1, 2), (3, 4)):  # zero-based: pairs (l2,l3) and (l4,l5)
-        dist = joint_pair_probs(psi2, projs[a], projs[b])
-        p_cond = dist[(0, 1)] / (dist[(0, 1)] + dist[(0, 0)])
-        holds = holds and abs(p_cond - 1.0) < 1e-10
+    effects = _ray_effects(k)
+    # The pairs (l2,l3) and (l4,l5), zero-based.
+    dists = _joint_born(psi2, effects[[1, 3]], effects[[2, 4]])
+    holds = all(abs(d[0, 1] / (d[0, 1] + d[0, 0]) - 1.0) < 1e-10 for d in dists)
     p_start = float((k[0] @ psi2) ** 2)
     return TransitivityChainResult(psi2, p_start, holds)
 
@@ -384,24 +381,24 @@ def mermin_closed_form(n: int) -> float:
     return 1 / 3 + 2 / 3 * math.cos(math.pi / (2 * n)) ** 2
 
 
+def _wing_lift(ops_a, ops_b) -> tuple[np.ndarray, np.ndarray]:
+    """A (x) 1 and 1 (x) B for stacks of wing operators (leading axes kept), the
+    products np.kron takes."""
+    ops_a, ops_b = np.asarray(ops_a, dtype=complex), np.asarray(ops_b, dtype=complex)
+    da, db = ops_a.shape[-1], ops_b.shape[-1]
+    abar = ops_a[..., :, None, :, None] * np.eye(db, dtype=complex)[:, None, :]
+    bbar = np.eye(da, dtype=complex)[:, None, :, None] * ops_b[..., None, :, None, :]
+    return abar.reshape(*abar.shape[:-4], da * db, -1), bbar.reshape(*bbar.shape[:-4], da * db, -1)
+
+
 def _born_table(payoff, ops_a, ops_b) -> scenario_mod.CorrelationTable:
     """Table of a payoff's cells, the wings measuring on the maximally entangled
-    pair (outcome 0 <-> +1 eigenvalue).
-
-    Every effect Pi_a^x (x) Pi_b^y is formed by broadcasting, the products
-    np.kron takes, and all are applied to the state in one stacked product;
-    each entry is then finished as born_probability finishes it."""
-    proj_a = _outcome_projectors(ops_a)[[c.a - 1 for c in payoff.cells]]
-    proj_b = _outcome_projectors(ops_b)[[c.b - 1 for c in payoff.cells]]
-    # effects[c, x, y, i, k, j, l] = Pi_a^x[i, j] Pi_b^y[k, l] for cell c.
-    effects = proj_a[:, :, None, :, None, :, None] * proj_b[:, None, :, None, :, None, :]
-    dim = BELL_STATE.size
-    images = effects.reshape(len(payoff.cells), 2, 2, dim, dim) @ BELL_STATE
-    dists = {
-        (c.a, c.b): {(x, y): born_overlap(BELL_STATE, image[x, y]) for x in (0, 1) for y in (0, 1)}
-        for c, image in zip(payoff.cells, images)
-    }
-    return scenario_mod.payoff_table(payoff, lambda cell: dists[cell.a, cell.b])
+    pair (outcome 0 <-> +1 eigenvalue)."""
+    eff_a, eff_b = _wing_lift(_outcome_projectors(ops_a), _outcome_projectors(ops_b))
+    cells = payoff.cells
+    dists = _joint_born(BELL_STATE, eff_a[[c.a - 1 for c in cells]], eff_b[[c.b - 1 for c in cells]])
+    by_cell = {(c.a, c.b): dist for c, dist in zip(cells, dists)}
+    return scenario_mod.payoff_table(payoff, lambda cell: by_cell[cell.a, cell.b])
 
 
 def mermin_table(n: int) -> scenario_mod.CorrelationTable:
@@ -436,15 +433,10 @@ def bell_decomposition_residual(
     """Frobenius residual of the sum-of-squares identity for the two-wing ring
     operator, valid for arbitrary Hermitian wing observables."""
     n = len(ops_a)
-    da, db = ops_a[0].shape[0], ops_b[0].shape[0]
-    ops_a, ops_b = np.asarray(ops_a, dtype=complex), np.asarray(ops_b, dtype=complex)
-    eye_a, eye_b = np.eye(da, dtype=complex), np.eye(db, dtype=complex)
-    # A (x) 1 and 1 (x) B for every setting, the products np.kron takes.
-    abar = (ops_a[:, :, None, :, None] * eye_b[:, None, :]).reshape(n, da * db, -1)
-    bbar = (eye_a[:, None, :, None] * ops_b[:, None, :, None, :]).reshape(n, da * db, -1)
+    abar, bbar = _wing_lift(ops_a, ops_b)
     lams = _ring_certificate_coefficients(n)
     lam_star = lams.max()
-    eye = np.eye(da * db)
+    eye = np.eye(abar.shape[-1])
     lhs = n * lam_star * eye - _ring_correlator(ops_a, ops_b)
     squares = sum(np.einsum("aij,ajk->ik", w, w) for w in (abar, bbar))
     rhs = 0.5 * lam_star * (2 * n * eye - squares)
@@ -547,22 +539,24 @@ def build_hardy(eta: float) -> HardyConfig:
     return HardyConfig(eta, (k1, k2, k3), state, up_a, up_b)
 
 
+# The chain's five links, which must not occur, then the event contradicting
+# it: (A setting, B setting, A outcome, B outcome), outcome 1 = the ray fires.
+_HARDY_EVENTS = ((1, 1, 1, 0), (2, 1, 1, 1), (2, 2, 0, 1), (3, 2, 0, 0), (3, 3, 1, 0), (1, 3, 1, 0))
+
+
+def _hardy_events(cfg: HardyConfig) -> dict[str, float]:
+    settings_a, settings_b, *_ = np.array(_HARDY_EVENTS).T - 1
+    eff_a, eff_b = _wing_lift(_ray_effects(cfg.up_a), _ray_effects(cfg.up_b))
+    dists = _joint_born(cfg.state, eff_a[settings_a], eff_b[settings_b])
+    return {f"p(A{a}={x},B{b}={y})": d[x, y] for (a, b, x, y), d in zip(_HARDY_EVENTS, dists)}
+
+
 def hardy_chain_constraints(cfg: HardyConfig) -> dict[str, float]:
     """The five probabilities that must vanish for the implication chain
     A1=1 => B1=1 => not A2 ... => B3=1 to hold."""
-    pa = [projector(v) for v in cfg.up_a]
-    pb = [projector(v) for v in cfg.up_b]
-
-    def joint(ea, eb):
-        return born_probability(cfg.state, numkit.tensor(ea, eb))
-
-    return {
-        "p(A1=1,B1=0)": joint(pa[0], ID2 - pb[0]),
-        "p(A2=1,B1=1)": joint(pa[1], pb[0]),
-        "p(A2=0,B2=1)": joint(ID2 - pa[1], pb[1]),
-        "p(A3=0,B2=0)": joint(ID2 - pa[2], ID2 - pb[1]),
-        "p(A3=1,B3=0)": joint(pa[2], ID2 - pb[2]),
-    }
+    events = _hardy_events(cfg)
+    del events["p(A1=1,B3=0)"]
+    return events
 
 
 def hardy_value(eta: float) -> float:
@@ -572,16 +566,14 @@ def hardy_value(eta: float) -> float:
     the Born probability of the opposite, after asserting that every link of
     the chain holds (all five conditional constraints vanish).
     """
-    cfg = build_hardy(eta)
-    constraints = hardy_chain_constraints(cfg)
-    worst = max(abs(v) for v in constraints.values())
+    events = _hardy_events(build_hardy(eta))
+    value = events.pop("p(A1=1,B3=0)")
+    worst = max(abs(v) for v in events.values())
     if worst > 1e-10:
         raise ValueError(
             f"chain constraints fail at eta={eta!r} (worst residual {worst:.3e})"
         )
-    pa1 = projector(cfg.up_a[0])
-    pb3 = projector(cfg.up_b[2])
-    return born_probability(cfg.state, numkit.tensor(pa1, ID2 - pb3))
+    return value
 
 
 def hardy_closed_form_sqrt3() -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -72,19 +73,27 @@ class Scenario:
         )
 
 
+def _in_order(context: Context, outcome: Outcome) -> tuple[Context, Outcome]:
+    """The context's measurements in increasing order, each outcome bit moved
+    along with its measurement."""
+    return tuple(zip(*sorted(zip(context, outcome, strict=True))))
+
+
 class CorrelationTable:
     """Per-context outcome distributions for a scenario.
 
     Absent contexts mean "no constraint".  Probabilities within PROB_FLOOR of
-    zero are clamped; each context must be normalized within STRUCT_TOL.
+    zero are clamped; each context must be normalized within STRUCT_TOL.  A
+    context may list its measurements in any order, the outcome bits in the
+    same order; the table stores each context sorted.
     """
 
     def __init__(self, scenario: Scenario, probs: Mapping[Context, Mapping[Outcome, float]]):
         self.scenario = scenario
         clean: dict[Context, dict[Outcome, float]] = {}
         known = set(scenario.contexts)
-        for ctx, dist in probs.items():
-            ctx = tuple(sorted(ctx))
+        for given, dist in probs.items():
+            ctx = tuple(sorted(given))
             if ctx not in known:
                 raise ValueError(f"context {ctx} is not part of the scenario")
             total = 0.0
@@ -93,9 +102,10 @@ class CorrelationTable:
                 outcome = tuple(int(b) for b in outcome)
                 if len(outcome) != len(ctx) or any(b not in (0, 1) for b in outcome):
                     raise ValueError(f"bad outcome {outcome} for context {ctx}")
+                outcome = outcome if ctx == given else _in_order(given, outcome)[1]
                 p = float(p)
-                if p < PROB_FLOOR:
-                    raise ValueError(f"negative probability {p} at {ctx}/{outcome}")
+                if not PROB_FLOOR <= p < math.inf:  # NaN fails every comparison
+                    raise ValueError(f"negative or non-finite probability {p} at {ctx}/{outcome}")
                 table[outcome] = max(p, 0.0)
                 total += table[outcome]
             if abs(total - 1.0) > STRUCT_TOL:
@@ -104,7 +114,11 @@ class CorrelationTable:
         self.probs = clean
 
     def prob(self, context: Context, outcome: Outcome) -> float:
-        return self.probs[tuple(sorted(context))].get(tuple(outcome), 0.0)
+        dist = self.probs.get(tuple(context))  # the stored contexts are sorted
+        if dist is None:
+            context, outcome = _in_order(context, outcome)
+            dist = self.probs[context]
+        return dist.get(tuple(outcome), 0.0)
 
     def contexts_present(self) -> tuple[Context, ...]:
         return tuple(sorted(self.probs))
@@ -167,7 +181,7 @@ class JointDistribution:
 
     def __post_init__(self):
         total = sum(self.atoms.values())
-        if abs(total - 1.0) > NUM_TOL:
+        if not abs(total - 1.0) <= NUM_TOL:  # a NaN weight makes the sum NaN
             raise ValueError(f"atom weights sum to {total!r}, not 1")
         if any(w < -1e-12 for w in self.atoms.values()):
             raise ValueError("negative atom weight")

@@ -13,7 +13,6 @@ from seer_lab.classical import (
     PayoffCell,
     algebraic_contradiction,
     bell_s3,
-    brute_force_cycle_satisfiable,
     c_function,
     ks_bound_ncycle,
     local_bound,
@@ -257,10 +256,19 @@ def test_algebraic_contradiction_examples(signs, expected):
     assert algebraic_contradiction(signs) is expected
 
 
+def _brute_force_cycle_satisfiable(cycle_signs):
+    """Independent oracle: try all 2^n signed valuations."""
+    n = len(cycle_signs)
+    for bits in itertools.product((1, -1), repeat=n):
+        if all(bits[a] * bits[(a + 1) % n] == cycle_signs[a] for a in range(n)):
+            return True
+    return False
+
+
 def test_algebraic_contradiction_matches_brute_force():
     for n in range(3, 11):
         for signs in itertools.product((1, -1), repeat=n):
-            assert algebraic_contradiction(signs) == brute_force_cycle_satisfiable(signs)
+            assert algebraic_contradiction(signs) == _brute_force_cycle_satisfiable(signs)
 
 
 def test_payoff_weight_validation():

@@ -18,7 +18,6 @@ from seer_lab.quantum import (
     hardy_optimize,
     hardy_value,
     heptagon_chain_rank,
-    joint_pair_probs,
     klyachko_closed_form,
     klyachko_decomposition_residual,
     klyachko_table,
@@ -111,6 +110,27 @@ def test_klyachko_three_is_rejected_with_explanation():
         klyachko_value(3)
 
 
+def _per_pair_joint_probs(state, proj_a, proj_b):
+    """Oracle: the four effects of a commuting projector pair as separate
+    products, each entry by numkit.born_probability (outcome 1 = the projector
+    fires)."""
+    assert np.max(np.abs(proj_a @ proj_b - proj_b @ proj_a)) < 1e-12
+    eye = np.eye(proj_a.shape[0])
+    effects = {
+        (1, 1): proj_a @ proj_b,
+        (1, 0): proj_a @ (eye - proj_b),
+        (0, 1): (eye - proj_a) @ proj_b,
+        (0, 0): (eye - proj_a) @ (eye - proj_b),
+    }
+    return {xy: numkit.born_probability(state, eff) for xy, eff in effects.items()}
+
+
+def _pair_dist(psi, kets, a, b):
+    """The builder's joint distribution of rays a and b (zero-based) on psi."""
+    effects = quantum._ray_effects(kets)
+    return quantum._joint_born(psi, effects[[a]], effects[[b]])[0]
+
+
 def test_joint_measurement_marginal_consistency():
     # Coarse-grained joint statistics must reproduce single-projector Born
     # statistics for arbitrary states.
@@ -121,11 +141,41 @@ def test_joint_measurement_marginal_consistency():
         psi = rng.normal(size=3)
         psi /= np.linalg.norm(psi)
         for a in range(5):
-            dist = joint_pair_probs(psi, projs[a], projs[(a + 1) % 5])
+            dist = _pair_dist(psi, kets, a, (a + 1) % 5)
             single = numkit.born_probability(psi, projs[a])
             assert dist[(1, 0)] + dist[(1, 1)] == pytest.approx(single, abs=1e-10)
             partner = numkit.born_probability(psi, projs[(a + 1) % 5])
             assert dist[(0, 1)] + dist[(1, 1)] == pytest.approx(partner, abs=1e-10)
+
+
+def test_joint_born_refuses_effects_that_do_not_commute():
+    # Rays at 45 degrees are neither parallel nor orthogonal: no joint measurement.
+    kets = [np.array([1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0]) / math.sqrt(2)]
+    with pytest.raises(AssertionError, match="do not commute"):
+        _pair_dist(np.array([0.0, 0.0, 1.0]), kets, 0, 1)
+
+
+def test_klyachko_tables_equal_the_per_pair_born_rule_exactly():
+    # The seer_ncycle sampler reads these rows, so equality is exact.
+    for n in range(3, 202, 2):
+        poly = star_polygon(n)
+        psi = symmetry_axis_state(poly)
+        projs = [numkit.projector(k) for k in poly.kets]
+        table = klyachko_table(n)
+        for ctx in scenario.cycle_scenario(n).contexts:
+            dist = _per_pair_joint_probs(psi, projs[ctx[0] - 1], projs[ctx[1] - 1])
+            expected = {xy: p for xy, p in dist.items() if p > 1e-15}
+            assert sorted(table.probs[ctx].items()) == sorted(expected.items())
+
+
+def test_wing_lift_equals_kron_exactly():
+    rng = np.random.default_rng(61)
+    ops_a = rng.normal(size=(3, 2, 2, 2)) + 1j * rng.normal(size=(3, 2, 2, 2))
+    ops_b = rng.normal(size=(3, 2, 3, 3)) + 1j * rng.normal(size=(3, 2, 3, 3))
+    abar, bbar = quantum._wing_lift(ops_a, ops_b)
+    for idx in np.ndindex(3, 2):
+        assert np.array_equal(abar[idx], np.kron(ops_a[idx], np.eye(3)))
+        assert np.array_equal(bbar[idx], np.kron(np.eye(2), ops_b[idx]))
 
 
 def test_klyachko_table_is_valid_and_symmetric():
@@ -243,12 +293,21 @@ def test_forced_implication_is_state_independent():
     # both fire.
     rng = np.random.default_rng(37)
     kets = star_polygon(5).kets
-    projs = [numkit.projector(k) for k in kets]
     for _ in range(20):
         psi = rng.normal(size=3)
         psi /= np.linalg.norm(psi)
-        dist = joint_pair_probs(psi, projs[0], projs[1])
+        dist = _pair_dist(psi, kets, 0, 1)
         assert dist[(1, 1)] == pytest.approx(0, abs=1e-12)
+
+
+def test_pentagram_chain_equals_the_per_pair_born_rule_exactly():
+    result = transitivity_chain_klyachko()
+    kets = star_polygon(5).kets
+    projs = [numkit.projector(k) for k in kets]
+    for a, b in ((1, 2), (3, 4)):  # zero-based: pairs (l2,l3) and (l4,l5)
+        expected = _per_pair_joint_probs(result.psi2, projs[a], projs[b])
+        assert sorted(_pair_dist(result.psi2, kets, a, b).items()) == sorted(expected.items())
+        assert expected[(0, 1)] / (expected[(0, 1)] + expected[(0, 0)]) == pytest.approx(1, abs=1e-10)
 
 
 def test_heptagon_has_no_common_ray():
@@ -429,6 +488,36 @@ def test_hardy_chain_constraints_vanish_for_various_eta():
     for eta in (0.3, 0.9, math.sqrt(3), 2.5, 4.0):
         worst = max(abs(v) for v in hardy_chain_constraints(build_hardy(eta)).values())
         assert worst < 1e-10
+
+
+def _tensor_hardy_events(cfg):
+    """Oracle: each chain link, then the contradicting event A1=1, B3=0, as
+    numkit.born_probability of a numkit.tensor product of wing effects."""
+    pa = [numkit.projector(v) for v in cfg.up_a]
+    pb = [numkit.projector(v) for v in cfg.up_b]
+    eye = numkit.ID2
+
+    def joint(ea, eb):
+        return numkit.born_probability(cfg.state, numkit.tensor(ea, eb))
+
+    constraints = {
+        "p(A1=1,B1=0)": joint(pa[0], eye - pb[0]),
+        "p(A2=1,B1=1)": joint(pa[1], pb[0]),
+        "p(A2=0,B2=1)": joint(eye - pa[1], pb[1]),
+        "p(A3=0,B2=0)": joint(eye - pa[2], eye - pb[1]),
+        "p(A3=1,B3=0)": joint(pa[2], eye - pb[2]),
+    }
+    return constraints, joint(pa[0], eye - pb[2])
+
+
+@pytest.mark.parametrize(
+    "eta", [1e-6, 0.3, 0.5, 0.9, 1.0, math.sqrt(3), 2.5, 4.0, 1e30, *np.linspace(0.5, 5, 19)]
+)
+def test_hardy_chain_equals_the_tensor_born_rule_exactly(eta):
+    cfg = build_hardy(float(eta))
+    constraints, value = _tensor_hardy_events(cfg)
+    assert list(hardy_chain_constraints(cfg).items()) == list(constraints.items())
+    assert hardy_value(float(eta)) == value
 
 
 def test_hardy_state_normalized_and_kappas():

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -271,6 +272,34 @@ def test_table_validation_rejects_bad_input():
         CorrelationTable(scen, {(1, 2): {(0, 1): -0.1, (1, 0): 1.1}})
     with pytest.raises(ValueError):
         Scenario(2, ((1, 2), (2, 1)))  # duplicate context after sorting
+
+
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])
+def test_tables_and_joint_distributions_reject_non_finite_probabilities(p):
+    with pytest.raises(ValueError):
+        CorrelationTable.from_json(
+            '{"n":2,"contexts":[[1,2]],"probs":{"1,2":{"00":%s}}}' % json.dumps(p)
+        )
+    with pytest.raises(ValueError):
+        CorrelationTable(Scenario(2, ((1, 2),)), {(1, 2): {(0, 0): 1.0, (1, 1): p}})
+    with pytest.raises(ValueError):
+        scenario.JointDistribution(1, {(0,): 1.0, (1,): p})
+    with pytest.raises(ValueError):
+        scenario.JointDistribution(1, {(0,): p})
+
+
+def test_out_of_order_context_keys_keep_each_bit_with_its_measurement():
+    # Key (2, 1) with outcome (0, 1) means X2 = 0 and X1 = 1.
+    table = CorrelationTable(Scenario(2, ((1, 2),)), {(2, 1): {(0, 1): 1.0}})
+    assert table.probs == {(1, 2): {(1, 0): 1.0}}
+    assert table.marginal((2, 1), 1) == {0: 0.0, 1: 1.0}
+    assert table.marginal((1, 2), 2) == {0: 1.0, 1: 0.0}
+    assert table.prob((2, 1), (0, 1)) == 1.0
+    assert table.prob((1, 2), (1, 0)) == 1.0
+    assert table.prob((2, 1), (1, 0)) == 0.0
+    triple = CorrelationTable(Scenario(3, ((1, 2, 3),)), {(3, 1, 2): {(1, 0, 0): 1.0}})
+    assert triple.probs == {(1, 2, 3): {(0, 0, 1): 1.0}}
+    assert triple.prob((2, 3, 1), (0, 1, 0)) == 1.0
 
 
 def test_json_round_trip():
