@@ -3,8 +3,7 @@
 Covers the noncontextual bound for anti-correlation cycles (in closed form),
 Bell-local bounds for the two-wing prediction games and the
 preparation-noncontextual bound for the two-time game (both by best
-responses over a payoff's cells), and algebraic (parity) satisfiability of
-sign constraints around a cycle.
+responses over a payoff's cells).
 """
 
 from __future__ import annotations
@@ -59,23 +58,6 @@ def ks_bound_ncycle(n: int) -> KsBoundResult:
     )
 
 
-def algebraic_contradiction(cycle_signs: Sequence[int]) -> bool:
-    """Satisfiability of Xbar_a Xbar_{a+1} = s_a around a cycle.
-
-    Multiplying all constraints gives +1 on the left, so the system is
-    satisfiable exactly when the product of the signs is +1.
-    """
-    signs = [int(s) for s in cycle_signs]
-    if any(s not in (1, -1) for s in signs):
-        raise ValueError("signs must be +-1")
-    if len(signs) < 3:
-        raise ValueError("a cycle needs at least three constraints")
-    prod = 1
-    for s in signs:
-        prod *= s
-    return prod == 1
-
-
 # --------------------------------------------------------------------------
 # Two-wing games
 
@@ -118,24 +100,30 @@ class GamePayoff:
         integer multiples of the winning masses and a table that wins every
         cell scores exactly 1.
         """
-        denom = math.lcm(*(c.weight.denominator for c in self.cells))
-        total = math.fsum(
-            c.weight.numerator * (denom // c.weight.denominator) * table.prob(self.context(c), xy)
-            for c in self.cells
-            for xy in c.wins
-        )
-        return total / denom
+        denom, units = self._cell_units()
+        rows = table.rows([self.context(c) for c in self.cells])
+        return math.fsum((units * rows).ravel().tolist()) / denom
 
-    def _win_units(self) -> tuple[int, np.ndarray]:
-        """Common denominator D of the weights, and the units of 1/D won at
-        settings (a, b) on outcomes (x_a, x_b) as ``won[a - 1, x_a, b - 1, x_b]``."""
+    def _cell_wins(self) -> np.ndarray:
+        """Whether each cell wins on outcome (x_a, x_b), as ``wins[cell, 2 x_a + x_b]``."""
+        masks = {wins: [xy in wins for xy in _PAIRS] for wins in {c.wins for c in self.cells}}
+        return np.array([masks[c.wins] for c in self.cells])
+
+    def _cell_units(self) -> tuple[int, np.ndarray]:
+        """Common denominator D of the weights, and the units of 1/D each cell
+        wins on outcome (x_a, x_b), as ``units[cell, 2 x_a + x_b]``."""
         denom = math.lcm(*(c.weight.denominator for c in self.cells))
         if denom >= 1 << 62:
             raise ValueError("the cell weights need a common denominator below 2**62")
+        units = [c.weight.numerator * (denom // c.weight.denominator) for c in self.cells]
+        return denom, np.array(units, dtype=np.int64)[:, None] * self._cell_wins()
+
+    def _win_units(self) -> tuple[int, np.ndarray]:
+        """D and the units won at settings (a, b) on (x_a, x_b), as ``won[a - 1, x_a, b - 1, x_b]``."""
+        denom, units = self._cell_units()
+        a, b = np.array([(c.a, c.b) for c in self.cells]).T - 1
         won = np.zeros((self.n_a, 2, self.n_b, 2), dtype=np.int64)
-        for c in self.cells:
-            for xa, xb in c.wins:
-                won[c.a - 1, xa, c.b - 1, xb] += c.weight.numerator * (denom // c.weight.denominator)
+        np.add.at(won, (a, slice(None), b), units.reshape(-1, 2, 2))
         return denom, won
 
     def operator(self, ops_a: Sequence[np.ndarray], ops_b: Sequence[np.ndarray]) -> np.ndarray:
@@ -158,7 +146,8 @@ def _outcome_projectors(ops: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack([(eye + ops) / 2, (eye - ops) / 2], axis=1)
 
 
-_OUTCOMES = frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
+_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_OUTCOMES = frozenset(_PAIRS)
 _EQUAL = frozenset({(0, 0), (1, 1)})
 _DIFFER = frozenset({(0, 1), (1, 0)})
 
@@ -325,10 +314,9 @@ def pnc_response_table(encoding: str, response_probs: Sequence[float]):
     answers = np.stack([1 - p1, p1], axis=-1) / 2  # [state, y - 1, x]
     # dist[t - 1, y - 1, b, x] = answers[e(t, b), y - 1, x]
     dist = answers[_ENCODINGS[encoding][:, None, :], np.arange(3)[None, :, None]]
-    return payoff_table(
-        os_ring_payoff(3),
-        lambda cell: dict(zip(np.ndindex(2, 2), dist[cell.a - 1, cell.b - 1].ravel().tolist())),
-    )
+    payoff = os_ring_payoff(3)
+    t, y = np.array([(cell.a, cell.b) for cell in payoff.cells]).T - 1
+    return payoff_table(payoff, dist[t, y])
 
 
 def pnc_stochastic_response_value(

@@ -92,9 +92,6 @@ class GameResult:
         }
 
 
-_PAIR_OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
 @dataclass
 class _SamplingModel:
     """Context weights, per-context outcome distribution, win mask."""
@@ -134,11 +131,10 @@ def _two_wing_model(kind: str, n: int, strategy: str) -> _SamplingModel:
             scenario.payoff_scenario(payoff), bound.witness_a + bound.witness_b
         )
         expected = bound.value
-    cells = payoff.cells
     return _SamplingModel(
-        np.array([float(c.weight) for c in cells]),
-        np.array([[table.prob(payoff.context(c), o) for o in _PAIR_OUTCOMES] for c in cells]),
-        np.array([[o in c.wins for o in _PAIR_OUTCOMES] for c in cells]),
+        np.array([float(c.weight) for c in payoff.cells]),
+        table.rows([payoff.context(c) for c in payoff.cells]),
+        payoff._cell_wins(),
         expected,
     )
 
@@ -154,26 +150,15 @@ def _seer_model(n: int, strategy: str) -> _SamplingModel:
     """
     win = np.zeros((n, 4), dtype=bool)
     win[:, 0] = True  # (0, 0): the both-empty prediction comes true
-    if strategy == "quantum":
-        table = quantum.klyachko_table(n)
-        probs = np.zeros((n, 4))
-        for i, ctx in enumerate(table.contexts_present()):
-            probs[i] = [table.prob(ctx, o) for o in _PAIR_OUTCOMES]
-        expected = table.prob((1, 2), (0, 0))  # = quantum.seer_game_win_probability(n)
-    elif strategy == "classical_best":
+    if strategy == "classical_best":
         # Marginal law of the opened pair under the adversarial preparation:
         # the correlated pair sits under the pick with probability 1/n.
-        row = np.array(
-            [1 / (2 * n), (n - 1) / (2 * n), (n - 1) / (2 * n), 1 / (2 * n)]
-        )
-        probs = np.tile(row, (n, 1))
+        probs = np.tile([1, n - 1, n - 1, 1], (n, 1)) / (2 * n)
         expected = 1 / (2 * n)
-    elif strategy == "foil":
-        row = np.array([0.0, 0.5, 0.5, 0.0])
-        probs = np.tile(row, (n, 1))
-        expected = 0.0
     else:
-        raise AssertionError(strategy)
+        table = quantum.klyachko_table(n) if strategy == "quantum" else scenario.build_os_ncycle(n)
+        probs = table.rows(table.contexts)
+        expected = table.prob((1, 2), (0, 0))  # = quantum.seer_game_win_probability(n) for quantum
     return _SamplingModel(np.full(n, 1 / n), probs, win, expected)
 
 

@@ -39,14 +39,6 @@ def as_matrix(values: Sequence[Sequence[complex]]) -> np.ndarray:
     return mat
 
 
-def inner_product(a: Sequence[complex], b: Sequence[complex]) -> complex:
-    """Hermitian inner product <a|b> = sum_k conj(a_k) b_k."""
-    a, b = as_ket(a), as_ket(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return complex(np.vdot(a, b))
-
-
 def normalize(ket: Sequence[complex]) -> np.ndarray:
     ket = as_ket(ket)
     nrm = np.linalg.norm(ket)
@@ -86,11 +78,6 @@ def is_unitary(m: np.ndarray, tol: float = STRUCT_TOL) -> bool:
     if m.shape[0] != m.shape[1]:
         return False
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) < tol)
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the left factor varying slowest."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def projector(ket: Sequence[complex]) -> np.ndarray:

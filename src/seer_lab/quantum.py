@@ -83,8 +83,8 @@ def _ray_effects(kets: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack([np.eye(projs.shape[-1]) - projs, projs], axis=1)
 
 
-def _joint_born(state, first: np.ndarray, second: np.ndarray) -> list[dict[tuple[int, int], float]]:
-    """Born distribution of each context's joint measurement of two binary
+def _joint_born(state, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Born distributions p[context, x, y] of the joint measurements of two binary
     measurements, given their outcome effects stacked as (contexts, 2, D, D).
 
     Outcome (x, y) has the effect E_x F_y of effect x of `first` and y of
@@ -97,7 +97,7 @@ def _joint_born(state, first: np.ndarray, second: np.ndarray) -> list[dict[tuple
     if np.max(np.abs(products[:, 1, 1] - second[:, 1] @ first[:, 1])) > STRUCT_TOL:
         raise AssertionError("effects do not commute; no joint measurement")
     images = products @ psi
-    return [{(x, y): born_overlap(psi, im[x, y]) for x in (0, 1) for y in (0, 1)} for im in images]
+    return np.array([born_overlap(psi, im) for im in images.reshape(-1, psi.size)]).reshape(-1, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -120,9 +120,9 @@ def klyachko_value(n: int) -> KlyachkoValue:
             "are all three jointly diagonalizable"
         )
     table = klyachko_table(n)
-    antis = [table.prob(ctx, (0, 1)) + table.prob(ctx, (1, 0)) for ctx in table.scenario.contexts]
+    antis = table.rows(table.scenario.contexts)[:, 1:3].sum(axis=1)
     r = float(np.mean(antis))
-    if max(abs(x - r) for x in antis) > NUM_TOL:
+    if np.max(np.abs(antis - r)) > NUM_TOL:
         raise AssertionError("pair statistics are not symmetric")
     return KlyachkoValue(n, r, n - 2 * n * r, r)
 
@@ -139,9 +139,8 @@ def klyachko_table(n: int) -> scenario_mod.CorrelationTable:
     scen = scenario_mod.cycle_scenario(n)
     effects = _ray_effects(poly.kets)
     first, second = (effects[[ctx[i] - 1 for ctx in scen.contexts]] for i in (0, 1))
-    dists = _joint_born(symmetry_axis_state(poly), first, second)
-    probs = {ctx: {xy: p for xy, p in d.items() if p > 1e-15} for ctx, d in zip(scen.contexts, dists)}
-    return scenario_mod.CorrelationTable(scen, probs)
+    p = _joint_born(symmetry_axis_state(poly), first, second)
+    return scenario_mod.CorrelationTable.from_vector(scen, scen.contexts, np.where(p > 1e-15, p, 0.0))
 
 
 def seer_game_win_probability(n: int) -> float:
@@ -397,8 +396,7 @@ def _born_table(payoff, ops_a, ops_b) -> scenario_mod.CorrelationTable:
     eff_a, eff_b = _wing_lift(_outcome_projectors(ops_a), _outcome_projectors(ops_b))
     cells = payoff.cells
     dists = _joint_born(BELL_STATE, eff_a[[c.a - 1 for c in cells]], eff_b[[c.b - 1 for c in cells]])
-    by_cell = {(c.a, c.b): dist for c, dist in zip(cells, dists)}
-    return scenario_mod.payoff_table(payoff, lambda cell: by_cell[cell.a, cell.b])
+    return scenario_mod.payoff_table(payoff, dists)
 
 
 def mermin_table(n: int) -> scenario_mod.CorrelationTable:

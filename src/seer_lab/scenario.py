@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -79,58 +79,97 @@ def _in_order(context: Context, outcome: Outcome) -> tuple[Context, Outcome]:
     return tuple(zip(*sorted(zip(context, outcome, strict=True))))
 
 
+def _index(outcome: Outcome) -> int:
+    """Position of an outcome in its context's block, the first bit most significant."""
+    return int("".join(str(int(b)) for b in outcome), 2)
+
+
 class CorrelationTable:
     """Per-context outcome distributions for a scenario.
 
-    Absent contexts mean "no constraint".  Probabilities within PROB_FLOOR of
-    zero are clamped; each context must be normalized within STRUCT_TOL.  A
-    context may list its measurements in any order, the outcome bits in the
-    same order; the table stores each context sorted.
+    Absent contexts mean "no constraint".  ``contexts`` holds the present
+    contexts in sorted order and ``vector`` their distributions: each
+    context's 2^|ctx| outcome probabilities in turn, the first measurement the
+    most significant bit of the outcome's index.  That is the right-hand side
+    of the marginal LP without its normalisation row.  Probabilities within
+    PROB_FLOOR of zero are clamped; each context must be normalized within
+    STRUCT_TOL.
     """
 
     def __init__(self, scenario: Scenario, probs: Mapping[Context, Mapping[Outcome, float]]):
-        self.scenario = scenario
-        clean: dict[Context, dict[Outcome, float]] = {}
-        known = set(scenario.contexts)
+        """A table from {context: {outcome: p}}, outcome bits in the order the context lists them."""
+        contexts, rows = [], [np.zeros(0)]
         for given, dist in probs.items():
-            ctx = tuple(sorted(given))
-            if ctx not in known:
-                raise ValueError(f"context {ctx} is not part of the scenario")
-            total = 0.0
-            table: dict[Outcome, float] = {}
+            contexts.append(tuple(sorted(given)))
+            if len(given) > MAX_JOINT_MEASUREMENTS:
+                raise ValueError(f"context {contexts[-1]} exceeds {MAX_JOINT_MEASUREMENTS} measurements")
+            rows.append(np.zeros(1 << len(given)))
             for outcome, p in dist.items():
-                outcome = tuple(int(b) for b in outcome)
-                if len(outcome) != len(ctx) or any(b not in (0, 1) for b in outcome):
-                    raise ValueError(f"bad outcome {outcome} for context {ctx}")
-                outcome = outcome if ctx == given else _in_order(given, outcome)[1]
-                p = float(p)
-                if not PROB_FLOOR <= p < math.inf:  # NaN fails every comparison
-                    raise ValueError(f"negative or non-finite probability {p} at {ctx}/{outcome}")
-                table[outcome] = max(p, 0.0)
-                total += table[outcome]
-            if abs(total - 1.0) > STRUCT_TOL:
-                raise ValueError(f"context {ctx} is not normalized (sum={total!r})")
-            clean[ctx] = table
-        self.probs = clean
+                rows[-1][_index(_in_order(given, outcome)[1])] = float(p)
+        self._store(scenario, contexts, np.concatenate(rows))
+
+    @classmethod
+    def from_vector(cls, scenario: Scenario, contexts: Sequence[Context], vector) -> "CorrelationTable":
+        """A table from sorted contexts and their outcome rows, or the vector the rows ravel to."""
+        table = cls.__new__(cls)
+        table._store(scenario, list(contexts), np.asarray(vector, dtype=float).ravel())
+        return table
+
+    def _store(self, scenario: Scenario, contexts: list[Context], vector: np.ndarray) -> None:
+        """Sort the contexts with their blocks, then check and clamp the vector."""
+        self.scenario = scenario
+        order = sorted(range(len(contexts)), key=contexts.__getitem__)
+        self.contexts = tuple(contexts[i] for i in order)
+        sizes = np.array([1 << len(ctx) for ctx in contexts], dtype=np.int64)
+        ends = np.cumsum(sizes)
+        if vector.size != ends[-1:].sum():
+            raise ValueError(f"the contexts need {sizes.sum()} probabilities, got {vector.size}")
+        sizes = sizes[order]
+        offsets = np.cumsum(sizes) - sizes
+        self._start = dict(zip(self.contexts, offsets.tolist()))
+        if len(self._start) < len(order):
+            raise ValueError("two keys name one context")
+        unknown = self._start.keys() - set(scenario.contexts)
+        if unknown:
+            raise ValueError(f"context {min(unknown)} is not part of the scenario")
+        vector = vector[np.repeat(ends[order] - sizes - offsets, sizes) + np.arange(vector.size)]
+        # NaN fails both tests.
+        if not (vector.min(initial=0.0) >= PROB_FLOOR and vector.max(initial=0.0) < math.inf):
+            bad = np.flatnonzero(~((vector >= PROB_FLOOR) & (vector < math.inf)))[0]
+            ctx = self.contexts[np.searchsorted(offsets, bad, side="right") - 1]
+            raise ValueError(f"negative or non-finite probability {vector[bad]} in context {ctx}")
+        vector[vector < 0.0] = 0.0
+        totals = np.add.reduceat(vector, offsets) if vector.size else vector
+        off = np.flatnonzero(np.abs(totals - 1.0) > STRUCT_TOL)
+        if off.size:
+            raise ValueError(f"context {self.contexts[off[0]]} is not normalized (sum={totals[off[0]]})")
+        vector.flags.writeable = False
+        self.vector = vector
+
+    def rows(self, contexts: Sequence[Context]) -> np.ndarray:
+        """The outcome probabilities of present contexts of one size, each sorted, one row each."""
+        if len({len(ctx) for ctx in contexts}) > 1:
+            raise ValueError("rows need contexts of one size")
+        starts = np.array([self._start[ctx] for ctx in contexts], dtype=np.int64)
+        return self.vector[starts[:, None] + np.arange(1 << len(contexts[0]) if contexts else 0)]
 
     def prob(self, context: Context, outcome: Outcome) -> float:
-        dist = self.probs.get(tuple(context))  # the stored contexts are sorted
-        if dist is None:
-            context, outcome = _in_order(context, outcome)
-            dist = self.probs[context]
-        return dist.get(tuple(outcome), 0.0)
+        """p(outcome | context); the outcome bits follow the context's measurement order."""
+        context, outcome = _in_order(context, outcome)
+        return float(self.vector[self._start[context] + _index(outcome)])
 
-    def contexts_present(self) -> tuple[Context, ...]:
-        return tuple(sorted(self.probs))
+    @property
+    def probs(self) -> dict[Context, dict[Outcome, float]]:
+        """The table as context -> {outcome: p}, nonzero outcomes only."""
+        values = iter(self.vector.tolist())
+        outcomes = (itertools.product((0, 1), repeat=len(ctx)) for ctx in self.contexts)
+        return {c: {o: p for o, p in zip(each, values) if p} for c, each in zip(self.contexts, outcomes)}
 
     def marginal(self, context: Context, measurement: int) -> dict[int, float]:
         """Distribution of one measurement's outcome inside a given context."""
         ctx = tuple(sorted(context))
-        pos = ctx.index(measurement)
-        out = {0: 0.0, 1: 0.0}
-        for outcome, p in self.probs[ctx].items():
-            out[outcome[pos]] += p
-        return out
+        row, shift = self.rows([ctx])[0], len(ctx) - 1 - ctx.index(measurement)
+        return {x: float(row[np.arange(row.size) >> shift & 1 == x].sum()) for x in (0, 1)}
 
     # ---- serialization ------------------------------------------------
 
@@ -139,10 +178,8 @@ class CorrelationTable:
             "n": self.scenario.n_measurements,
             "contexts": [list(c) for c in self.scenario.contexts],
             "probs": {
-                ",".join(map(str, ctx)): {
-                    "".join(map(str, outcome)): p for outcome, p in sorted(dist.items())
-                }
-                for ctx, dist in sorted(self.probs.items())
+                ",".join(map(str, ctx)): {"".join(map(str, outcome)): p for outcome, p in dist.items()}
+                for ctx, dist in self.probs.items()
             },
         }
         if self.scenario.wing_split is not None:
@@ -154,18 +191,19 @@ class CorrelationTable:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "CorrelationTable":
+        wings = doc.get("wings")
         scenario = Scenario(
-            int(doc["n"]),
-            tuple(tuple(c) for c in doc["contexts"]),
-            doc.get("wings"),
+            signet._json_int(doc["n"], "n"),
+            tuple(tuple(signet._json_int(i, "context index") for i in c) for c in doc["contexts"]),
+            None if wings is None else signet._json_int(wings, "wings"),
         )
-        probs = {
-            tuple(int(t) for t in key.split(",")): {
-                tuple(int(ch) for ch in bits): float(p) for bits, p in dist.items()
-            }
-            for key, dist in doc["probs"].items()
-        }
-        return cls(scenario, probs)
+        probs = doc["probs"]
+        if not isinstance(probs, Mapping) or not all(isinstance(d, Mapping) for d in probs.values()):
+            raise ValueError('"probs" must map each context to an object of outcome probabilities')
+        table = {tuple(int(t) for t in key.split(",")): dist for key, dist in probs.items()}
+        if len(table) < len(probs):
+            raise ValueError("two keys name one context")
+        return cls(scenario, table)
 
     @classmethod
     def from_json(cls, text: str) -> "CorrelationTable":
@@ -217,35 +255,33 @@ def build_os_ncycle(n: int) -> CorrelationTable:
     return cycle_correlation_table((signet.DASHED,) * n)
 
 
+# Outcome rows (00, 01, 10, 11) of a perfectly correlated and an anti-correlated pair.
+_CORRELATED = (0.5, 0.0, 0.0, 0.5)
+_ANTICORRELATED = (0.0, 0.5, 0.5, 0.0)
+
+
 def cycle_correlation_table(signs: Sequence[int]) -> CorrelationTable:
     """Perfectly correlated (+1) or anti-correlated (-1) adjacent pairs on a cycle."""
     scenario = cycle_scenario(len(signs))
-    probs = {}
-    for ctx, s in zip(scenario.contexts, signs):
-        if s == signet.SOLID:
-            probs[ctx] = {(0, 0): 0.5, (1, 1): 0.5}
-        elif s == signet.DASHED:
-            probs[ctx] = {(0, 1): 0.5, (1, 0): 0.5}
-        else:
-            raise ValueError(f"bad sign {s!r}")
-    return CorrelationTable(scenario, probs)
+    bad = [s for s in signs if s not in (signet.SOLID, signet.DASHED)]
+    if bad:
+        raise ValueError(f"bad sign {bad[0]!r}")
+    rows = [_CORRELATED if s == signet.SOLID else _ANTICORRELATED for s in signs]
+    return CorrelationTable.from_vector(scenario, scenario.contexts, rows)
 
 
 def table_signed_graph(table: CorrelationTable) -> Optional[signet.SignedGraph]:
     """Signed graph of a table whose contexts are perfectly (anti)correlated pairs."""
-    edges = []
-    for ctx, dist in table.probs.items():
-        if len(ctx) != 2:
-            return None
-        corr = dist.get((0, 0), 0.0) + dist.get((1, 1), 0.0)
-        anti = dist.get((0, 1), 0.0) + dist.get((1, 0), 0.0)
-        if abs(corr - 1.0) < STRUCT_TOL:
-            edges.append((ctx[0], ctx[1], signet.SOLID))
-        elif abs(anti - 1.0) < STRUCT_TOL:
-            edges.append((ctx[0], ctx[1], signet.DASHED))
-        else:
-            return None
-    return signet.SignedGraph(table.scenario.n_measurements, tuple(edges))
+    if any(len(ctx) != 2 for ctx in table.contexts):
+        return None
+    rows = table.rows(table.contexts).reshape(-1, 4)
+    solid = np.abs(rows[:, 0] + rows[:, 3] - 1.0) < STRUCT_TOL
+    dashed = np.abs(rows[:, 1] + rows[:, 2] - 1.0) < STRUCT_TOL
+    if not (solid | dashed).all():
+        return None
+    signs = np.where(solid, signet.SOLID, signet.DASHED).tolist()
+    edges = tuple((a, b, sign) for (a, b), sign in zip(table.contexts, signs))
+    return signet.SignedGraph(table.scenario.n_measurements, edges)
 
 
 def deterministic_table(scenario: Scenario, assignment: Sequence[int]) -> CorrelationTable:
@@ -253,10 +289,11 @@ def deterministic_table(scenario: Scenario, assignment: Sequence[int]) -> Correl
     bits = tuple(int(b) for b in assignment)
     if len(bits) != scenario.n_measurements or any(b not in (0, 1) for b in bits):
         raise ValueError("assignment must give one bit per measurement")
-    probs = {
-        ctx: {tuple(bits[i - 1] for i in ctx): 1.0} for ctx in scenario.contexts
-    }
-    return CorrelationTable(scenario, probs)
+    sizes = np.array([1 << len(ctx) for ctx in scenario.contexts], dtype=np.int64)
+    codes = np.array([_index([bits[i - 1] for i in ctx]) for ctx in scenario.contexts], dtype=np.int64)
+    vector = np.zeros(sizes.sum())
+    vector[np.cumsum(sizes) - sizes + codes] = 1
+    return CorrelationTable.from_vector(scenario, scenario.contexts, vector)
 
 
 def payoff_scenario(payoff: classical.GamePayoff) -> Scenario:
@@ -269,22 +306,20 @@ def payoff_scenario(payoff: classical.GamePayoff) -> Scenario:
     )
 
 
-def payoff_table(
-    payoff: classical.GamePayoff,
-    cell_dist: Callable[[classical.PayoffCell], Mapping[Outcome, float]],
-) -> CorrelationTable:
-    """Table over a payoff's cells, with ``cell_dist(cell)`` as each cell's
-    outcome distribution."""
-    probs = {payoff.context(cell): cell_dist(cell) for cell in payoff.cells}
-    if len(probs) < len(payoff.cells):
+def payoff_table(payoff: classical.GamePayoff, rows) -> CorrelationTable:
+    """Table over a payoff's cells, row i of ``rows`` (cells x 4, or cells x
+    2 x 2) being cell i's distribution over outcomes (x_A, x_B)."""
+    scenario = payoff_scenario(payoff)
+    if len(scenario.contexts) < len(payoff.cells):
         raise ValueError("a payoff table needs one cell per pair of settings")
-    return CorrelationTable(payoff_scenario(payoff), probs)
+    return CorrelationTable.from_vector(scenario, [payoff.context(cell) for cell in payoff.cells], rows)
 
 
 def foil_table(payoff: classical.GamePayoff) -> CorrelationTable:
     """Each cell uniform over its winning outcomes, so the game is won with
     certainty."""
-    return payoff_table(payoff, lambda cell: {xy: 1 / len(cell.wins) for xy in sorted(cell.wins)})
+    wins = payoff._cell_wins()
+    return payoff_table(payoff, wins / wins.sum(axis=1, keepdims=True))
 
 
 def build_bipartite_table(kind: str, n: Optional[int] = None) -> CorrelationTable:
@@ -304,12 +339,10 @@ def build_bipartite_table(kind: str, n: Optional[int] = None) -> CorrelationTabl
         return foil_table(classical.os_ring_payoff(n))
     if kind == "pr_box":
         # Settings: A1, A2 are measurements 1, 2; B1, B2 are 3, 4.
-        corr = {(0, 0): 0.5, (1, 1): 0.5}
-        anti = {(0, 1): 0.5, (1, 0): 0.5}
-        contexts = ((1, 3), (1, 4), (2, 3), (2, 4))
-        probs = {(1, 3): dict(corr), (1, 4): dict(corr), (2, 3): dict(anti), (2, 4): dict(corr)}
-        scenario = Scenario(4, contexts, wing_split=2)
-        return CorrelationTable(scenario, probs)
+        scenario = Scenario(4, ((1, 3), (1, 4), (2, 3), (2, 4)), wing_split=2)
+        return CorrelationTable.from_vector(
+            scenario, scenario.contexts, [_CORRELATED, _CORRELATED, _ANTICORRELATED, _CORRELATED]
+        )
     raise ValueError(f"unknown bipartite table kind {kind!r}")
 
 
@@ -331,20 +364,22 @@ def check_no_signaling(table: CorrelationTable) -> NoSignalingReport:
     scen = table.scenario
     if not scen.is_bipartite():
         raise ValueError("no-signaling check requires a bipartite table")
-    k = scen.wing_split
-    worst = 0.0
-    offenders: list[tuple] = []
-    present = table.contexts_present()
-    for side, local in ((0, range(1, k + 1)), (1, range(k + 1, scen.n_measurements + 1))):
-        for m in local:
-            ctxs = [c for c in present if c[side] == m]
-            margs = [table.marginal(c, m) for c in ctxs]
-            for (c1, m1), (c2, m2) in itertools.combinations(zip(ctxs, margs), 2):
-                gap = max(abs(m1[x] - m2[x]) for x in (0, 1))
-                if gap > worst:
-                    worst = gap
+    worst, offenders = 0.0, []
+    rows = table.rows(table.contexts).reshape(-1, 2, 2)  # [context, x_A, x_B]
+    ends = np.array(table.contexts, dtype=int).reshape(-1, 2)
+    for side in (0, 1):
+        margs = rows.sum(axis=2 - side)  # the marginal of each context's wing-`side` measurement
+        high = np.full((scen.n_measurements + 1, 2), -1.0)
+        low = np.full_like(high, 2.0)
+        np.maximum.at(high, ends[:, side], margs)
+        np.minimum.at(low, ends[:, side], margs)
+        gaps = np.maximum(high - low, 0.0).max(axis=1)  # 0 for a measurement in no context
+        worst = max(worst, float(gaps.max()))
+        for m in np.flatnonzero(gaps > STRUCT_TOL).tolist():
+            for i, j in itertools.combinations(np.flatnonzero(ends[:, side] == m).tolist(), 2):
+                gap = float(np.abs(margs[i] - margs[j]).max())
                 if gap > STRUCT_TOL:
-                    offenders.append((m, c1, c2, gap))
+                    offenders.append((m, table.contexts[i], table.contexts[j], gap))
     return NoSignalingReport(worst, offenders)
 
 
@@ -387,22 +422,19 @@ def joint_distribution_feasible(table: CorrelationTable) -> FeasibilityResult:
         raise ValueError(f"atom count 2^{n} exceeds the supported limit 2^{MAX_JOINT_MEASUREMENTS}")
     atoms = np.arange(1 << n, dtype=np.int32)
     rows = []
-    rhs = []
-    for ctx, dist in sorted(table.probs.items()):
+    for ctx, start in table._start.items():
         # The atom's outcome on ctx, read as a binary number first
         # measurement first, indexes the context's block of rows.
         code = np.zeros_like(atoms)
         for m in ctx:
             code = (code << 1) | ((atoms >> (m - 1)) & 1)
-        rows.append(len(rhs) + code)
-        rhs.extend(dist.get(outcome, 0.0) for outcome in itertools.product((0, 1), repeat=len(ctx)))
-    rows.append(np.full_like(atoms, len(rhs)))
-    rhs.append(1.0)
+        rows.append(start + code)
+    b_eq = np.append(table.vector, 1.0)
+    rows.append(np.full_like(atoms, b_eq.size - 1))
     # Every column holds one 1 per row block, in increasing row order.
     indices = np.stack(rows, axis=1).ravel()
     indptr = np.arange(0, indices.size + 1, len(rows), dtype=np.int32)
-    a_eq = sparse.csc_array((np.ones(indices.size), indices, indptr), shape=(len(rhs), atoms.size))
-    b_eq = np.asarray(rhs)
+    a_eq = sparse.csc_array((np.ones(indices.size), indices, indptr), shape=(b_eq.size, atoms.size))
     # HiGHS presolve costs these LPs more time than it saves.
     res = linprog(np.zeros(atoms.size), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
                   options={"presolve": False})
@@ -448,8 +480,5 @@ def solve_anticorrelation_constraints(n: int = 3) -> CorrelationTable:
     if np.max(np.abs(q - 0.5)) > STRUCT_TOL:
         raise AssertionError("elimination did not force q = 1/2")
     scenario = cycle_scenario(n)
-    probs = {
-        ctx: {(0, 1): float(qa), (1, 0): float(1 - qa)}
-        for ctx, qa in zip(scenario.contexts, q)
-    }
-    return CorrelationTable(scenario, probs)
+    rows = np.stack([np.zeros(n), q, 1 - q, np.zeros(n)], axis=1)
+    return CorrelationTable.from_vector(scenario, scenario.contexts, rows)

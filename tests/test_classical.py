@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seer_lab import games, numkit, scenario
+from seer_lab import games, numkit, scenario, signet
 from seer_lab.classical import (
     MAX_LOCAL_SETTINGS,
     GamePayoff,
     PayoffCell,
-    algebraic_contradiction,
     bell_s3,
     c_function,
     ks_bound_ncycle,
@@ -253,7 +252,8 @@ def test_pnc_stochastic_responses_never_beat_deterministic():
     ],
 )
 def test_algebraic_contradiction_examples(signs, expected):
-    assert algebraic_contradiction(signs) is expected
+    # The constraints are satisfiable exactly when the signed cycle is not frustrated.
+    assert (not signet.is_frustrated(signet.cycle_graph(signs))) is expected
 
 
 def _brute_force_cycle_satisfiable(cycle_signs):
@@ -268,7 +268,8 @@ def _brute_force_cycle_satisfiable(cycle_signs):
 def test_algebraic_contradiction_matches_brute_force():
     for n in range(3, 11):
         for signs in itertools.product((1, -1), repeat=n):
-            assert algebraic_contradiction(signs) == _brute_force_cycle_satisfiable(signs)
+            satisfiable = not signet.is_frustrated(signet.cycle_graph(signs))
+            assert satisfiable == _brute_force_cycle_satisfiable(signs)
 
 
 def test_payoff_weight_validation():
@@ -329,9 +330,9 @@ def test_ks_bound_larger_cycle_chunked_enumeration():
 
 def test_algebraic_contradiction_input_validation():
     with pytest.raises(ValueError):
-        algebraic_contradiction((1, 0, -1))
+        signet.cycle_graph((1, 0, -1))
     with pytest.raises(ValueError):
-        algebraic_contradiction((1, -1))
+        signet.cycle_graph((1, -1))
 
 
 # --------------------------------------------------------------------------
@@ -396,14 +397,12 @@ def test_mixtures_of_deterministic_tables_score_within_local_bound(data):
     strategies = data.draw(st.lists(strategy, min_size=1, max_size=6))
     weights = data.draw(st.lists(st.integers(1, 9), min_size=len(strategies), max_size=len(strategies)))
 
-    def mixture(cell):
-        dist = {}
+    rows = np.zeros((len(payoff.cells), 4))
+    for i, cell in enumerate(payoff.cells):
         for bits, w in zip(strategies, weights):
-            outcome = (bits[cell.a - 1], bits[n + cell.b - 1])
-            dist[outcome] = dist.get(outcome, 0.0) + w / sum(weights)
-        return dist
+            rows[i, 2 * bits[cell.a - 1] + bits[n + cell.b - 1]] += w / sum(weights)
 
-    value = payoff.value(scenario.payoff_table(payoff, mixture))
+    value = payoff.value(scenario.payoff_table(payoff, rows))
     assert 0 <= value <= local_bound(payoff).value + 1e-12
 
 
@@ -428,15 +427,17 @@ def test_payoff_operator_expectation_is_born_table_value(make, n, seed):
                     for _ in range(2))
     psi = numkit.normalize(rng.normal(size=4) + 1j * rng.normal(size=4))
 
-    def born(cell):
-        op_a, op_b = ops_a[cell.a - 1], ops_b[cell.b - 1]
-        return {
-            (x, y): numkit.born_probability(psi, np.kron(_outcome_effect(op_a, x), _outcome_effect(op_b, y)))
+    rows = [
+        [
+            numkit.born_probability(
+                psi, np.kron(_outcome_effect(ops_a[cell.a - 1], x), _outcome_effect(ops_b[cell.b - 1], y))
+            )
             for x in (0, 1)
             for y in (0, 1)
-        }
-
-    table = scenario.payoff_table(payoff, born)
+        ]
+        for cell in payoff.cells
+    ]
+    table = scenario.payoff_table(payoff, rows)
     expectation = np.vdot(psi, payoff.operator(ops_a, ops_b) @ psi)
     assert abs(expectation.imag) < 1e-12
     assert abs(expectation.real - payoff.value(table)) < 1e-12

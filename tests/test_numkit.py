@@ -1,58 +1,32 @@
-import math
-
 import numpy as np
 import pytest
 
-from seer_lab import numkit
+from seer_lab import numkit, quantum
 from seer_lab.numkit import (
     PAULI_Z,
     eig_extrema,
-    inner_product,
     projector,
-    tensor,
 )
 
 
-def test_inner_product_orthonormal_basis():
-    assert inner_product([1, 0], [0, 1]) == 0
-    assert inner_product([1, 0], [1, 0]) == 1
-
-
-def test_inner_product_conjugates_first_argument():
-    assert inner_product([1j, 0], [1j, 0]) == pytest.approx(1)
-    assert inner_product([1j, 0], [1, 0]) == pytest.approx(-1j)
-
-
-def test_inner_product_dimension_mismatch():
-    with pytest.raises(ValueError):
-        inner_product([1, 0], [1, 0, 0])
-
-
 def test_inner_product_adjacent_star_polygon_rays():
-    from seer_lab.quantum import star_polygon
-
-    kets = star_polygon(5).kets
+    kets = quantum.star_polygon(5).kets
     for a in range(5):
-        assert abs(inner_product(kets[a], kets[(a + 1) % 5])) < 1e-12
+        assert abs(np.vdot(kets[a], kets[(a + 1) % 5])) < 1e-12
 
 
 def test_tensor_identities():
-    assert np.allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-    assert np.allclose(tensor(PAULI_Z, np.eye(2)), np.diag([1, 1, -1, -1]))
+    # The two-wing lift puts wing A's factor first, varying slowest.
+    abar, bbar = quantum._wing_lift([np.eye(2), PAULI_Z], [np.eye(2), PAULI_Z])
+    assert np.array_equal(abar[0] @ bbar[0], np.eye(4))
+    assert np.array_equal(abar[1], np.diag([1, 1, -1, -1]))
+    assert np.array_equal(bbar[1], np.diag([1, -1, 1, -1]))
 
 
 def test_tensor_on_bell_state():
-    bell = np.array([1, 0, 0, 1]) / math.sqrt(2)
-    zz = tensor(PAULI_Z, PAULI_Z)
-    assert np.vdot(bell, zz @ bell).real == pytest.approx(1.0)
-
-
-def test_tensor_associativity():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    c = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert np.max(np.abs(tensor(tensor(a, b), c) - tensor(a, tensor(b, c)))) < 1e-12
+    abar, bbar = quantum._wing_lift([PAULI_Z], [PAULI_Z])
+    zz = abar[0] @ bbar[0]
+    assert np.vdot(quantum.BELL_STATE, zz @ quantum.BELL_STATE).real == pytest.approx(1.0)
 
 
 def test_eig_extrema_pauli_and_identity():

@@ -162,10 +162,11 @@ def test_klyachko_tables_equal_the_per_pair_born_rule_exactly():
         psi = symmetry_axis_state(poly)
         projs = [numkit.projector(k) for k in poly.kets]
         table = klyachko_table(n)
-        for ctx in scenario.cycle_scenario(n).contexts:
+        assert table.contexts == tuple(sorted(scenario.cycle_scenario(n).contexts))
+        for ctx in table.contexts:
             dist = _per_pair_joint_probs(psi, projs[ctx[0] - 1], projs[ctx[1] - 1])
-            expected = {xy: p for xy, p in dist.items() if p > 1e-15}
-            assert sorted(table.probs[ctx].items()) == sorted(expected.items())
+            for xy, p in dist.items():
+                assert table.prob(ctx, xy) == (p if p > 1e-15 else 0.0)
 
 
 def test_wing_lift_equals_kron_exactly():
@@ -306,7 +307,8 @@ def test_pentagram_chain_equals_the_per_pair_born_rule_exactly():
     projs = [numkit.projector(k) for k in kets]
     for a, b in ((1, 2), (3, 4)):  # zero-based: pairs (l2,l3) and (l4,l5)
         expected = _per_pair_joint_probs(result.psi2, projs[a], projs[b])
-        assert sorted(_pair_dist(result.psi2, kets, a, b).items()) == sorted(expected.items())
+        dist = _pair_dist(result.psi2, kets, a, b)
+        assert all(dist[xy] == p for xy, p in expected.items())
         assert expected[(0, 1)] / (expected[(0, 1)] + expected[(0, 0)]) == pytest.approx(1, abs=1e-10)
 
 
@@ -443,9 +445,10 @@ def test_born_tables_equal_the_per_cell_born_rule_exactly(n):
         (quantum.odd_cycle_table(n), classical.odd_cycle_payoff(n), quantum.odd_cycle_observables(n)),
     ):
         expected = _per_cell_born_table(payoff, ops_a, ops_b)
-        assert list(table.probs) == list(expected)
+        assert table.contexts == tuple(sorted(expected))
         for ctx, dist in expected.items():
-            assert list(table.probs[ctx].items()) == list(dist.items())
+            for xy, p in dist.items():
+                assert table.prob(ctx, xy) == p
 
 
 @pytest.mark.parametrize("kind, n, wins", [("bipartite_os", 7, 966636), ("odd_cycle", 9, 992513)])
@@ -492,13 +495,13 @@ def test_hardy_chain_constraints_vanish_for_various_eta():
 
 def _tensor_hardy_events(cfg):
     """Oracle: each chain link, then the contradicting event A1=1, B3=0, as
-    numkit.born_probability of a numkit.tensor product of wing effects."""
+    numkit.born_probability of an np.kron product of wing effects."""
     pa = [numkit.projector(v) for v in cfg.up_a]
     pb = [numkit.projector(v) for v in cfg.up_b]
     eye = numkit.ID2
 
     def joint(ea, eb):
-        return numkit.born_probability(cfg.state, numkit.tensor(ea, eb))
+        return numkit.born_probability(cfg.state, np.kron(ea, eb))
 
     constraints = {
         "p(A1=1,B1=0)": joint(pa[0], eye - pb[0]),
@@ -621,16 +624,16 @@ def test_relative_state_inferences_are_certain_on_purification():
     partner = relative_state_partner(rho, u, phi)
     proj_phi = numkit.projector(phi)
     proj_partner = numkit.projector(partner)
-    p_phi = numkit.born_probability(psi, numkit.tensor(proj_phi, np.eye(d)))
-    p_joint = numkit.born_probability(psi, numkit.tensor(proj_phi, proj_partner))
+    p_phi = numkit.born_probability(psi, np.kron(proj_phi, np.eye(d)))
+    p_joint = numkit.born_probability(psi, np.kron(proj_phi, proj_partner))
     assert p_joint == pytest.approx(p_phi, abs=1e-10)  # p(partner | phi) = 1
     # Conditional on finding the partner on wing B, wing A collapses to
     # rho^T phi (the next chain element).
     nxt = rho.T @ phi
     nxt /= np.linalg.norm(nxt)
-    p_partner = numkit.born_probability(psi, numkit.tensor(np.eye(d), proj_partner))
+    p_partner = numkit.born_probability(psi, np.kron(np.eye(d), proj_partner))
     p_joint2 = numkit.born_probability(
-        psi, numkit.tensor(numkit.projector(nxt), proj_partner)
+        psi, np.kron(numkit.projector(nxt), proj_partner)
     )
     assert p_joint2 == pytest.approx(p_partner, abs=1e-10)
 
@@ -702,11 +705,11 @@ def test_two_qubit_joint_measurement_marginal_consistency():
                 pa = [(np.eye(2) + s * ops[a]) / 2 for s in (1, -1)]
                 pb = [(np.eye(2) + s * ops[b]) / 2 for s in (1, -1)]
                 dist = {
-                    (i, j): numkit.born_probability(psi, numkit.tensor(pa[i], pb[j]))
+                    (i, j): numkit.born_probability(psi, np.kron(pa[i], pb[j]))
                     for i in (0, 1)
                     for j in (0, 1)
                 }
-                single = numkit.born_probability(psi, numkit.tensor(pa[0], np.eye(2)))
+                single = numkit.born_probability(psi, np.kron(pa[0], np.eye(2)))
                 assert dist[(0, 0)] + dist[(0, 1)] == pytest.approx(single, abs=1e-10)
 
 

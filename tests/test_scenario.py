@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from seer_lab.scenario import (
     joint_distribution_feasible,
     solve_anticorrelation_constraints,
 )
+from seer_lab.tolerances import PROB_FLOOR, STRUCT_TOL
 
 
 def test_os_ncycle_3_statistics():
@@ -118,7 +120,7 @@ def test_quantum_tables_are_normalised_and_no_signaling(n):
     two_wing = [quantum.mermin_table(n), quantum.odd_cycle_table(n)]
     cycle = quantum.klyachko_table(n)
     for table in [cycle, *two_wing]:
-        assert set(table.contexts_present()) == set(table.scenario.contexts)
+        assert set(table.contexts) == set(table.scenario.contexts)
         for dist in table.probs.values():
             assert min(dist.values()) >= 0
             assert abs(sum(dist.values()) - 1) < 1e-12
@@ -300,6 +302,131 @@ def test_out_of_order_context_keys_keep_each_bit_with_its_measurement():
     triple = CorrelationTable(Scenario(3, ((1, 2, 3),)), {(3, 1, 2): {(1, 0, 0): 1.0}})
     assert triple.probs == {(1, 2, 3): {(0, 0, 1): 1.0}}
     assert triple.prob((2, 3, 1), (0, 1, 0)) == 1.0
+
+
+def test_two_keys_for_one_context_are_rejected():
+    with pytest.raises(ValueError, match="two keys"):
+        CorrelationTable(Scenario(2, ((1, 2),)), {(1, 2): {(0, 0): 1.0}, (2, 1): {(0, 1): 1.0}})
+    with pytest.raises(ValueError, match="two keys"):
+        CorrelationTable.from_json('{"n":2,"contexts":[[1,2]],"probs":{"1,2":{"00":1.0},"2,1":{"01":1.0}}}')
+
+
+_JSON_TABLE = {"n": 2, "contexts": [[1, 2]], "probs": {"1,2": {"01": 0.5, "10": 0.5}}, "wings": 1}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 2.7), ("n", "2"), ("wings", True), ("contexts", [[1, 2.0]]),
+    ("probs", []), ("probs", {"1,2": [1.0]}),
+])
+def test_table_json_rejects_malformed_fields(field, value):
+    assert CorrelationTable.from_json_dict(_JSON_TABLE).prob((1, 2), (0, 1)) == 0.5
+    with pytest.raises(ValueError):
+        CorrelationTable.from_json_dict({**_JSON_TABLE, field: value})
+
+
+def test_mapping_tables_refuse_contexts_past_the_lp_cap():
+    # A context's block holds 2^|ctx| probabilities.
+    n = scenario.MAX_JOINT_MEASUREMENTS + 1
+    scen = Scenario(n, (tuple(range(1, n + 1)),))
+    with pytest.raises(ValueError, match="exceeds"):
+        CorrelationTable(scen, {scen.contexts[0]: {(0,) * n: 1.0}})
+
+
+def test_vector_tables_check_their_length():
+    with pytest.raises(ValueError, match="need 8 probabilities"):
+        CorrelationTable.from_vector(scenario.cycle_scenario(3), ((1, 2), (2, 3)), [0.25] * 4)
+
+
+def _dict_table(scen, probs):
+    """Oracle: the mapping constructor from when a table was a dict of dicts,
+    checking each entry in turn."""
+    clean = {}
+    known = set(scen.contexts)
+    for given, dist in probs.items():
+        ctx = tuple(sorted(given))
+        if ctx not in known:
+            raise ValueError(f"context {ctx} is not part of the scenario")
+        total = 0.0
+        table = {}
+        for outcome, p in dist.items():
+            outcome = tuple(int(b) for b in outcome)
+            if len(outcome) != len(ctx) or any(b not in (0, 1) for b in outcome):
+                raise ValueError(f"bad outcome {outcome} for context {ctx}")
+            outcome = outcome if ctx == given else scenario._in_order(given, outcome)[1]
+            p = float(p)
+            if not PROB_FLOOR <= p < math.inf:
+                raise ValueError(f"negative or non-finite probability {p}")
+            table[outcome] = max(p, 0.0)
+            total += table[outcome]
+        if abs(total - 1.0) > STRUCT_TOL:
+            raise ValueError(f"context {ctx} is not normalized")
+        clean[ctx] = table
+    return clean
+
+
+def _dict_prob(clean, context, outcome):
+    """Oracle: prob over that dict of dicts."""
+    dist = clean.get(tuple(context))
+    if dist is None:
+        context, outcome = scenario._in_order(context, outcome)
+        dist = clean[context]
+    return dist.get(tuple(outcome), 0.0)
+
+
+_SPECIAL_PROBS = [math.nan, math.inf, -math.inf, -0.0, PROB_FLOOR / 10, PROB_FLOOR * 10]
+
+
+@st.composite
+def dict_tables(draw):
+    """Random tables as context -> {outcome: p}: pairs and triples, keys in any
+    measurement order, outcomes in any order with zeros listed or left out,
+    some rows scaled off normalisation and some entries non-finite or negative."""
+    scen = draw(pair_triple_scenarios())
+    probs = {}
+    for ctx in draw(st.lists(st.sampled_from(scen.contexts), unique=True)):
+        size = 1 << len(ctx)
+        weights = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size).filter(sum))
+        scale = draw(st.sampled_from([1.0, 1.0, 1.0, 0.5, 1 + 1e-9]))
+        row = [scale * w / sum(weights) for w in weights]
+        if draw(st.booleans()):
+            # On an outcome of weight 0, -0.0 and noise above the floor leave the row normalised.
+            zeros = [i for i, w in enumerate(weights) if w == 0]
+            at = draw(st.sampled_from(zeros) if zeros and draw(st.booleans()) else st.integers(0, size - 1))
+            row[at] = draw(st.sampled_from(_SPECIAL_PROBS))
+        perm = draw(st.permutations(range(len(ctx))))
+        dist = {
+            tuple(outcome[i] for i in perm): p
+            for outcome, p in zip(itertools.product((0, 1), repeat=len(ctx)), row)
+            if p != 0 or draw(st.booleans())
+        }
+        order = draw(st.permutations(list(dist)))
+        probs[tuple(ctx[i] for i in perm)] = {outcome: dist[outcome] for outcome in order}
+    return scen, probs
+
+
+@settings(max_examples=300, deadline=None)
+@given(dict_tables())
+def test_vector_tables_match_the_dict_oracle(case):
+    scen, probs = case
+    try:
+        clean = _dict_table(scen, probs)
+    except ValueError:
+        with pytest.raises(ValueError):
+            CorrelationTable(scen, probs)
+        return
+    table = CorrelationTable(scen, probs)
+    assert table.contexts == tuple(sorted(clean))
+    for key in probs:
+        for outcome in itertools.product((0, 1), repeat=len(key)):
+            assert table.prob(key, outcome) == _dict_prob(clean, key, outcome)
+            assert table.prob(sorted(key), outcome) == _dict_prob(clean, sorted(key), outcome)
+    assert table.probs == {ctx: {o: p for o, p in dist.items() if p} for ctx, dist in clean.items()}
+    # The same rows handed over as one vector, the contexts in the keys' order.
+    vector = [
+        dist.get(o, 0.0) for ctx, dist in clean.items() for o in itertools.product((0, 1), repeat=len(ctx))
+    ]
+    same = CorrelationTable.from_vector(scen, list(clean), vector)
+    assert np.array_equal(same.vector, table.vector)
 
 
 def test_json_round_trip():
