@@ -62,69 +62,70 @@ def ks_bound_ncycle(n: int) -> KsBoundResult:
 # Two-wing games
 
 
-@dataclass(frozen=True)
-class PayoffCell:
-    a: int
-    b: int
-    weight: Fraction
-    wins: frozenset  # winning (X_A, X_B) outcome pairs
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GamePayoff:
-    """Weighted per-context success predicates for a two-wing game."""
+    """Weighted per-context success predicates for a two-wing game, one row per cell.
+
+    Cell i sits at settings ``settings[i] = (a, b)``, counted from 1, has weight
+    ``weights[i] / denom`` and wins on outcome (x_a, x_b) where
+    ``wins[i, 2 x_a + x_b]``.  The arrays are read-only copies, and a payoff
+    compares and hashes by identity, since arrays have no single-valued ==.
+    """
 
     n_a: int
     n_b: int
-    cells: tuple[PayoffCell, ...]
+    settings: np.ndarray  # (cells, 2) int
+    weights: np.ndarray  # (cells,) int64, nonnegative units of 1/denom
+    denom: int
+    wins: np.ndarray  # (cells, 4) bool
 
     def __post_init__(self):
-        total = sum(c.weight for c in self.cells)
-        if total != 1:
-            raise ValueError(f"cell weights sum to {total}, not 1")
-        if any(c.weight < 0 for c in self.cells):
+        settings, weights, wins = map(np.asarray, (self.settings, self.weights, self.wins))
+        integral = {settings.dtype.kind, weights.dtype.kind} <= {"i", "u"}
+        if not (integral and settings.ndim == 2 and settings.shape[1] == 2
+                and weights.shape == settings.shape[:1] and wins.shape == (len(weights), 4)):
+            raise ValueError("a payoff needs (cells, 2) integer settings, (cells,) integer weights and "
+                             "(cells, 4) win masks")
+        if not isinstance(self.denom, (int, np.integer)) or self.denom < 1:
+            raise ValueError("the cell weights need an integer denominator of at least 1")
+        if self.denom >= 1 << 62:
+            raise ValueError("the cell weights need a common denominator below 2**62")
+        total = sum(weights.tolist())  # Python ints cannot overflow
+        if total != self.denom:
+            raise ValueError(f"cell weights sum to {Fraction(total, self.denom)}, not 1")
+        if weights.min() < 0:
             raise ValueError("cell weights must be nonnegative")
-        if not all(1 <= c.a <= self.n_a and 1 <= c.b <= self.n_b and c.wins <= _OUTCOMES
-                   for c in self.cells):
+        in_range = (settings >= 1).all() and (settings <= (self.n_a, self.n_b)).all()
+        if not (in_range and (wins.dtype == bool or ((wins == 0) | (wins == 1)).all())):
             raise ValueError("cells need settings 1..n_a, 1..n_b and win pairs of bits")
+        # Frozen copies; int64 settings keep the context arithmetic in range.
+        frozen = settings.astype(np.int64), weights.astype(np.int64), wins != 0
+        for name, array in zip(("settings", "weights", "wins"), frozen):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "denom", int(self.denom))
 
-    def context(self, cell: PayoffCell) -> tuple[int, int]:
-        """The measurements a cell names in a two-wing table: wing A's
-        settings are measurements 1..n_a and wing B's setting b is n_a + b."""
-        return (cell.a, self.n_a + cell.b)
+    @property
+    def contexts(self) -> np.ndarray:
+        """The measurements each cell names in a two-wing table, one row per cell:
+        wing A's settings are measurements 1..n_a and wing B's setting b is n_a + b."""
+        return self.settings + (0, self.n_a)
 
     def value(self, table) -> float:
         """Winning probability of a two-wing correlation table under this payoff.
 
-        The weights are put on a common denominator, so the sum runs over
-        integer multiples of the winning masses and a table that wins every
-        cell scores exactly 1.
+        The sum runs over integer multiples of the winning masses, one exactly
+        rounded ``math.fsum``, so a table that wins every cell scores exactly 1.
         """
-        denom, units = self._cell_units()
-        rows = table.rows([self.context(c) for c in self.cells])
-        return math.fsum((units * rows).ravel().tolist()) / denom
+        units = self.weights[:, None] * self.wins * table.rows(self.contexts)
+        return math.fsum(units.ravel().tolist()) / self.denom
 
-    def _cell_wins(self) -> np.ndarray:
-        """Whether each cell wins on outcome (x_a, x_b), as ``wins[cell, 2 x_a + x_b]``."""
-        masks = {wins: [xy in wins for xy in _PAIRS] for wins in {c.wins for c in self.cells}}
-        return np.array([masks[c.wins] for c in self.cells])
-
-    def _cell_units(self) -> tuple[int, np.ndarray]:
-        """Common denominator D of the weights, and the units of 1/D each cell
-        wins on outcome (x_a, x_b), as ``units[cell, 2 x_a + x_b]``."""
-        denom = math.lcm(*(c.weight.denominator for c in self.cells))
-        if denom >= 1 << 62:
-            raise ValueError("the cell weights need a common denominator below 2**62")
-        units = [c.weight.numerator * (denom // c.weight.denominator) for c in self.cells]
-        return denom, np.array(units, dtype=np.int64)[:, None] * self._cell_wins()
-
-    def _win_units(self) -> tuple[int, np.ndarray]:
-        """D and the units won at settings (a, b) on (x_a, x_b), as ``won[a - 1, x_a, b - 1, x_b]``."""
-        denom, units = self._cell_units()
-        a, b = np.array([(c.a, c.b) for c in self.cells]).T - 1
+    def _win_units(self) -> np.ndarray:
+        """Units of 1/denom won at settings (a, b) on (x_a, x_b), as ``won[a - 1, x_a, b - 1, x_b]``."""
+        a, b = self.settings.T - 1
         won = np.zeros((self.n_a, 2, self.n_b, 2), dtype=np.int64)
-        np.add.at(won, (a, slice(None), b), units.reshape(-1, 2, 2))
-        return denom, won
+        np.add.at(won, (a, slice(None), b), (self.weights[:, None] * self.wins).reshape(-1, 2, 2))
+        return won
 
     def operator(self, ops_a: Sequence[np.ndarray], ops_b: Sequence[np.ndarray]) -> np.ndarray:
         """Sum over cells of weight * sum over winning (x, y) of Pi_a^x (x) Pi_b^y,
@@ -133,10 +134,9 @@ class GamePayoff:
         state is the state's winning probability."""
         if len(ops_a) != self.n_a or len(ops_b) != self.n_b:
             raise ValueError(f"the payoff needs {self.n_a} and {self.n_b} wing observables")
-        denom, won = self._win_units()
         proj_a, proj_b = _outcome_projectors(ops_a), _outcome_projectors(ops_b)
-        out = np.einsum("axby,axij,bykl->ikjl", won, proj_a, proj_b, optimize=True)
-        return out.reshape(out.shape[0] * out.shape[1], -1) / denom
+        out = np.einsum("axby,axij,bykl->ikjl", self._win_units(), proj_a, proj_b, optimize=True)
+        return out.reshape(out.shape[0] * out.shape[1], -1) / self.denom
 
 
 def _outcome_projectors(ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -146,35 +146,28 @@ def _outcome_projectors(ops: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack([(eye + ops) / 2, (eye - ops) / 2], axis=1)
 
 
-_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
-_OUTCOMES = frozenset(_PAIRS)
-_EQUAL = frozenset({(0, 0), (1, 1)})
-_DIFFER = frozenset({(0, 1), (1, 0)})
+# The cells (a, a), (a, a + 1), (a + 1, a) of one step of a ring, as offsets
+# from (a - 1, a - 1), and their win masks over the outcomes 00, 01, 10, 11.
+_RING_STEP = np.array([[0, 0], [0, 1], [1, 0]])
+_RING_WINS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0]], dtype=bool)
 
 
 def os_ring_payoff(n: int) -> GamePayoff:
-    """Match on equal settings, anti-match on adjacent ones; other cells weight 0."""
+    """Match on equal settings, anti-match on adjacent ones; other cells weight 0.
+    The cells are (a, a), (a, a + 1), (a + 1, a) for a = 1..n in turn."""
     if n < 3 or n % 2 == 0:
         raise ValueError("the ring game needs odd n >= 3")
-    w = Fraction(1, 3 * n)
-    cells = []
-    for a in range(1, n + 1):
-        cells.append(PayoffCell(a, a, w, _EQUAL))
-        cells.append(PayoffCell(a, a % n + 1, w, _DIFFER))
-        cells.append(PayoffCell(a % n + 1, a, w, _DIFFER))
-    return GamePayoff(n, n, tuple(cells))
+    cells = ((np.arange(n)[:, None, None] + _RING_STEP) % n + 1).reshape(-1, 2)
+    return GamePayoff(n, n, cells, np.ones(3 * n, int), 3 * n, np.tile(_RING_WINS, (n, 1)))
 
 
 def odd_cycle_payoff(n: int) -> GamePayoff:
-    """One-sided variant: Bob's setting is either equal or one step ahead."""
+    """One-sided variant: Bob's setting is either equal or one step ahead,
+    the cells (a, a), (a, a + 1) for a = 1..n in turn."""
     if n < 3 or n % 2 == 0:
         raise ValueError("the odd-cycle game needs odd n >= 3")
-    w = Fraction(1, 2 * n)
-    cells = []
-    for a in range(1, n + 1):
-        cells.append(PayoffCell(a, a, w, _EQUAL))
-        cells.append(PayoffCell(a, a % n + 1, w, _DIFFER))
-    return GamePayoff(n, n, tuple(cells))
+    cells = ((np.arange(n)[:, None, None] + _RING_STEP[:2]) % n + 1).reshape(-1, 2)
+    return GamePayoff(n, n, cells, np.ones(2 * n, int), 2 * n, np.tile(_RING_WINS[:2], (n, 1)))
 
 
 @dataclass(frozen=True)
@@ -208,7 +201,7 @@ def local_bound(game: Union[str, GamePayoff], n: Optional[int] = None) -> LocalB
     if n_a > MAX_LOCAL_SETTINGS or n_b > MAX_LOCAL_SETTINGS:
         raise ValueError(f"local bounds are limited to {MAX_LOCAL_SETTINGS} settings per wing")
 
-    denom, won = payoff._win_units()
+    won, denom = payoff._win_units(), payoff.denom
     # score[x_b, x_a, a, b]: weight won at settings (a, b) on outcomes (x_a, x_b).
     score = won.transpose(3, 1, 0, 2)
     # Row k holds the bits of A strategy k, X_1 the most significant.
@@ -234,10 +227,10 @@ def bell_s3(strategy_a: Sequence[int], strategy_b: Sequence[int]) -> int:
     bits_b = tuple(int(b) for b in strategy_b)
     if len(bits_a) != 3 or len(bits_b) != 3 or not set(bits_a + bits_b) <= {0, 1}:
         raise ValueError("strategies must assign three bits each")
-    won = sum(
-        c.weight for c in os_ring_payoff(3).cells if (bits_a[c.a - 1], bits_b[c.b - 1]) in c.wins
-    )
-    return int(18 * won - 9)
+    payoff = os_ring_payoff(3)
+    a, b = payoff.settings.T - 1
+    won = payoff.weights @ payoff.wins[np.arange(len(a)), 2 * np.array(bits_a)[a] + np.array(bits_b)[b]]
+    return 18 * int(won) // payoff.denom - 9
 
 
 def s3_local_bound() -> LocalBoundResult:
@@ -291,7 +284,8 @@ def pnc_bound_diachronic() -> PncBoundResult:
     prefer 0, which picks the lexicographically first optimal map.  The
     per-encoding optima are {2/3, 7/9, 7/9, 7/9}, so the overall bound is 7/9.
     """
-    denom, won = os_ring_payoff(3)._win_units()
+    payoff = os_ring_payoff(3)
+    won, denom = payoff._win_units(), payoff.denom
     per: dict[str, Fraction] = {}
     responses: dict[str, tuple[int, ...]] = {}
     for name, enc in _ENCODINGS.items():
@@ -315,7 +309,7 @@ def pnc_response_table(encoding: str, response_probs: Sequence[float]):
     # dist[t - 1, y - 1, b, x] = answers[e(t, b), y - 1, x]
     dist = answers[_ENCODINGS[encoding][:, None, :], np.arange(3)[None, :, None]]
     payoff = os_ring_payoff(3)
-    t, y = np.array([(cell.a, cell.b) for cell in payoff.cells]).T - 1
+    t, y = payoff.settings.T - 1
     return payoff_table(payoff, dist[t, y])
 
 

@@ -30,9 +30,9 @@ _MASK64 = (1 << 64) - 1
 # numpy draws counts as int64.
 MAX_TRIALS = (1 << 63) - 1
 # Largest n, set from a 5 s budget: the quantum tables cost O(n), and the
-# slowest kind, bipartite_os, takes 1.9 s (135 MB peak RSS) at n = 10,001
-# for the whole `seer-lab game` process on a 2-core host (odd_cycle 1.4 s,
-# seer_ncycle 0.62 s).
+# slowest kind, bipartite_os, takes 0.88 s (120 MB peak RSS) at n = 10,001
+# for the whole `seer-lab game` process on a 2-core host (odd_cycle 0.73 s,
+# seer_ncycle 0.59 s; median of seven).
 MAX_N = 10_001
 
 
@@ -131,12 +131,8 @@ def _two_wing_model(kind: str, n: int, strategy: str) -> _SamplingModel:
             scenario.payoff_scenario(payoff), bound.witness_a + bound.witness_b
         )
         expected = bound.value
-    return _SamplingModel(
-        np.array([float(c.weight) for c in payoff.cells]),
-        table.rows([payoff.context(c) for c in payoff.cells]),
-        payoff._cell_wins(),
-        expected,
-    )
+    weights = payoff.weights / payoff.denom
+    return _SamplingModel(weights, table.rows(payoff.contexts), payoff.wins, expected)
 
 
 def _seer_model(n: int, strategy: str) -> _SamplingModel:

@@ -394,8 +394,8 @@ def _born_table(payoff, ops_a, ops_b) -> scenario_mod.CorrelationTable:
     """Table of a payoff's cells, the wings measuring on the maximally entangled
     pair (outcome 0 <-> +1 eigenvalue)."""
     eff_a, eff_b = _wing_lift(_outcome_projectors(ops_a), _outcome_projectors(ops_b))
-    cells = payoff.cells
-    dists = _joint_born(BELL_STATE, eff_a[[c.a - 1 for c in cells]], eff_b[[c.b - 1 for c in cells]])
+    a, b = payoff.settings.T - 1
+    dists = _joint_born(BELL_STATE, eff_a[a], eff_b[b])
     return scenario_mod.payoff_table(payoff, dists)
 
 

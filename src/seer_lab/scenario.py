@@ -81,6 +81,8 @@ def _in_order(context: Context, outcome: Outcome) -> tuple[Context, Outcome]:
 
 def _index(outcome: Outcome) -> int:
     """Position of an outcome in its context's block, the first bit most significant."""
+    if not all(b in (0, 1) for b in outcome):
+        raise ValueError(f"outcome bits must be 0 or 1, got {tuple(outcome)}")
     return int("".join(str(int(b)) for b in outcome), 2)
 
 
@@ -146,8 +148,11 @@ class CorrelationTable:
         vector.flags.writeable = False
         self.vector = vector
 
-    def rows(self, contexts: Sequence[Context]) -> np.ndarray:
-        """The outcome probabilities of present contexts of one size, each sorted, one row each."""
+    def rows(self, contexts) -> np.ndarray:
+        """The outcome probabilities of present contexts of one size, each sorted, one row each;
+        the contexts come as tuples or as an int array of one context per row."""
+        if isinstance(contexts, np.ndarray):
+            contexts = list(map(tuple, contexts.tolist()))
         if len({len(ctx) for ctx in contexts}) > 1:
             raise ValueError("rows need contexts of one size")
         starts = np.array([self._start[ctx] for ctx in contexts], dtype=np.int64)
@@ -200,7 +205,13 @@ class CorrelationTable:
         probs = doc["probs"]
         if not isinstance(probs, Mapping) or not all(isinstance(d, Mapping) for d in probs.values()):
             raise ValueError('"probs" must map each context to an object of outcome probabilities')
-        table = {tuple(int(t) for t in key.split(",")): dist for key, dist in probs.items()}
+        bad = [p for dist in probs.values() for p in dist.values() if type(p) not in (int, float)]
+        if bad:
+            raise ValueError(f"probabilities must be JSON numbers, got {bad[0]!r}")
+        table = {
+            tuple(int(t) for t in key.split(",")): {tuple(map(int, xs)): p for xs, p in dist.items()}
+            for key, dist in probs.items()
+        }
         if len(table) < len(probs):
             raise ValueError("two keys name one context")
         return cls(scenario, table)
@@ -297,29 +308,26 @@ def deterministic_table(scenario: Scenario, assignment: Sequence[int]) -> Correl
 
 
 def payoff_scenario(payoff: classical.GamePayoff) -> Scenario:
-    """Two-wing scenario whose contexts are the cells of a game payoff (one
-    context for cells that share their settings)."""
-    return Scenario(
-        payoff.n_a + payoff.n_b,
-        tuple(dict.fromkeys(payoff.context(cell) for cell in payoff.cells)),
-        wing_split=payoff.n_a,
-    )
+    """Two-wing scenario whose contexts are the cells of a game payoff, in cell
+    order (one context for cells that share their settings)."""
+    contexts = dict.fromkeys(map(tuple, payoff.contexts.tolist()))
+    return Scenario(payoff.n_a + payoff.n_b, tuple(contexts), wing_split=payoff.n_a)
 
 
 def payoff_table(payoff: classical.GamePayoff, rows) -> CorrelationTable:
     """Table over a payoff's cells, row i of ``rows`` (cells x 4, or cells x
     2 x 2) being cell i's distribution over outcomes (x_A, x_B)."""
     scenario = payoff_scenario(payoff)
-    if len(scenario.contexts) < len(payoff.cells):
+    if len(scenario.contexts) < len(payoff.wins):
         raise ValueError("a payoff table needs one cell per pair of settings")
-    return CorrelationTable.from_vector(scenario, [payoff.context(cell) for cell in payoff.cells], rows)
+    # With one context per cell, the scenario lists them in cell order.
+    return CorrelationTable.from_vector(scenario, scenario.contexts, rows)
 
 
 def foil_table(payoff: classical.GamePayoff) -> CorrelationTable:
     """Each cell uniform over its winning outcomes, so the game is won with
     certainty."""
-    wins = payoff._cell_wins()
-    return payoff_table(payoff, wins / wins.sum(axis=1, keepdims=True))
+    return payoff_table(payoff, payoff.wins / payoff.wins.sum(axis=1, keepdims=True))
 
 
 def build_bipartite_table(kind: str, n: Optional[int] = None) -> CorrelationTable:

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,6 @@ from seer_lab import games, numkit, scenario, signet
 from seer_lab.classical import (
     MAX_LOCAL_SETTINGS,
     GamePayoff,
-    PayoffCell,
     bell_s3,
     c_function,
     ks_bound_ncycle,
@@ -98,13 +98,7 @@ def test_local_bounds(game, n, expected):
 
 def test_local_bound_witness_attains_value():
     bound = local_bound("os3")
-    payoff = os_ring_payoff(3)
-    value = sum(
-        cell.weight
-        for cell in payoff.cells
-        if (bound.witness_a[cell.a - 1], bound.witness_b[cell.b - 1]) in cell.wins
-    )
-    assert value == bound.value_exact
+    assert strategy_value(os_ring_payoff(3), bound.witness_a, bound.witness_b) == bound.value_exact
 
 
 @pytest.mark.parametrize("n", range(3, MAX_LOCAL_SETTINGS + 1, 2))
@@ -119,27 +113,21 @@ def test_local_bound_oversize_rejected():
     message = f"limited to {MAX_LOCAL_SETTINGS} settings per wing"
     with pytest.raises(ValueError, match=message):
         local_bound("os_ring", MAX_LOCAL_SETTINGS + 2)
-    cell = PayoffCell(1, 1, Fraction(1), frozenset({(0, 0)}))
     for n_a, n_b in ((MAX_LOCAL_SETTINGS + 1, 1), (1, MAX_LOCAL_SETTINGS + 1)):
         with pytest.raises(ValueError, match=message):
-            local_bound(GamePayoff(n_a, n_b, (cell,)))
+            local_bound(GamePayoff(n_a, n_b, [(1, 1)], [1], 1, [(True, False, False, False)]))
 
 
 def test_local_bound_gauge_invariance():
-    # Relabeling outcomes of one A measurement (and flipping the win pairs of
-    # its cells) leaves the optimal value unchanged.
-    rng = np.random.default_rng(23)
+    # Relabeling outcomes of one A measurement (and flipping x_a in the win
+    # masks of its cells, outcome 2 x_a + x_b) leaves the optimal value unchanged.
     base = os_ring_payoff(5)
     for flip_a in (1, 3, 5):
-        cells = []
-        for cell in base.cells:
-            wins = cell.wins
-            if cell.a == flip_a:
-                wins = frozenset((1 - xa, xb) for xa, xb in wins)
-            cells.append(PayoffCell(cell.a, cell.b, cell.weight, wins))
-        flipped = GamePayoff(base.n_a, base.n_b, tuple(cells))
+        wins = base.wins.copy()
+        at = base.settings[:, 0] == flip_a
+        wins[at] = wins[at][:, [2, 3, 0, 1]]
+        flipped = GamePayoff(base.n_a, base.n_b, base.settings, base.weights, base.denom, wins)
         assert local_bound(flipped).value_exact == local_bound(base).value_exact
-    del rng
 
 
 def test_s3_local_bound_is_five():
@@ -208,12 +196,13 @@ def _pnc_by_enumeration():
 
 
 def test_two_time_win_rule_is_the_n3_ring_payoff():
-    cells = {(c.a, c.b): c for c in os_ring_payoff(3).cells}
-    assert len(cells) == 9 and all(c.weight == Fraction(1, 9) for c in cells.values())
+    payoff = os_ring_payoff(3)
+    cell = {(a, b): i for i, (a, b) in enumerate(payoff.settings.tolist())}
+    assert len(cell) == 9 and payoff.weights.tolist() == [1] * 9 and payoff.denom == 9
     for t, y, b, x in itertools.product((1, 2, 3), (1, 2, 3), (0, 1), (0, 1)):
         target = b if t == y else 1 - b
         assert c_function(y, t, b) == target
-        assert ((b, x) in cells[t, y].wins) == (x == target)
+        assert payoff.wins[cell[t, y], 2 * b + x] == (x == target)
 
 
 def test_pnc_bound():
@@ -273,49 +262,117 @@ def test_algebraic_contradiction_matches_brute_force():
 
 
 def test_payoff_weight_validation():
-    with pytest.raises(ValueError):
-        GamePayoff(1, 1, (PayoffCell(1, 1, Fraction(1, 2), frozenset({(0, 0)})),))
+    with pytest.raises(ValueError, match="sum to 1/2, not 1"):
+        GamePayoff(1, 1, [(1, 1)], [1], 2, [(True, False, False, False)])
 
 
 @pytest.mark.parametrize(
-    "cell",
-    [
-        PayoffCell(0, 1, Fraction(1), frozenset({(0, 0)})),
-        PayoffCell(3, 1, Fraction(1), frozenset({(0, 0)})),
-        PayoffCell(1, 3, Fraction(1), frozenset({(0, 0)})),
-        PayoffCell(1, 1, Fraction(1), frozenset({(0, 2)})),
-    ],
+    "cell",  # (settings, win mask)
+    [((0, 1), (1, 0, 0, 0)), ((3, 1), (1, 0, 0, 0)), ((1, 3), (1, 0, 0, 0)), ((1, 1), (1, 0, 0, 2))],
 )
 def test_payoff_cell_range_validation(cell):
+    settings, wins = cell
     with pytest.raises(ValueError, match="cells need settings"):
-        GamePayoff(2, 2, (cell,))
+        GamePayoff(2, 2, [settings], [1], 1, [wins])
+
+
+_GOOD = {"settings": [(1, 1), (2, 1)], "weights": [1, 2], "denom": 3, "wins": [(1, 0, 0, 1), (0, 1, 1, 0)]}
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("settings", [(1, 1, 1), (2, 1, 1)], "needs \\(cells, 2\\)"),
+    ("settings", [1, 2], "needs \\(cells, 2\\)"),
+    ("settings", [(1.0, 1.0), (2.0, 1.0)], "integer settings"),
+    ("weights", [3], "needs \\(cells, 2\\)"),
+    ("weights", [1.0, 2.0], "integer weights"),
+    ("wins", [(1, 0, 0, 1)], "\\(cells, 4\\) win masks"),
+    ("wins", [(1, 0, 0), (0, 1, 1)], "\\(cells, 4\\) win masks"),
+    ("weights", [4, -1], "must be nonnegative"),
+    ("weights", [1, 1], "sum to 2/3, not 1"),
+    ("denom", 0, "denominator of at least 1"),
+    ("denom", 3.0, "integer denominator"),
+    ("denom", 2**62, "below 2\\*\\*62"),
+    ("settings", [(1, 1), (0, 1)], "cells need settings"),
+    ("settings", [(1, 1), (1, 0)], "cells need settings"),
+    ("settings", [(1, 1), (3, 1)], "cells need settings"),
+    ("settings", [(1, 1), (1, 2)], "cells need settings"),
+    ("wins", [(1, 0, 0, 1), (0, 1, -1, 0)], "win pairs of bits"),
+])
+def test_payoff_rejects_malformed_arrays(field, value, message):
+    GamePayoff(2, 1, **_GOOD)
+    with pytest.raises(ValueError, match=message):
+        GamePayoff(2, 1, **{**_GOOD, field: value})
+
+
+def test_payoff_arrays_are_frozen_copies():
+    settings = np.array(_GOOD["settings"])
+    payoff = GamePayoff(2, 1, settings, _GOOD["weights"], 3, _GOOD["wins"])
+    settings[0] = (2, 1)
+    assert payoff.settings.tolist() == [[1, 1], [2, 1]] and payoff.contexts.tolist() == [[1, 3], [2, 3]]
+    assert payoff.weights.dtype == np.int64 and payoff.wins.dtype == bool
+    for array in (payoff.settings, payoff.weights, payoff.wins):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
 
 
 def test_local_bound_rejects_denominators_beyond_int64():
-    # The strategies are scored in int64 units of the weights' common denominator.
-    tiny = Fraction(1, 2**62)
-    cells = (PayoffCell(1, 1, tiny, frozenset({(0, 0)})), PayoffCell(1, 1, 1 - tiny, frozenset()))
+    # The strategies are scored in int64 units of the weights' common
+    # denominator, so the payoff refuses one of 2**62 when it is built.
+    wins = [(True, False, False, False), (False,) * 4]
     with pytest.raises(ValueError, match="below 2\\*\\*62"):
-        local_bound(GamePayoff(1, 1, cells))
-    cells = (PayoffCell(1, 1, 2 * tiny, frozenset({(0, 0)})), PayoffCell(1, 1, 1 - 2 * tiny, frozenset()))
-    assert local_bound(GamePayoff(1, 1, cells)).value_exact == 2 * tiny
+        GamePayoff(1, 1, [(1, 1), (1, 1)], [1, 2**62 - 1], 2**62, wins)
+    payoff = GamePayoff(1, 1, [(1, 1), (1, 1)], [1, 2**61 - 1], 2**61, wins)
+    assert local_bound(payoff).value_exact == Fraction(1, 2**61)
 
 
 def test_custom_payoff_local_bound():
     # Two settings per wing, all four cells weight 1/4, win on equal outcomes:
     # trivially winnable with constant strategies.
-    cells = tuple(
-        PayoffCell(a, b, Fraction(1, 4), frozenset({(0, 0), (1, 1)}))
-        for a in (1, 2)
-        for b in (1, 2)
-    )
-    assert local_bound(GamePayoff(2, 2, cells)).value == 1.0
+    settings = [(a, b) for a in (1, 2) for b in (1, 2)]
+    payoff = GamePayoff(2, 2, settings, [1] * 4, 4, [(True, False, False, True)] * 4)
+    assert local_bound(payoff).value == 1.0
 
 
 def test_odd_cycle_payoff_weights():
     payoff = odd_cycle_payoff(5)
-    assert len(payoff.cells) == 10
-    assert sum(c.weight for c in payoff.cells) == 1
+    assert len(payoff.weights) == 10
+    assert payoff.weights.sum() == payoff.denom == 10
+
+
+# The per-cell statement of the two games that the arrays replace: one
+# (a, b, weight, winning (x_a, x_b) pairs) per cell, in cell order.
+_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_EQUAL, _DIFFER = frozenset({(0, 0), (1, 1)}), frozenset({(0, 1), (1, 0)})
+
+
+def _per_cell_ring(n):
+    w = Fraction(1, 3 * n)
+    cells = []
+    for a in range(1, n + 1):
+        cells.append((a, a, w, _EQUAL))
+        cells.append((a, a % n + 1, w, _DIFFER))
+        cells.append((a % n + 1, a, w, _DIFFER))
+    return cells
+
+
+def _per_cell_odd_cycle(n):
+    w = Fraction(1, 2 * n)
+    cells = []
+    for a in range(1, n + 1):
+        cells.append((a, a, w, _EQUAL))
+        cells.append((a, a % n + 1, w, _DIFFER))
+    return cells
+
+
+@pytest.mark.parametrize("n", [*range(3, 52, 2), 101, 1001, 10001])
+def test_payoff_arrays_equal_the_per_cell_statement(n):
+    for payoff, cells in ((os_ring_payoff(n), _per_cell_ring(n)), (odd_cycle_payoff(n), _per_cell_odd_cycle(n))):
+        assert (payoff.n_a, payoff.n_b) == (n, n)
+        assert payoff.settings.tolist() == [[a, b] for a, b, _, _ in cells]
+        # The common denominator is the one the per-cell weights reduce to.
+        assert payoff.denom == math.lcm(*(w.denominator for _, _, w, _ in cells))
+        assert [Fraction(w, payoff.denom) for w in payoff.weights.tolist()] == [w for _, _, w, _ in cells]
+        assert payoff.wins.tolist() == [[xy in wins for xy in _PAIRS] for _, _, _, wins in cells]
 
 
 def test_ks_bound_larger_cycle_chunked_enumeration():
@@ -338,25 +395,24 @@ def test_algebraic_contradiction_input_validation():
 # --------------------------------------------------------------------------
 # local_bound against an independent enumeration
 
-_OUTCOMES = [(0, 0), (0, 1), (1, 0), (1, 1)]
-
 
 @st.composite
 def payoffs(draw):
     n_a, n_b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     size = draw(st.integers(1, 8))
-    raw = draw(st.lists(st.fractions(0, 1, max_denominator=24), min_size=size, max_size=size)
-               .filter(lambda ws: sum(ws) > 0))
-    cells = tuple(
-        PayoffCell(
-            draw(st.integers(1, n_a)),
-            draw(st.integers(1, n_b)),
-            w / sum(raw),
-            frozenset(draw(st.sets(st.sampled_from(_OUTCOMES)))),
-        )
-        for w in raw
+    weights = draw(st.lists(st.integers(0, 24), min_size=size, max_size=size).filter(lambda ws: sum(ws) > 0))
+    settings = [(draw(st.integers(1, n_a)), draw(st.integers(1, n_b))) for _ in weights]
+    wins = [draw(st.lists(st.booleans(), min_size=4, max_size=4)) for _ in weights]
+    return GamePayoff(n_a, n_b, settings, weights, sum(weights), wins)
+
+
+def strategy_value(payoff, bits_a, bits_b):
+    """A deterministic strategy pair's payoff in exact Fractions, cell by cell."""
+    cells = zip(payoff.settings.tolist(), payoff.weights.tolist(), payoff.wins.tolist())
+    return sum(
+        (Fraction(w, payoff.denom) for (a, b), w, wins in cells if wins[2 * bits_a[a - 1] + bits_b[b - 1]]),
+        Fraction(0),
     )
-    return GamePayoff(n_a, n_b, cells)
 
 
 def brute_force_local_bound(payoff):
@@ -365,10 +421,7 @@ def brute_force_local_bound(payoff):
     best = None
     for bits_a in itertools.product((0, 1), repeat=payoff.n_a):
         for bits_b in itertools.product((0, 1), repeat=payoff.n_b):
-            value = sum(
-                (c.weight for c in payoff.cells if (bits_a[c.a - 1], bits_b[c.b - 1]) in c.wins),
-                Fraction(0),
-            )
+            value = strategy_value(payoff, bits_a, bits_b)
             if best is None or value > best[0]:
                 best = (value, bits_a, bits_b)
     return best
@@ -397,10 +450,10 @@ def test_mixtures_of_deterministic_tables_score_within_local_bound(data):
     strategies = data.draw(st.lists(strategy, min_size=1, max_size=6))
     weights = data.draw(st.lists(st.integers(1, 9), min_size=len(strategies), max_size=len(strategies)))
 
-    rows = np.zeros((len(payoff.cells), 4))
-    for i, cell in enumerate(payoff.cells):
+    rows = np.zeros((len(payoff.weights), 4))
+    for i, (a, b) in enumerate(payoff.settings.tolist()):
         for bits, w in zip(strategies, weights):
-            rows[i, 2 * bits[cell.a - 1] + bits[n + cell.b - 1]] += w / sum(weights)
+            rows[i, 2 * bits[a - 1] + bits[n + b - 1]] += w / sum(weights)
 
     value = payoff.value(scenario.payoff_table(payoff, rows))
     assert 0 <= value <= local_bound(payoff).value + 1e-12
@@ -430,12 +483,12 @@ def test_payoff_operator_expectation_is_born_table_value(make, n, seed):
     rows = [
         [
             numkit.born_probability(
-                psi, np.kron(_outcome_effect(ops_a[cell.a - 1], x), _outcome_effect(ops_b[cell.b - 1], y))
+                psi, np.kron(_outcome_effect(ops_a[a - 1], x), _outcome_effect(ops_b[b - 1], y))
             )
             for x in (0, 1)
             for y in (0, 1)
         ]
-        for cell in payoff.cells
+        for a, b in payoff.settings.tolist()
     ]
     table = scenario.payoff_table(payoff, rows)
     expectation = np.vdot(psi, payoff.operator(ops_a, ops_b) @ psi)

@@ -424,10 +424,10 @@ def _per_cell_born_table(payoff, ops_a, ops_b):
     """Oracle: each cell's four effects as np.kron products of the wing
     projectors, each entry by numkit.born_probability."""
     probs = {}
-    for cell in payoff.cells:
-        pa = [(numkit.ID2 + s * ops_a[cell.a - 1]) / 2 for s in (1, -1)]
-        pb = [(numkit.ID2 + s * ops_b[cell.b - 1]) / 2 for s in (1, -1)]
-        probs[payoff.context(cell)] = {
+    for a, b in payoff.settings.tolist():
+        pa = [(numkit.ID2 + s * ops_a[a - 1]) / 2 for s in (1, -1)]
+        pb = [(numkit.ID2 + s * ops_b[b - 1]) / 2 for s in (1, -1)]
+        probs[a, payoff.n_a + b] = {
             (i, j): numkit.born_probability(BELL_STATE, np.kron(pa[i], pb[j]))
             for i in (0, 1)
             for j in (0, 1)

@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -94,11 +93,7 @@ def test_no_signaling_passes_for_foil_tables():
 def test_cells_sharing_settings_have_one_context_and_no_payoff_table():
     # Two cells at settings (1, 1) that win on different outcomes: one
     # context, but no single distribution can stand for both cells.
-    half = Fraction(1, 2)
-    payoff = classical.GamePayoff(1, 1, (
-        classical.PayoffCell(1, 1, half, frozenset({(0, 0)})),
-        classical.PayoffCell(1, 1, half, frozenset({(1, 1)})),
-    ))
+    payoff = classical.GamePayoff(1, 1, [(1, 1), (1, 1)], [1, 1], 2, [(1, 0, 0, 0), (0, 0, 0, 1)])
     assert scenario.payoff_scenario(payoff).contexts == ((1, 2),)
     assert payoff.value(scenario.deterministic_table(scenario.payoff_scenario(payoff), (1, 1))) == 0.5
     with pytest.raises(ValueError, match="one cell per pair of settings"):
@@ -317,11 +312,23 @@ _JSON_TABLE = {"n": 2, "contexts": [[1, 2]], "probs": {"1,2": {"01": 0.5, "10": 
 @pytest.mark.parametrize("field, value", [
     ("n", 2.7), ("n", "2"), ("wings", True), ("contexts", [[1, 2.0]]),
     ("probs", []), ("probs", {"1,2": [1.0]}),
+    ("probs", {"1,2": {"00": True}}), ("probs", {"1,2": {"00": "1"}}), ("probs", {"1,2": {"00": None}}),
 ])
 def test_table_json_rejects_malformed_fields(field, value):
     assert CorrelationTable.from_json_dict(_JSON_TABLE).prob((1, 2), (0, 1)) == 0.5
     with pytest.raises(ValueError):
         CorrelationTable.from_json_dict({**_JSON_TABLE, field: value})
+
+
+def test_outcome_bits_outside_zero_one_are_rejected():
+    # A bit of -1 or 0.5 once read or wrote another outcome's entry.
+    table = build_os_ncycle(3)
+    for bad in ((-1, 1), (0.5, 0), (2, 0)):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            table.prob((1, 2), bad)
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        CorrelationTable(Scenario(2, ((1, 2),)), {(1, 2): {(0, 0): 0.5, (-1, 1): 0.5}})
+    assert table.prob((1, 2), (0, 1)) == table.prob((1, 2), (False, True)) == 0.5
 
 
 def test_mapping_tables_refuse_contexts_past_the_lp_cap():
