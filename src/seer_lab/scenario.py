@@ -5,7 +5,8 @@ can be measured jointly.  A correlation table attaches a probability
 distribution over outcome tuples to every context.  The central question it
 answers: does a single joint distribution over all measurements reproduce
 every context's statistics as marginals?  That is a linear feasibility
-problem over the 2^n deterministic atoms.
+problem over the 2^n deterministic atoms; for perfectly (anti)correlated pairs
+it is the balance of their signed graph.
 """
 
 from __future__ import annotations
@@ -416,18 +417,47 @@ class FeasibilityResult:
 def joint_distribution_feasible(table: CorrelationTable) -> FeasibilityResult:
     """Search for a joint distribution reproducing every context marginal.
 
-    One zero-cost linear program over nonnegative weights w of the 2^n atoms
-    (atom i sets measurement m to bit m-1 of i): A w = b, with one row per
-    context outcome and a normalisation row.  HiGHS status 0 is feasible, and
-    the weights are re-checked against every marginal to NUM_TOL; status 2 is
-    infeasible, and for tables of perfectly (anti)correlated pairs the
-    offending odd cycle is the certificate.
+    A table of perfectly (anti)correlated pairs is decided on its signed graph
+    first.  A frustrated graph is infeasible, with the odd cycle as the
+    certificate: every atom breaks an edge of that cycle, whose wrong-sign
+    mass in the table is below STRUCT_TOL.  A balanced graph's valuation x
+    gives the candidate 1/2 (x + not x), which is the answer when it
+    reproduces every row to NUM_TOL.  Every other table, and a balanced one
+    whose rows the candidate misses (non-uniform marginals), goes to the
+    linear program over the 2^n atoms, which loads scipy on its first call.
+    """
+    n = table.scenario.n_measurements
+    if n > MAX_JOINT_MEASUREMENTS:
+        raise ValueError(f"atom count 2^{n} exceeds the supported limit 2^{MAX_JOINT_MEASUREMENTS}")
+    graph = table_signed_graph(table)
+    if graph is not None:
+        report = signet.is_frustrated(graph)
+        if report.frustrated:
+            return FeasibilityResult(False, None, ("odd-parity cycle", report.witness))
+        # x satisfies every edge, so 1/2 (x + not x) gives each pair half its
+        # sign's two outcomes: (1/2, 0, 0, 1/2) solid, (0, 1/2, 1/2, 0) dashed.
+        dashed = np.array([sign == signet.DASHED for _, _, sign in graph.edges], dtype=bool)
+        candidate = np.where(dashed[:, None], [0, 0.5, 0.5, 0], [0.5, 0, 0, 0.5])
+        if np.abs(candidate.ravel() - table.vector).max(initial=0.0) <= NUM_TOL:
+            x = report.valuation
+            atoms = {x: 0.5, tuple(1 - bit for bit in x): 0.5}
+            return FeasibilityResult(True, JointDistribution(n, atoms))
+    # No signed graph, or a balanced one: an infeasible verdict has no odd cycle.
+    return _lp_feasible(table)
+
+
+def _lp_feasible(table: CorrelationTable) -> FeasibilityResult:
+    """The marginal problem as one linear program, whatever the table.
+
+    One zero-cost LP over nonnegative weights w of the 2^n atoms (atom i sets
+    measurement m to bit m-1 of i): A w = b, with one row per context outcome
+    and a normalisation row.  HiGHS status 0 is feasible, and the weights are
+    re-checked against every marginal to NUM_TOL; status 2 is infeasible,
+    without a certificate.  The caller bounds n.
     """
     from scipy import sparse
 
     n = table.scenario.n_measurements
-    if n > MAX_JOINT_MEASUREMENTS:
-        raise ValueError(f"atom count 2^{n} exceeds the supported limit 2^{MAX_JOINT_MEASUREMENTS}")
     atoms = np.arange(1 << n, dtype=np.int32)
     rows = []
     for ctx, start in table._start.items():
@@ -459,13 +489,7 @@ def joint_distribution_feasible(table: CorrelationTable) -> FeasibilityResult:
         return FeasibilityResult(True, JointDistribution(n, dist))
     if res.status != 2:
         raise RuntimeError(f"linear program failed: {res.message}")
-    certificate = None
-    graph = table_signed_graph(table)
-    if graph is not None:
-        report = signet.is_frustrated(graph)
-        if report.frustrated:
-            certificate = ("odd-parity cycle", report.witness)
-    return FeasibilityResult(False, None, certificate)
+    return FeasibilityResult(False, None)
 
 
 # --------------------------------------------------------------------------

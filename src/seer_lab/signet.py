@@ -103,8 +103,13 @@ def cycle_graph(signs: Sequence[int]) -> SignedGraph:
 
 @dataclass
 class FrustrationReport:
+    """``witness`` is an odd cycle of a frustrated graph; ``valuation`` of an
+    unfrustrated one gives node v the bit ``valuation[v - 1]`` and satisfies
+    every edge, each component's root and each isolated node at 0."""
+
     frustrated: bool
     witness: tuple[int, ...] = ()
+    valuation: tuple[int, ...] = ()
 
     def __bool__(self) -> bool:  # allows `if is_frustrated(g):`
         return self.frustrated
@@ -115,7 +120,8 @@ def is_frustrated(g: SignedGraph) -> FrustrationReport:
 
     Nodes get parity labels relative to their BFS root; a co-tree edge whose
     sign disagrees with the endpoint parities closes an odd cycle, recovered
-    from the two tree paths plus the offending edge.
+    from the two tree paths plus the offending edge.  Without one, the
+    parities are a valuation that satisfies every edge.
     """
     adj = g.adjacency()
     parity: dict[int, int] = {}
@@ -137,7 +143,7 @@ def is_frustrated(g: SignedGraph) -> FrustrationReport:
                     queue.append(v)
                 elif parity[v] != parity[u] ^ flip:
                     return FrustrationReport(True, _tree_cycle(parent, u, v))
-    return FrustrationReport(False)
+    return FrustrationReport(False, valuation=tuple(parity.get(v, 0) for v in range(1, g.n_nodes + 1)))
 
 
 def _tree_cycle(parent: Mapping[int, Optional[int]], u: int, v: int) -> tuple[int, ...]:

@@ -131,15 +131,31 @@ def test_criterion_8_povm():
     _report(8, "thresholds, simulating POVMs, anti-correlation values, NC bounds all hold")
 
 
+def assert_ring_certificate(result, n, odd):
+    """An odd ring's certificate is the ring itself, its only cycle; an even
+    ring has none."""
+    if not odd:
+        assert result.certificate is None
+        return
+    kind, cycle = result.certificate
+    assert kind == "odd-parity cycle" and sorted(cycle) == list(range(1, n + 1))
+    assert all((b - a) % n in (1, n - 1) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+
+
 def test_criterion_9_lp_matches_parity_exhaustively():
     started = time.perf_counter()
     checked = 0
     for n in range(3, 10):
         for signs in itertools.product((1, -1), repeat=n):
             table = scenario.cycle_correlation_table(signs)
-            feasible = scenario.joint_distribution_feasible(table).feasible
-            frustrated = signet.is_frustrated(signet.cycle_graph(signs)).frustrated
-            assert feasible == (not frustrated)
+            # The LP alone is the reference; the public route decides these
+            # tables on their signed graph and must agree with it.
+            reference = scenario._lp_feasible(table)
+            result = scenario.joint_distribution_feasible(table)
+            odd = signs.count(-1) % 2 == 1
+            assert result.feasible == reference.feasible == (not odd)
+            assert signet.is_frustrated(signet.cycle_graph(signs)).frustrated == odd
+            assert_ring_certificate(result, n, odd)
             checked += 1
     elapsed = time.perf_counter() - started
     assert checked == sum(2**n for n in range(3, 10))

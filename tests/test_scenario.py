@@ -185,9 +185,82 @@ def test_feasibility_matches_cycle_parity_small():
     for n in (3, 4, 5, 6):
         for signs in itertools.product((1, -1), repeat=n):
             table = cycle_correlation_table(signs)
-            feasible = joint_distribution_feasible(table).feasible
-            frustrated = signet.is_frustrated(signet.cycle_graph(signs)).frustrated
-            assert feasible == (not frustrated)
+            reference = scenario._lp_feasible(table)
+            result = joint_distribution_feasible(table)
+            odd = signs.count(-1) % 2 == 1
+            assert result.feasible == reference.feasible == (not odd)
+            assert signet.is_frustrated(signet.cycle_graph(signs)).frustrated == odd
+            if odd:
+                assert result.certificate[0] == "odd-parity cycle"
+                assert sorted(result.certificate[1]) == list(range(1, n + 1))
+            else:
+                assert result.certificate is None
+
+
+@st.composite
+def signed_pair_tables(draw):
+    """Perfectly (anti)correlated pairs on 2 to 8 measurements: any graph,
+    with isolated measurements, several components and absent contexts, whose
+    rows are uniform, share one non-uniform weight q on the outcomes of a
+    valuation y and of its complement (consistent marginals), or draw a
+    weight per pair (marginals that may disagree)."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    present = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=len(pairs)))
+    absent = [p for p in pairs if p not in present and draw(st.booleans())]
+    rows = draw(st.sampled_from(("uniform", "consistent", "per-pair")))
+    weights = st.sampled_from((0.0, 0.2, 0.5, 0.7, 1.0))
+    y = draw(st.tuples(*[st.integers(0, 1)] * n))
+    q = draw(weights)
+    probs = {}
+    for a, b in present:
+        if rows == "consistent":
+            first, w = (y[a - 1], y[b - 1]), q
+        else:
+            first = (0, draw(st.integers(0, 1)))  # (0, 0) solid, (0, 1) dashed
+            w = 0.5 if rows == "uniform" else draw(weights)
+        probs[(a, b)] = {first: w, (1 - first[0], 1 - first[1]): 1 - w}
+    return CorrelationTable(Scenario(n, tuple(present + absent)), probs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_pair_tables())
+def test_signed_pair_route_matches_lp(table):
+    reference = scenario._lp_feasible(table)
+    result = joint_distribution_feasible(table)
+    assert result.feasible == reference.feasible
+    assert reference.certificate is None
+    if result.feasible:
+        for ctx, dist in table.probs.items():
+            recon = result.distribution.context_marginal(ctx)
+            for outcome in itertools.product((0, 1), repeat=2):
+                assert abs(recon.get(outcome, 0.0) - dist.get(outcome, 0.0)) <= 1e-9
+        assert result.certificate is None
+    elif result.certificate is not None:
+        # A simple cycle of the table's graph with an odd number of dashed edges.
+        signs = {frozenset((u, v)): s for u, v, s in scenario.table_signed_graph(table).edges}
+        kind, cycle = result.certificate
+        assert kind == "odd-parity cycle" and len(set(cycle)) == len(cycle) >= 3
+        steps = [signs[frozenset(e)] for e in zip(cycle, cycle[1:] + cycle[:1])]
+        assert steps.count(signet.DASHED) % 2 == 1
+
+
+def test_table_without_present_contexts_is_feasible():
+    table = CorrelationTable(Scenario(3, ((1, 2), (2, 3))), {})
+    result = joint_distribution_feasible(table)
+    assert result.feasible
+    assert result.certificate is None
+    assert sum(result.distribution.atoms.values()) == pytest.approx(1)
+
+
+def test_balanced_table_with_inconsistent_marginals_is_infeasible():
+    # A solid path 1-2-3 whose two rows give measurement 2 the marginals 0.7 and 0.4.
+    scen = Scenario(3, ((1, 2), (2, 3)))
+    table = CorrelationTable(scen, {(1, 2): {(0, 0): 0.7, (1, 1): 0.3}, (2, 3): {(0, 0): 0.4, (1, 1): 0.6}})
+    assert not signet.is_frustrated(scenario.table_signed_graph(table))
+    result = joint_distribution_feasible(table)
+    assert not result.feasible
+    assert result.certificate is None
 
 
 def test_point_distributions_always_feasible():

@@ -101,7 +101,16 @@ def test_gauge_invariance_of_frustration(data):
     )
     g = SignedGraph(n, edges)
     flips = data.draw(st.sets(st.integers(min_value=1, max_value=n)))
-    assert is_frustrated(gauge_transform(g, flips)).frustrated == is_frustrated(g).frustrated
+    report = is_frustrated(g)
+    assert is_frustrated(gauge_transform(g, flips)).frustrated == report.frustrated
+    if not report.frustrated:
+        # The balance valuation satisfies every edge: equal bits across a
+        # solid edge, different bits across a dashed one.
+        x = report.valuation
+        assert len(x) == n and set(x) <= {0, 1}
+        assert all((x[u - 1] ^ x[v - 1]) == (s == DASHED) for u, v, s in g.edges)
+        linked = g.adjacency()
+        assert all(x[v - 1] == 0 for v in range(1, n + 1) if v not in linked)
 
 
 def test_adjacency_lists_only_nodes_with_edges():

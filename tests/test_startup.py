@@ -1,5 +1,6 @@
-"""Importing the package and running the CLI must not load scipy; the first
-marginal-problem LP loads it, through the module attribute ``scenario.linprog``."""
+"""Importing the package, running the CLI and deciding a table of perfectly
+(anti)correlated pairs must not load scipy; the first marginal-problem LP
+loads it, through the module attribute ``scenario.linprog``."""
 
 import json
 import os
@@ -32,7 +33,7 @@ print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.sp
 
 FIRST_LP = """
 import json, sys
-from seer_lab import scenario
+from seer_lab import quantum, scenario
 loaded_at_import = "scipy" in sys.modules
 statuses = []
 solve = scenario.linprog
@@ -43,13 +44,21 @@ def traced(*args, **kwargs):
     return res
 
 scenario.linprog = traced
-result = scenario.joint_distribution_feasible(scenario.build_os_ncycle(3))
+result = scenario.joint_distribution_feasible(quantum.mermin_table(3))
 print(json.dumps({
     "loaded_at_import": loaded_at_import,
     "feasible": result.feasible,
     "certificate": result.certificate,
     "statuses": statuses,
 }))
+"""
+
+SIGNED_TABLES = """
+import json, sys
+from seer_lab import scenario
+tables = [scenario.build_os_ncycle(3), scenario.cycle_correlation_table([1, 1, 1])]
+verdicts = [scenario.joint_distribution_feasible(t).feasible for t in tables]
+print(json.dumps({"verdicts": verdicts, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 
@@ -71,6 +80,12 @@ def test_first_lp_loads_scipy_through_module_attribute():
     report = run_fresh(FIRST_LP)
     assert report["loaded_at_import"] is False
     assert report["feasible"] is False
-    assert report["certificate"] == ["odd-parity cycle", [2, 1, 3]]
+    assert report["certificate"] is None
     # The replaced attribute saw the solve: HiGHS status 2, infeasible.
     assert report["statuses"] == [2]
+
+
+def test_signed_pair_tables_are_decided_without_scipy():
+    report = run_fresh(SIGNED_TABLES)
+    assert report["verdicts"] == [False, True]
+    assert report["scipy"] == []
