@@ -26,9 +26,11 @@ Context = tuple[int, ...]
 Outcome = tuple[int, ...]
 
 # Largest n for the 2^n-atom feasibility LP, set from a 2 GB peak-RSS budget.
-# Measured on build_os_ncycle (2-core host, HiGHS via scipy 1.17): n=17 2.3 s
-# and 0.46 GB, n=19 12.2 s and 1.6 GB; an infeasible 20-measurement pair
-# table took 27 s and 3.3 GB.
+# Measured on tables without zero entries, whose LP keeps every atom column
+# (2-core host, HiGHS via scipy 1.17): odd_cycle_table(9), 18 measurements,
+# 4.7 s and 0.80 GB; klyachko_table(19) mixed with 10% white noise, 11.8 s
+# and 1.59 GB.  An infeasible 20-measurement pair table took 27 s and 3.3 GB.
+# Pruning atoms does not lift the cap: the 2^n index arrays are built first.
 MAX_JOINT_MEASUREMENTS = 19
 
 
@@ -424,7 +426,9 @@ def joint_distribution_feasible(table: CorrelationTable) -> FeasibilityResult:
     gives the candidate 1/2 (x + not x), which is the answer when it
     reproduces every row to NUM_TOL.  Every other table, and a balanced one
     whose rows the candidate misses (non-uniform marginals), goes to the
-    linear program over the 2^n atoms, which loads scipy on its first call.
+    linear program over the atoms that give every present context an outcome
+    of nonzero probability.  It loads scipy on its first solve; a table whose
+    zeros admit no atom is infeasible without one.
     """
     n = table.scenario.n_measurements
     if n > MAX_JOINT_MEASUREMENTS:
@@ -449,16 +453,21 @@ def joint_distribution_feasible(table: CorrelationTable) -> FeasibilityResult:
 def _lp_feasible(table: CorrelationTable) -> FeasibilityResult:
     """The marginal problem as one linear program, whatever the table.
 
-    One zero-cost LP over nonnegative weights w of the 2^n atoms (atom i sets
+    One zero-cost LP over nonnegative weights w of the atoms (atom i sets
     measurement m to bit m-1 of i): A w = b, with one row per context outcome
-    and a normalisation row.  HiGHS status 0 is feasible, and the weights are
-    re-checked against every marginal to NUM_TOL; status 2 is infeasible,
-    without a certificate.  The caller bounds n.
+    and a normalisation row.  An atom gets a column only when its outcome on
+    every present context has nonzero probability: where b_r = 0, every atom
+    with a 1 in row r has weight 0 in every solution.  The test is exact
+    (-0.0 is zero, 1e-16 is not), and every row stays.  A table whose zeros
+    admit no atom is infeasible without a solve.  HiGHS status 0 is feasible,
+    and the weights are re-checked against every row to NUM_TOL; status 2 is
+    infeasible.  Infeasible verdicts carry no certificate.  The caller bounds
+    n.
     """
-    from scipy import sparse
-
     n = table.scenario.n_measurements
     atoms = np.arange(1 << n, dtype=np.int32)
+    b_eq = np.append(table.vector, 1.0)
+    keep = np.ones(atoms.size, dtype=bool)
     rows = []
     for ctx, start in table._start.items():
         # The atom's outcome on ctx, read as a binary number first
@@ -467,14 +476,19 @@ def _lp_feasible(table: CorrelationTable) -> FeasibilityResult:
         for m in ctx:
             code = (code << 1) | ((atoms >> (m - 1)) & 1)
         rows.append(start + code)
-    b_eq = np.append(table.vector, 1.0)
-    rows.append(np.full_like(atoms, b_eq.size - 1))
+        keep &= b_eq[rows[-1]] != 0
+    kept = np.flatnonzero(keep)
+    if not kept.size:
+        return FeasibilityResult(False, None)
+    from scipy import sparse
+
+    rows = [row[kept] for row in rows] + [np.full(kept.size, b_eq.size - 1, dtype=np.int32)]
     # Every column holds one 1 per row block, in increasing row order.
     indices = np.stack(rows, axis=1).ravel()
     indptr = np.arange(0, indices.size + 1, len(rows), dtype=np.int32)
-    a_eq = sparse.csc_array((np.ones(indices.size), indices, indptr), shape=(b_eq.size, atoms.size))
+    a_eq = sparse.csc_array((np.ones(indices.size), indices, indptr), shape=(b_eq.size, kept.size))
     # HiGHS presolve costs these LPs more time than it saves.
-    res = linprog(np.zeros(atoms.size), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+    res = linprog(np.zeros(kept.size), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
                   options={"presolve": False})
     if res.status == 0:
         residual = float(np.max(np.abs(a_eq @ res.x - b_eq)))
@@ -484,7 +498,8 @@ def _lp_feasible(table: CorrelationTable) -> FeasibilityResult:
             )
         support = np.flatnonzero(res.x > 1e-15)
         dist = {
-            tuple(int(i >> j) & 1 for j in range(n)): float(res.x[i]) for i in support
+            tuple(int(i >> j) & 1 for j in range(n)): float(res.x[k])
+            for k, i in zip(support.tolist(), kept[support].tolist())
         }
         return FeasibilityResult(True, JointDistribution(n, dist))
     if res.status != 2:

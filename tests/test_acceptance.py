@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from full_lp import full_lp_feasible
 from seer_lab import classical, cli, games, povm, quantum, scenario, signet
 
 SQRT3 = math.sqrt(3)
@@ -148,12 +149,14 @@ def test_criterion_9_lp_matches_parity_exhaustively():
     for n in range(3, 10):
         for signs in itertools.product((1, -1), repeat=n):
             table = scenario.cycle_correlation_table(signs)
-            # The LP alone is the reference; the public route decides these
-            # tables on their signed graph and must agree with it.
-            reference = scenario._lp_feasible(table)
+            # The LP over all 2^n atoms is the reference; the LP over the
+            # atoms the table's zeros allow, and the public route, which
+            # decides these tables on their signed graph, must agree with it.
+            reference = full_lp_feasible(table)
+            pruned = scenario._lp_feasible(table)
             result = scenario.joint_distribution_feasible(table)
             odd = signs.count(-1) % 2 == 1
-            assert result.feasible == reference.feasible == (not odd)
+            assert result.feasible == pruned.feasible == reference.feasible == (not odd)
             assert signet.is_frustrated(signet.cycle_graph(signs)).frustrated == odd
             assert_ring_certificate(result, n, odd)
             checked += 1

@@ -1,12 +1,14 @@
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from full_lp import full_lp_feasible
 from seer_lab import classical, quantum, scenario, signet
 from seer_lab.scenario import (
     CorrelationTable,
@@ -19,7 +21,7 @@ from seer_lab.scenario import (
     joint_distribution_feasible,
     solve_anticorrelation_constraints,
 )
-from seer_lab.tolerances import PROB_FLOOR, STRUCT_TOL
+from seer_lab.tolerances import NUM_TOL, PROB_FLOOR, STRUCT_TOL
 
 
 def test_os_ncycle_3_statistics():
@@ -185,10 +187,11 @@ def test_feasibility_matches_cycle_parity_small():
     for n in (3, 4, 5, 6):
         for signs in itertools.product((1, -1), repeat=n):
             table = cycle_correlation_table(signs)
-            reference = scenario._lp_feasible(table)
+            reference = full_lp_feasible(table)
+            pruned = scenario._lp_feasible(table)
             result = joint_distribution_feasible(table)
             odd = signs.count(-1) % 2 == 1
-            assert result.feasible == reference.feasible == (not odd)
+            assert result.feasible == pruned.feasible == reference.feasible == (not odd)
             assert signet.is_frustrated(signet.cycle_graph(signs)).frustrated == odd
             if odd:
                 assert result.certificate[0] == "odd-parity cycle"
@@ -226,10 +229,11 @@ def signed_pair_tables(draw):
 @settings(max_examples=200, deadline=None)
 @given(signed_pair_tables())
 def test_signed_pair_route_matches_lp(table):
-    reference = scenario._lp_feasible(table)
+    reference = full_lp_feasible(table)
+    pruned = scenario._lp_feasible(table)
     result = joint_distribution_feasible(table)
-    assert result.feasible == reference.feasible
-    assert reference.certificate is None
+    assert result.feasible == pruned.feasible == reference.feasible
+    assert pruned.certificate is None
     if result.feasible:
         for ctx, dist in table.probs.items():
             recon = result.distribution.context_marginal(ctx)
@@ -243,6 +247,64 @@ def test_signed_pair_route_matches_lp(table):
         assert kind == "odd-parity cycle" and len(set(cycle)) == len(cycle) >= 3
         steps = [signs[frozenset(e)] for e in zip(cycle, cycle[1:] + cycle[:1])]
         assert steps.count(signet.DASHED) % 2 == 1
+
+
+@st.composite
+def tables_with_zeros(draw):
+    """Pairs and triples on 3 to 10 measurements whose rows hold exact zeros:
+    mixtures of two or three deterministic tables, or rows drawn entry by
+    entry with zeros among the entries.  Some zero entries then become -0.0,
+    which is still zero, and some 1e-16, which is not."""
+    n = draw(st.integers(min_value=3, max_value=10))
+    candidates = [*itertools.combinations(range(1, n + 1), 2), *itertools.combinations(range(1, n + 1), 3)]
+    scen = Scenario(n, tuple(draw(st.lists(st.sampled_from(candidates), unique=True, min_size=1, max_size=8))))
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(1, 5), min_size=2, max_size=3))
+        points = [deterministic_table(scen, draw(st.tuples(*[st.integers(0, 1)] * n))) for _ in weights]
+        contexts = points[0].contexts
+        vector = sum(w * t.vector for w, t in zip(weights, points)) / sum(weights)
+    else:
+        contexts = scen.contexts
+        rows = [
+            draw(st.lists(st.sampled_from((0, 0, 1, 2, 3)), min_size=1 << len(ctx), max_size=1 << len(ctx)).filter(any))
+            for ctx in contexts
+        ]
+        vector = np.concatenate([np.array(row, dtype=float) / sum(row) for row in rows])
+    for i in np.flatnonzero(vector == 0).tolist():
+        vector[i] = draw(st.sampled_from((0.0, -0.0, 1e-16)))
+    return CorrelationTable.from_vector(scen, contexts, vector)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_with_zeros())
+def test_pruned_lp_matches_full_lp_on_tables_with_zeros(table):
+    n = table.scenario.n_measurements
+    # probs keeps the nonzero outcomes of each context, 1e-16 included.
+    allowed = {
+        atom for atom in itertools.product((0, 1), repeat=n)
+        if all(tuple(atom[m - 1] for m in ctx) in dist for ctx, dist in table.probs.items())
+    }
+    with mock.patch.object(scenario, "linprog", wraps=scenario.linprog) as solve:
+        pruned = scenario._lp_feasible(table)
+    assert [call.args[0].size for call in solve.call_args_list] == ([len(allowed)] if allowed else [])
+    reference = full_lp_feasible(table)
+    assert pruned.feasible == reference.feasible, table.to_json()
+    assert pruned.certificate is None
+    if pruned.feasible:
+        assert set(pruned.distribution.atoms) <= allowed
+        for ctx in table.contexts:
+            recon = pruned.distribution.context_marginal(ctx)
+            for outcome in itertools.product((0, 1), repeat=len(ctx)):
+                assert abs(recon.get(outcome, 0.0) - table.prob(ctx, outcome)) <= NUM_TOL
+
+
+@pytest.mark.parametrize("table", [
+    *(quantum.mermin_table(n) for n in (3, 5, 7)),
+    *(quantum.odd_cycle_table(n) for n in (3, 5)),
+    *(quantum.klyachko_table(n) for n in (5, 7, 9)),
+], ids=lambda t: f"{len(t.contexts)}-contexts-n{t.scenario.n_measurements}")
+def test_pruned_lp_matches_full_lp_on_quantum_tables(table):
+    assert scenario._lp_feasible(table).feasible == full_lp_feasible(table).feasible
 
 
 def test_table_without_present_contexts_is_feasible():

@@ -1,6 +1,7 @@
-"""Importing the package, running the CLI and deciding a table of perfectly
-(anti)correlated pairs must not load scipy; the first marginal-problem LP
-loads it, through the module attribute ``scenario.linprog``."""
+"""Importing the package, running the CLI, deciding a table of perfectly
+(anti)correlated pairs and deciding a table whose zeros admit no atom must not
+load scipy; the first marginal-problem LP loads it, through the module
+attribute ``scenario.linprog``."""
 
 import json
 import os
@@ -61,6 +62,22 @@ verdicts = [scenario.joint_distribution_feasible(t).feasible for t in tables]
 print(json.dumps({"verdicts": verdicts, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
+NO_ATOM = """
+import json, sys
+from seer_lab import scenario
+# Measurement 2 is 0 in the first context and 1 in the second, so every atom
+# meets a zero entry.
+table = scenario.CorrelationTable(
+    scenario.Scenario(3, ((1, 2), (2, 3))), {(1, 2): {(0, 0): 1.0}, (2, 3): {(1, 0): 1.0}}
+)
+result = scenario.joint_distribution_feasible(table)
+print(json.dumps({
+    "feasible": result.feasible,
+    "certificate": result.certificate,
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+}))
+"""
+
 
 def run_fresh(code: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
@@ -89,3 +106,8 @@ def test_signed_pair_tables_are_decided_without_scipy():
     report = run_fresh(SIGNED_TABLES)
     assert report["verdicts"] == [False, True]
     assert report["scipy"] == []
+
+
+def test_table_whose_zeros_admit_no_atom_is_decided_without_scipy():
+    report = run_fresh(NO_ATOM)
+    assert report == {"feasible": False, "certificate": None, "scipy": []}
