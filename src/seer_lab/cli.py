@@ -199,13 +199,13 @@ def cmd_povm(args) -> dict:
         results["triple"] = sufficient
         results["verdict"] = (
             "pairwise beyond triplewise"
-            if pair_threshold > sufficient + 1e-12
+            if pair_threshold > sufficient + STRUCT_TOL
             else "no pairwise/triplewise gap"
         )
     povm.simulating_povm(axes)  # raises on completeness/marginal failure
     results["povm_checks"] = "ok"
     results["anticorrelation"] = povm.anticorrelation_value(axes)
-    results["nc_bound"] = povm.nc_bound_noisy(pair_threshold, verify=False)
+    results["nc_bound"] = povm.nc_bound_noisy(pair_threshold)
     return results
 
 

@@ -112,11 +112,13 @@ def eig_extrema(m: np.ndarray) -> EigExtrema:
 
 
 def pauli_dot(vec: Sequence[float]) -> np.ndarray:
-    """sigma . v for a real 3-vector v."""
+    """sigma . v for a real 3-vector v, or the (..., 2, 2) stack of them for a
+    (..., 3) array of vectors."""
     v = np.asarray(vec, dtype=float)
-    if v.shape != (3,):
-        raise ValueError("expected a 3-vector")
-    return v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z
+    if v.ndim == 0 or v.shape[-1] != 3:
+        raise ValueError("expected a 3-vector or a stack of them")
+    v = v[..., None, None]
+    return v[..., 0, :, :] * PAULI_X + v[..., 1, :, :] * PAULI_Y + v[..., 2, :, :] * PAULI_Z
 
 
 def spin_observable(angle: float) -> np.ndarray:

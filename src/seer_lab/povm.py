@@ -21,8 +21,6 @@ from . import numkit
 from .numkit import pauli_dot
 from .tolerances import STRUCT_TOL
 
-SignTuple = tuple[int, ...]
-
 PRESET_AXES: dict[str, tuple[np.ndarray, ...]] = {
     "orthogonal2": (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])),
     "orthogonal3": (
@@ -42,9 +40,10 @@ PRESET_AXES: dict[str, tuple[np.ndarray, ...]] = {
 }
 
 
-# Largest axis count, set from a 5 s budget: the 2^N sign tuples make a
-# `seer-lab povm` run on N axes take 1.9 s at N=13, 3.6-3.8 s at N=14 and
-# 6.7-7.5 s at N=15 (whole process, 2-core host).
+# Largest axis count.  The 2^N sign tuples make a whole-process `seer-lab povm`
+# run on N axes take 0.41 s at N=13, 0.44 s at N=14 (67 MB peak RSS) and
+# 0.57 s at N=15 with the cap lifted (median of seven, 2-core host), inside the
+# 5 s budget; raising the cap changes which inputs exit 2.
 MAX_AXES = 14
 
 
@@ -76,92 +75,64 @@ def _as_axes(axes: Union[str, Iterable[Sequence[float]]]) -> tuple[np.ndarray, .
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class NoisySpinSet:
-    """Axes and sharpness of a family of eta-sharp spin observables."""
-
-    axes: tuple[np.ndarray, ...]
-    eta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "axes", _as_axes(self.axes))
-        if not 0 <= self.eta <= 1:
-            raise ValueError("sharpness eta must lie in [0, 1]")
-
-    def effect(self, k: int, sign: int) -> np.ndarray:
-        """E^k_sign = 1/2 + sign * (eta/2) sigma.n_k."""
-        if sign not in (1, -1):
-            raise ValueError("sign must be +-1")
-        return (numkit.ID2 + sign * self.eta * pauli_dot(self.axes[k])) / 2
-
-    def validate(self) -> None:
-        for k in range(len(self.axes)):
-            plus, minus = self.effect(k, 1), self.effect(k, -1)
-            if not (numkit.is_psd(plus) and numkit.is_psd(minus)):
-                raise AssertionError("effects are not positive semidefinite")
-            if np.max(np.abs(plus + minus - numkit.ID2)) > STRUCT_TOL:
-                raise AssertionError("effects do not sum to the identity")
+def m_vectors(axes: Union[str, Iterable[Sequence[float]]]) -> tuple[np.ndarray, np.ndarray]:
+    """The 2^N sign tuples X as rows of +-1 (first axis slowest, +1 first, as
+    in itertools.product((1, -1))) and their Bloch sums m_X = sum_k X_k n_k."""
+    return _bloch_sums(_as_axes(axes))
 
 
-def m_vectors(
-    axes: Union[str, Iterable[Sequence[float]]], subset: Optional[Sequence[int]] = None
-) -> dict[SignTuple, np.ndarray]:
-    """The 2^|subset| Bloch sums m_X = sum_k X_k n_k over sign tuples X."""
-    axes = _as_axes(axes)
-    if subset is None:
-        subset = range(len(axes))
-    subset = tuple(subset)
-    if not subset:
-        raise ValueError("subset must be nonempty")
-    out = {}
-    for signs in itertools.product((1, -1), repeat=len(subset)):
-        out[signs] = sum(s * axes[k] for s, k in zip(signs, subset))
-    return out
+def _bloch_sums(axes: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    n = len(axes)
+    signs = 1 - 2 * ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+    m = np.zeros((1 << n, 3))
+    for k, axis in enumerate(axes):
+        m += signs[:, k, None] * axis
+    return signs, m
+
+
+def _lengths(m: np.ndarray) -> np.ndarray:
+    # Row by row, the BLAS dot that np.linalg.norm uses on one vector; a norm
+    # over axis=1 or (m * m).sum(axis=1) can differ from it in the last bit.
+    return np.sqrt(np.vecdot(m, m))
 
 
 def eta_necessary(axes: Union[str, Iterable[Sequence[float]]]) -> float:
     """Necessary sharpness threshold sum|m|^2 / (N sum|m|)."""
-    axes = _as_axes(axes)
-    lengths = [float(np.linalg.norm(m)) for m in m_vectors(axes).values()]
-    return sum(l * l for l in lengths) / (len(axes) * sum(lengths))
+    signs, m = m_vectors(axes)
+    lengths = _lengths(m)
+    # Python's sum adds left to right; np.sum's pairwise order differs.
+    return sum((lengths * lengths).tolist()) / (signs.shape[1] * sum(lengths.tolist()))
 
 
 def eta_sufficient(axes: Union[str, Iterable[Sequence[float]]]) -> float:
     """Sufficient sharpness threshold 2^N / sum|m|."""
-    axes = _as_axes(axes)
-    lengths = [float(np.linalg.norm(m)) for m in m_vectors(axes).values()]
-    return 2 ** len(axes) / sum(lengths)
+    signs, m = m_vectors(axes)
+    return len(signs) / sum(_lengths(m).tolist())
 
 
 @dataclass
 class JointPOVM:
-    """Joint POVM over sign-tuple outcomes with rank-one (or zero) effects."""
+    """Joint POVM whose outcome signs[i] (a row of +-1, one per axis) has the
+    rank-one or zero effect effects[i]."""
 
     axes: tuple[np.ndarray, ...]
-    effects: dict[SignTuple, np.ndarray]
+    signs: np.ndarray  # (2^N, N)
+    effects: np.ndarray  # (2^N, 2, 2)
     eta: float  # sharpness of the marginals this POVM reproduces
 
-    def weight(self, signs: SignTuple) -> float:
-        return float(np.trace(self.effects[signs]).real)
-
     def completeness_defect(self) -> float:
-        total = sum(self.effects.values())
-        return float(np.max(np.abs(total - numkit.ID2)))
-
-    def marginal(self, k: int, sign: int) -> np.ndarray:
-        return sum(
-            eff for signs, eff in self.effects.items() if signs[k] == sign
-        )
+        return float(np.max(np.abs(self.effects.sum(axis=0) - numkit.ID2)))
 
     def marginal_defect(self) -> float:
         """Largest deviation of any coarse-grained marginal from the eta-sharp effect."""
-        spins = NoisySpinSet(self.axes, self.eta)
-        worst = 0.0
-        for k in range(len(self.axes)):
-            for sign in (1, -1):
-                gap = np.max(np.abs(self.marginal(k, sign) - spins.effect(k, sign)))
-                worst = max(worst, float(gap))
-        return worst
+        sign = np.array([1, -1])
+        # marginals[k, s] sums the effects whose k-th sign is sign[s].
+        picks = self.signs.T[:, None, :, None, None] == sign[:, None, None, None]
+        marginals = np.where(picks, self.effects, 0).sum(axis=2)
+        # E^k_s = 1/2 + s (eta/2) sigma.n_k
+        spins = pauli_dot(np.array(self.axes))[:, None]
+        targets = (numkit.ID2 + (sign * self.eta)[:, None, None] * spins) / 2
+        return float(np.max(np.abs(marginals - targets)))
 
 
 def simulating_povm(axes: Union[str, Iterable[Sequence[float]]]) -> JointPOVM:
@@ -172,21 +143,16 @@ def simulating_povm(axes: Union[str, Iterable[Sequence[float]]]) -> JointPOVM:
     observables at eta = eta_sufficient(axes); both are asserted.
     """
     axes = _as_axes(axes)
-    ms = m_vectors(axes)
-    lengths = {signs: float(np.linalg.norm(m)) for signs, m in ms.items()}
-    total = sum(lengths.values())
-    if total <= 0:
-        raise ValueError("all m vectors vanish; no simulating POVM")
-    effects = {}
-    for signs, m in ms.items():
-        if lengths[signs] < 1e-14:
-            effects[signs] = np.zeros((2, 2), dtype=complex)
-        else:
-            direction = m / lengths[signs]
-            effects[signs] = (2 * lengths[signs] / total) * (
-                numkit.ID2 + pauli_dot(direction)
-            ) / 2
-    povm = JointPOVM(axes, effects, eta=min(eta_sufficient(axes), 1.0))
+    signs, m = _bloch_sums(axes)
+    lengths = _lengths(m)
+    total = sum(lengths.tolist())  # > 0: unit axes give sum|m|^2 = N 2^N
+    live = lengths >= 1e-14
+    direction = m[live] / lengths[live, None]
+    effects = np.zeros((len(signs), 2, 2), dtype=complex)
+    effects[live] = (2 * lengths[live] / total)[:, None, None] * (
+        numkit.ID2 + pauli_dot(direction)
+    ) / 2
+    povm = JointPOVM(axes, signs, effects, eta=min(len(signs) / total, 1.0))
     if povm.completeness_defect() > 1e-10:
         raise AssertionError("simulating POVM is not complete")
     if povm.marginal_defect() > 1e-10:
@@ -196,10 +162,13 @@ def simulating_povm(axes: Union[str, Iterable[Sequence[float]]]) -> JointPOVM:
 
 _ANTICORR_KIND = {"orthogonal": "orthogonal3", "trine": "trine3"}
 
+# Random pure states on which each pair's anti-correlation value is checked
+# to be state-independent.
+ANTICORR_CHECK_STATES = 20
+
 
 def anticorrelation_value(
     axes: Union[str, Iterable[Sequence[float]]],
-    check_states: int = 20,
     rng: Optional[np.random.Generator] = None,
 ) -> float:
     """Average anti-correlation probability over pairwise joint measurements.
@@ -217,12 +186,12 @@ def anticorrelation_value(
     pair_values = []
     for j, k in itertools.combinations(range(len(axes)), 2):
         povm = simulating_povm([axes[j], axes[k]])
-        anti = povm.effects[(1, -1)] + povm.effects[(-1, 1)]
+        anti = povm.effects[povm.signs[:, 0] != povm.signs[:, 1]].sum(axis=0)
         scale = float(np.trace(anti).real) / 2
         if np.max(np.abs(anti - scale * numkit.ID2)) > STRUCT_TOL:
             raise AssertionError("anti-correlated coarse-graining is not flat")
         values = []
-        for _ in range(check_states):
+        for _ in range(ANTICORR_CHECK_STATES):
             psi = rng.normal(size=2) + 1j * rng.normal(size=2)
             psi /= np.linalg.norm(psi)
             values.append(numkit.born_probability(psi, anti))
@@ -232,7 +201,7 @@ def anticorrelation_value(
     return float(np.mean(pair_values))
 
 
-def nc_bound_noisy(eta: float, verify: bool = True) -> float:
+def nc_bound_noisy(eta: float) -> float:
     """Anti-correlation ceiling 1 - eta/3 for noncontextual models of eta-sharp pairs.
 
     The joint response function decomposes into a sharp part (weight alpha),
@@ -240,20 +209,19 @@ def nc_bound_noisy(eta: float, verify: bool = True) -> float:
     anti-correlated noise (epsilon), with alpha + beta = eta and total weight
     one.  The sharp part anti-correlates on at most two of the three pairs,
     so the payoff 2/3 alpha + 1/2 (beta+gamma) + epsilon = 2/3 alpha + 1 -
-    eta - delta is maximized by beta = gamma = delta = 0.  With verify=True
-    the maximum over the vertices of the feasible polygon max(0, 2 eta - 1)
-    <= alpha <= eta, 0 <= delta <= 1 - 2 eta + alpha must be 1 - eta/3 in
-    exact rationals.
+    eta - delta is maximized by beta = gamma = delta = 0.  The maximum over
+    the vertices of the feasible polygon max(0, 2 eta - 1) <= alpha <= eta,
+    0 <= delta <= 1 - 2 eta + alpha is checked to be 1 - eta/3 in exact
+    rationals.
     """
     if not 0 <= eta <= 1:
         raise ValueError("eta must lie in [0, 1]")
-    if verify:
-        e = Fraction(eta)
-        best = max(
-            Fraction(2, 3) * alpha + 1 - e - delta
-            for alpha in (max(Fraction(0), 2 * e - 1), e)
-            for delta in (Fraction(0), 1 - 2 * e + alpha)
-        )
-        if best != 1 - e / 3:
-            raise AssertionError("vertex maximum differs from the analytic bound")
+    e = Fraction(eta)
+    best = max(
+        Fraction(2, 3) * alpha + 1 - e - delta
+        for alpha in (max(Fraction(0), 2 * e - 1), e)
+        for delta in (Fraction(0), 1 - 2 * e + alpha)
+    )
+    if best != 1 - e / 3:
+        raise AssertionError("vertex maximum differs from the analytic bound")
     return 1 - eta / 3

@@ -125,7 +125,7 @@ def test_criterion_8_povm():
 
     rng = np.random.default_rng(67)
     for kind, expected in (("orthogonal", 0.5), ("trine", SQRT3 / (SQRT3 + 1))):
-        value = povm.anticorrelation_value(kind, check_states=20, rng=rng)
+        value = povm.anticorrelation_value(kind, rng=rng)
         assert abs(value - expected) < 1e-10
     assert abs(povm.nc_bound_noisy(1 / math.sqrt(2)) - 0.76430) < 1e-5
     assert abs(povm.nc_bound_noisy(SQRT3 - 1) - 0.75598) < 1e-5

@@ -97,3 +97,17 @@ def test_born_probability_clamps_noise():
     psi = np.array([1.0, 0.0])
     effect = np.diag([-1e-13, 1.0])
     assert numkit.born_probability(psi, effect) == 0.0
+
+
+def test_pauli_dot_takes_a_stack_of_vectors():
+    v = np.random.default_rng(8).normal(size=(4, 5, 3))
+    stack = numkit.pauli_dot(v)
+    assert stack.shape == (4, 5, 2, 2)
+    for idx in np.ndindex(4, 5):
+        x, y, z = v[idx]
+        single = x * numkit.PAULI_X + y * numkit.PAULI_Y + z * numkit.PAULI_Z
+        assert stack[idx].tobytes() == single.tobytes() == numkit.pauli_dot(v[idx]).tobytes()
+    assert numkit.pauli_dot([1.0, 2.0, 3.0]).tolist() == [[3, 1 - 2j], [1 + 2j, -3]]
+    for bad in (1.0, [1.0, 2.0], np.zeros((3, 2))):
+        with pytest.raises(ValueError, match="3-vector"):
+            numkit.pauli_dot(bad)

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dict_povm
 from seer_lab import numkit
 from seer_lab.povm import (
+    ANTICORR_CHECK_STATES,
     PRESET_AXES,
     JointPOVM,
-    NoisySpinSet,
     anticorrelation_value,
     eta_necessary,
     eta_sufficient,
@@ -23,27 +24,29 @@ from seer_lab.povm import (
 SQRT3 = math.sqrt(3)
 
 
+def weights(povm: JointPOVM) -> dict:
+    """Trace of each effect, keyed by its sign tuple."""
+    traces = np.trace(povm.effects, axis1=1, axis2=2).real
+    return dict(zip(map(tuple, povm.signs.tolist()), traces.tolist()))
+
+
 def test_m_vectors_orthogonal_pair():
-    ms = m_vectors("orthogonal2")
-    assert all(np.linalg.norm(m) == pytest.approx(math.sqrt(2)) for m in ms.values())
+    signs, ms = m_vectors("orthogonal2")
+    assert signs.tolist() == [[1, 1], [1, -1], [-1, 1], [-1, -1]]
+    assert all(np.linalg.norm(m) == pytest.approx(math.sqrt(2)) for m in ms)
 
 
 def test_m_vectors_trine_triple():
-    lengths = sorted(np.linalg.norm(m) for m in m_vectors("trine3").values())
+    lengths = sorted(np.linalg.norm(m) for m in m_vectors("trine3")[1])
     assert lengths[0] == pytest.approx(0, abs=1e-12)
     assert lengths[1] == pytest.approx(0, abs=1e-12)
     assert all(l == pytest.approx(2, abs=1e-12) for l in lengths[2:])
 
 
 def test_m_vectors_single_axis():
-    ms = m_vectors([(0.0, 0.0, 1.0)])
-    assert sorted(np.linalg.norm(m) for m in ms.values()) == pytest.approx([1, 1])
-
-
-def test_m_vectors_subset():
-    ms = m_vectors("orthogonal3", subset=(0, 1))
-    assert len(ms) == 4
-    assert all(np.linalg.norm(m) == pytest.approx(math.sqrt(2)) for m in ms.values())
+    signs, ms = m_vectors([(0.0, 0.0, 1.0)])
+    assert signs.tolist() == [[1], [-1]]
+    assert ms.tolist() == [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
 
 
 def test_thresholds_match_known_values():
@@ -70,21 +73,11 @@ def test_pairwise_triplewise_gap_for_both_triples():
         assert pair > eta_sufficient(preset) + 1e-6
 
 
-def test_noisy_spin_set_effects():
-    spins = NoisySpinSet(PRESET_AXES["trine3"], eta=0.6)
-    spins.validate()
-    plus = spins.effect(0, 1)
-    assert numkit.is_psd(plus)
-    assert np.trace(plus).real == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        NoisySpinSet(PRESET_AXES["trine3"], eta=1.2)
-
-
 def test_simulating_povm_orthogonal_pair_square():
     povm = simulating_povm("orthogonal2")
     assert povm.completeness_defect() < 1e-10
     assert povm.marginal_defect() < 1e-10
-    for eff in povm.effects.values():
+    for eff in povm.effects:
         assert np.trace(eff).real == pytest.approx(0.5, abs=1e-12)
         # Each effect is half a rank-one projector on a square vertex.
         proj = 2 * eff
@@ -92,8 +85,7 @@ def test_simulating_povm_orthogonal_pair_square():
 
 
 def test_simulating_povm_trine_pair_weights():
-    povm = simulating_povm("trine2")
-    w = {signs: povm.weight(signs) for signs in povm.effects}
+    w = weights(simulating_povm("trine2"))
     assert w[(1, 1)] == pytest.approx(1 / (SQRT3 + 1), abs=1e-12)
     assert w[(-1, -1)] == pytest.approx(1 / (SQRT3 + 1), abs=1e-12)
     assert w[(1, -1)] == pytest.approx(SQRT3 / (SQRT3 + 1), abs=1e-12)
@@ -101,11 +93,10 @@ def test_simulating_povm_trine_pair_weights():
 
 
 def test_simulating_povm_trine_triple_hexagon():
-    povm = simulating_povm("trine3")
-    weights = {signs: povm.weight(signs) for signs in povm.effects}
-    assert weights[(1, 1, 1)] == pytest.approx(0.0, abs=1e-12)
-    assert weights[(-1, -1, -1)] == pytest.approx(0.0, abs=1e-12)
-    others = [w for signs, w in weights.items() if abs(sum(signs)) == 1]
+    w = weights(simulating_povm("trine3"))
+    assert w[(1, 1, 1)] == pytest.approx(0.0, abs=1e-12)
+    assert w[(-1, -1, -1)] == pytest.approx(0.0, abs=1e-12)
+    others = [weight for signs, weight in w.items() if abs(sum(signs)) == 1]
     assert len(others) == 6
     assert all(w == pytest.approx(1 / 3, abs=1e-12) for w in others)
 
@@ -113,11 +104,13 @@ def test_simulating_povm_trine_triple_hexagon():
 def test_simulating_povm_marginals_reproduce_noisy_spins():
     for preset in ("orthogonal2", "orthogonal3", "trine2", "trine3"):
         povm = simulating_povm(preset)
-        spins = NoisySpinSet(PRESET_AXES[preset], eta_sufficient(preset))
-        for k in range(len(spins.axes)):
+        eta = eta_sufficient(preset)
+        for k, axis in enumerate(PRESET_AXES[preset]):
             for sign in (1, -1):
-                gap = np.max(np.abs(povm.marginal(k, sign) - spins.effect(k, sign)))
-                assert gap < 1e-10
+                marginal = povm.effects[povm.signs[:, k] == sign].sum(axis=0)
+                target = (numkit.ID2 + sign * eta * numkit.pauli_dot(axis)) / 2
+                assert numkit.is_psd(target)
+                assert np.max(np.abs(marginal - target)) < 1e-10
 
 
 def test_anticorrelation_values():
@@ -126,17 +119,21 @@ def test_anticorrelation_values():
     assert anticorrelation_value("trine") == pytest.approx(0.63397, abs=5e-6)
 
 
+def anti_effect(povm: JointPOVM) -> np.ndarray:
+    """F_(1,-1) + F_(-1,1) of a two-axis joint POVM."""
+    effects = dict(zip(map(tuple, povm.signs.tolist()), povm.effects))
+    return effects[(1, -1)] + effects[(-1, 1)]
+
+
 def test_anticorrelation_coarse_graining_is_flat():
-    povm = simulating_povm("trine2")
-    anti = povm.effects[(1, -1)] + povm.effects[(-1, 1)]
+    anti = anti_effect(simulating_povm("trine2"))
     scale = SQRT3 / (SQRT3 + 1)
     assert np.max(np.abs(anti - scale * np.eye(2))) < 1e-12
 
 
 def test_anticorrelation_state_independence():
     rng = np.random.default_rng(61)
-    povm = simulating_povm("trine2")
-    anti = povm.effects[(1, -1)] + povm.effects[(-1, 1)]
+    anti = anti_effect(simulating_povm("trine2"))
     values = []
     for _ in range(20):
         psi = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -148,7 +145,7 @@ def test_anticorrelation_state_independence():
 def test_nc_bound_values():
     assert nc_bound_noisy(1 / math.sqrt(2)) == pytest.approx(0.76430, abs=1e-5)
     assert nc_bound_noisy(SQRT3 - 1) == pytest.approx(0.75598, abs=1e-5)
-    assert nc_bound_noisy(1.0, verify=False) == pytest.approx(2 / 3)
+    assert nc_bound_noisy(1.0) == pytest.approx(2 / 3)
     with pytest.raises(ValueError):
         nc_bound_noisy(1.5)
 
@@ -166,13 +163,13 @@ def test_nc_bound_is_the_exact_maximum(eta, alpha_at, delta_at):
 
 
 def test_quantum_anticorrelation_below_nc_bound():
-    assert anticorrelation_value("orthogonal") < nc_bound_noisy(1 / math.sqrt(2), verify=False)
-    assert anticorrelation_value("trine") < nc_bound_noisy(SQRT3 - 1, verify=False)
+    assert anticorrelation_value("orthogonal") < nc_bound_noisy(1 / math.sqrt(2))
+    assert anticorrelation_value("trine") < nc_bound_noisy(SQRT3 - 1)
 
 
 @st.composite
-def random_axes(draw):
-    n_axes = draw(st.integers(min_value=1, max_value=3))
+def random_axes(draw, max_axes=3):
+    n_axes = draw(st.integers(min_value=1, max_value=max_axes))
     axes = []
     for _ in range(n_axes):
         raw = [
@@ -206,15 +203,18 @@ def test_simulating_povm_checks_pass_on_random_axes(axes):
 
 
 def test_joint_povm_weight_and_marginal_api():
-    povm = simulating_povm("orthogonal2")
+    povm = simulating_povm("orthogonal3")
     assert isinstance(povm, JointPOVM)
-    total = sum(povm.weight(s) for s in povm.effects)
-    assert total == pytest.approx(2.0, abs=1e-12)  # trace of the identity
+    assert povm.signs.shape == (8, 3) and povm.effects.shape == (8, 2, 2)
+    assert sum(weights(povm).values()) == pytest.approx(2.0, abs=1e-12)  # trace of the identity
+    # The +1 marginal of the first (z) axis is 1/2 + (eta/2) sigma_z.
+    plus_z = povm.effects[povm.signs[:, 0] == 1].sum(axis=0)
+    assert np.max(np.abs(plus_z - np.diag([1 + povm.eta, 1 - povm.eta]) / 2)) < 1e-12
 
 
-def test_m_vectors_rejects_empty_subset():
-    with pytest.raises(ValueError):
-        m_vectors("trine3", subset=())
+def test_m_vectors_rejects_empty_axes():
+    with pytest.raises(ValueError, match="at least one axis"):
+        m_vectors([])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -230,3 +230,53 @@ def test_non_unit_axes_rejected():
         eta_necessary([(0.0, 0.0, 2.0)])
     with pytest.raises(ValueError):
         simulating_povm([(1.0, 1.0, 0.0)])
+
+
+def assert_matches_dict_route(axes):
+    signs, m = m_vectors(axes)
+    ref = dict_povm.m_vectors(axes)
+    assert [tuple(row) for row in signs.tolist()] == list(ref)
+    assert m.tobytes() == np.array(list(ref.values())).tobytes()
+    assert eta_necessary(axes) == dict_povm.eta_necessary(axes)
+    assert eta_sufficient(axes) == dict_povm.eta_sufficient(axes)
+    povm, ref_povm = simulating_povm(axes), dict_povm.simulating_povm(axes)
+    assert povm.effects.tobytes() == np.array(list(ref_povm.effects.values())).tobytes()
+    assert povm.eta == ref_povm.eta
+    assert povm.completeness_defect() == ref_povm.completeness_defect()
+    assert povm.marginal_defect() == ref_povm.marginal_defect()
+    if signs.shape[1] >= 2:
+        assert anticorrelation_value(axes) == dict_povm.anticorrelation_value(axes)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_AXES))
+def test_array_route_equals_dict_route_on_presets(preset):
+    assert_matches_dict_route(preset)
+
+
+@st.composite
+def axis_families(draw):
+    """1-6 unit axes, each a fresh random axis or a copy or negation of an earlier one."""
+    axes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = draw(st.sampled_from(["new", "repeat", "opposite"])) if axes else "new"
+        if kind == "new":
+            axes.extend(draw(random_axes(max_axes=1)))
+        else:
+            axis = draw(st.sampled_from(axes))
+            axes.append(axis if kind == "repeat" else tuple(-x for x in axis))
+    return axes
+
+
+@settings(max_examples=100, deadline=None)
+@given(axis_families())
+def test_array_route_equals_dict_route(axes):
+    assert_matches_dict_route(axes)
+
+
+def test_anticorrelation_checks_a_fixed_number_of_states():
+    # Each of the trine triple's three pairs draws ANTICORR_CHECK_STATES
+    # states of four normals, so a caller's generator advances by that much.
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    anticorrelation_value("trine", rng=rng)
+    ref.normal(size=3 * ANTICORR_CHECK_STATES * 4)
+    assert rng.normal() == ref.normal()
