@@ -9,7 +9,8 @@ Numbers are printed with 12 significant digits and outputs are byte-identical
 for identical arguments; wall time is only included with ``--timing``.
 
 Exit codes: 0 success, 2 usage or input error, 3 certificate or invariant
-failure.
+failure.  A reader that closes the output early (``| head``) ends the run
+quietly with 0.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFICATION = 3
 
-# Largest sweeps, set from a 5 s budget (whole processes, 2-core host): a
-# hardy_p row takes 0.33 ms (10,000 rows 3.3 s); a cycle row costs O(n), and
-# mermin_R over odd n = 3..201 takes 1.7 s (klyachko_R over n = 5..201,
-# 0.58 s).  MAX_SWEEP_N also caps `bounds ks_ncycle`, which takes 0.36 s at
-# n = 201 (certificate residual 3.0e-13).
+# Largest sweeps, set from a 5 s budget (whole processes, median of seven,
+# 2-core host): a hardy_p row takes 0.3 ms (10,000 rows 3.0 s); a cycle row
+# costs O(n), and mermin_R over odd n = 3..201 takes 0.78 s (klyachko_R over
+# n = 5..201, 0.66 s).  MAX_SWEEP_N also caps `bounds ks_ncycle`, which takes
+# 0.38 s at n = 201 (certificate residual 3.0e-13).
 MAX_SWEEP_ROWS = 10_000
 MAX_SWEEP_N = 201
 
@@ -367,7 +368,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     command = list(argv) if argv is not None else sys.argv[1:]
-    _emit(args, results, [str(c) for c in command], getattr(args, "seed", None), started)
+    try:
+        _emit(args, results, [str(c) for c in command], getattr(args, "seed", None), started)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader wants no more; what is still buffered goes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK
 
 

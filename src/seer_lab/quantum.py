@@ -79,7 +79,7 @@ def symmetry_axis_state(poly: StarPolygon) -> np.ndarray:
 def _ray_effects(kets: Sequence[np.ndarray]) -> np.ndarray:
     """[1 - P, P] for the projector P onto each ray, stacked as (rays, 2, d, d):
     outcome 1 means the projector fires."""
-    projs = np.stack([projector(k) for k in kets])
+    projs = projector(kets)
     return np.stack([np.eye(projs.shape[-1]) - projs, projs], axis=1)
 
 
@@ -90,14 +90,15 @@ def _joint_born(state, first: np.ndarray, second: np.ndarray) -> np.ndarray:
     Outcome (x, y) has the effect E_x F_y of effect x of `first` and y of
     `second`, which must commute; checking outcome 1 suffices, since each
     measurement's two effects sum to the identity.  Every product is applied
-    to the state in one stacked matmul and each entry finished by born_overlap.
+    to the state in one stacked matmul and the entries finished by one
+    born_overlap call.
     """
     psi = numkit.as_ket(state)
     products = first[:, :, None] @ second[:, None, :]
     if np.max(np.abs(products[:, 1, 1] - second[:, 1] @ first[:, 1])) > STRUCT_TOL:
         raise AssertionError("effects do not commute; no joint measurement")
     images = products @ psi
-    return np.array([born_overlap(psi, im) for im in images.reshape(-1, psi.size)]).reshape(-1, 2, 2)
+    return born_overlap(psi, images)
 
 
 @dataclass(frozen=True)
@@ -177,6 +178,11 @@ def klyachko_decomposition_residual(xbars: Sequence[np.ndarray]) -> float:
     """Frobenius residual of the sum-of-nonnegative-terms identity for the
     cycle operator, valid for any Hermitian family of n >= 3 members with
     adjacent members commuting (no dichotomy assumption)."""
+    return _klyachko_residual(xbars)[0]
+
+
+def _klyachko_residual(xbars) -> tuple[float, np.ndarray]:
+    """klyachko_decomposition_residual and the cycle operator sum_a X_a X_a+1 it checks."""
     xb = np.asarray(xbars, dtype=complex)
     n = len(xb)
     if n < 3:
@@ -200,7 +206,7 @@ def klyachko_decomposition_residual(xbars: Sequence[np.ndarray]) -> float:
     lam1, lam2 = klyachko_certificate_coefficients(n)
     coeffs = np.stack([np.roll(lam1, 1), [0.0, *lam2]], axis=1) / n
     rhs += _fourier_squares(np.stack([xb, prods], axis=1), coeffs)
-    return float(np.linalg.norm(lhs - rhs))
+    return float(np.linalg.norm(lhs - rhs)), cycle
 
 
 def klyachko_certificate_coefficients(n: int) -> tuple[list[float], list[float]]:
@@ -220,11 +226,10 @@ def sos_certificate_klyachko(n: int) -> SosCertificateReport:
     if n < 5 or n % 2 == 0:
         raise ValueError("the certificate applies to odd n >= 5")
     xbars = 2 * _ray_effects(star_polygon(n).kets)[:, 1] - np.eye(3)
-    residual = klyachko_decomposition_residual(xbars)
+    residual, cycle = _klyachko_residual(xbars)
     lam1, lam2 = klyachko_certificate_coefficients(n)
     min_coeff = min(min(lam1), min(lam2))
     bound = klyachko_closed_form(n)[1]
-    cycle = (xbars @ np.roll(xbars, -1, axis=0)).sum(axis=0)
     extremum = numkit.eig_extrema(cycle).min_eigenvalue
     ok = (
         residual < NUM_TOL
@@ -362,12 +367,17 @@ def clifton_check() -> CliftonReport:
 # Two-wing ring game: trine-style observables on a maximally entangled pair
 
 
-def ring_observables(n: int) -> list[np.ndarray]:
+def _ring_angles(n: int) -> np.ndarray:
+    """phi_a = (n-1) pi (a-1)/n for a = 1..n."""
+    return (n - 1) * math.pi * np.arange(n) / n
+
+
+def ring_observables(n: int) -> np.ndarray:
     """The +-1 observables cos(phi_a) sigma_z + sin(phi_a) sigma_x with
-    phi_a = (n-1) pi (a-1)/n, for a = 1..n."""
+    phi_a = (n-1) pi (a-1)/n, for a = 1..n, stacked as (n, 2, 2)."""
     if n < 3 or n % 2 == 0:
         raise ValueError("the ring construction needs odd n >= 3")
-    return [spin_observable((n - 1) * math.pi * (a - 1) / n) for a in range(1, n + 1)]
+    return spin_observable(_ring_angles(n))
 
 
 def mermin_value(n: int) -> float:
@@ -430,12 +440,17 @@ def bell_decomposition_residual(
 ) -> float:
     """Frobenius residual of the sum-of-squares identity for the two-wing ring
     operator, valid for arbitrary Hermitian wing observables."""
+    return _bell_residual(ops_a, ops_b, _ring_correlator(ops_a, ops_b))
+
+
+def _bell_residual(ops_a, ops_b, correlator: np.ndarray) -> float:
+    """bell_decomposition_residual given the wings' ring correlator."""
     n = len(ops_a)
     abar, bbar = _wing_lift(ops_a, ops_b)
     lams = _ring_certificate_coefficients(n)
     lam_star = lams.max()
     eye = np.eye(abar.shape[-1])
-    lhs = n * lam_star * eye - _ring_correlator(ops_a, ops_b)
+    lhs = n * lam_star * eye - correlator
     squares = sum(np.einsum("aij,ajk->ik", w, w) for w in (abar, bbar))
     rhs = 0.5 * lam_star * (2 * n * eye - squares)
     # (lam* + lam_k)|A - B|^2 and (lam* - lam_k)|A + B|^2 of mode k, over 4n.
@@ -450,12 +465,13 @@ def sos_certificate_bell(n: int) -> SosCertificateReport:
     if n < 3 or n % 2 == 0:
         raise ValueError("the certificate applies to odd n >= 3")
     ops = ring_observables(n)
-    residual = bell_decomposition_residual(ops, ops)
+    correlator = _ring_correlator(ops, ops)
+    residual = _bell_residual(ops, ops, correlator)
     lams = _ring_certificate_coefficients(n)
     lam_star = float(lams.max())
     closed = 4 * math.cos(math.pi / (2 * n)) ** 2 - 1
     bound = n * lam_star
-    extremum = numkit.eig_extrema(bell_ring_operator(n)).max_eigenvalue
+    extremum = numkit.eig_extrema(correlator).max_eigenvalue
     min_coeff = float(min((lam_star + lams).min(), (lam_star - lams).min()))
     ok = (
         residual < NUM_TOL
@@ -475,17 +491,15 @@ def sos_certificate_bell(n: int) -> SosCertificateReport:
 # Odd-cycle game
 
 
-def odd_cycle_observables(n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Wing observables for the odd-cycle game: Bob's Bloch directions are
-    rotated by pi/2n in the z-x plane (a state-space rotation by pi/4n),
-    which makes every context succeed with probability cos^2(pi/4n)."""
+def odd_cycle_observables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Wing observables for the odd-cycle game, each stacked as (n, 2, 2): Alice
+    has the ring observables, and Bob's Bloch directions are rotated by pi/2n
+    in the z-x plane (a state-space rotation by pi/4n), which makes every
+    context succeed with probability cos^2(pi/4n)."""
     if n < 3 or n % 2 == 0:
         raise ValueError("the odd-cycle game needs odd n >= 3")
-    shift = math.pi / (2 * n)
-    ops_a = ring_observables(n)
-    ops_b = [
-        spin_observable((n - 1) * math.pi * (b - 1) / n + shift) for b in range(1, n + 1)
-    ]
+    angles = _ring_angles(n)
+    ops_a, ops_b = spin_observable(np.stack([angles, angles + math.pi / (2 * n)]))
     return ops_a, ops_b
 
 

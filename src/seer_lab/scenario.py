@@ -47,23 +47,17 @@ class Scenario:
     wing_split: Optional[int] = None
 
     def __post_init__(self):
-        if self.n_measurements < 1:
+        n = self.n_measurements
+        if n < 1:
             raise ValueError("need at least one measurement")
-        canon = []
-        seen = set()
-        for ctx in self.contexts:
-            ctx = tuple(sorted(int(i) for i in ctx))
-            if not ctx:
-                raise ValueError("contexts must be nonempty")
-            if len(set(ctx)) != len(ctx):
-                raise ValueError(f"repeated measurement in context {ctx}")
-            if ctx[0] < 1 or ctx[-1] > self.n_measurements:
-                raise ValueError(f"context {ctx} outside measurement range")
-            if ctx in seen:
-                raise ValueError(f"duplicate context {ctx}")
-            seen.add(ctx)
-            canon.append(ctx)
-        object.__setattr__(self, "contexts", tuple(canon))
+        canon = tuple(tuple(sorted(map(int, ctx))) for ctx in self.contexts)
+        # Each context's first position: a context found elsewhere is a duplicate.
+        first = dict(zip(reversed(canon), range(len(canon) - 1, -1, -1)))
+        faulty = [i for ctx, i in first.items()
+                  if not (ctx and 0 < ctx[0] and ctx[-1] <= n and len(set(ctx)) == len(ctx))]
+        if faulty or len(first) < len(canon):
+            raise ValueError(_context_error(canon, first, min(faulty, default=len(canon))))
+        object.__setattr__(self, "contexts", canon)
         if self.wing_split is not None and not 1 <= self.wing_split < self.n_measurements:
             raise ValueError("wing split must cut the measurement range in two")
 
@@ -74,6 +68,21 @@ class Scenario:
         return all(
             len(ctx) == 2 and ctx[0] <= k < ctx[1] for ctx in self.contexts
         )
+
+
+def _context_error(canon: tuple[Context, ...], first: dict[Context, int], faulty: int) -> str:
+    """The complaint about the first context, in order, that is empty, repeats a
+    measurement, leaves 1..n or repeats an earlier context; the earliest faulty
+    context is at ``faulty`` unless a duplicate comes first."""
+    dup = next((i for i, ctx in enumerate(canon) if first[ctx] != i), len(canon))
+    if dup < faulty:
+        return f"duplicate context {canon[dup]}"
+    ctx = canon[faulty]
+    if not ctx:
+        return "contexts must be nonempty"
+    if len(set(ctx)) != len(ctx):
+        return f"repeated measurement in context {ctx}"
+    return f"context {ctx} outside measurement range"
 
 
 def _in_order(context: Context, outcome: Outcome) -> tuple[Context, Outcome]:

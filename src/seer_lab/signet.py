@@ -310,6 +310,8 @@ def check_implication_chain(
     """
     if start_value not in (0, 1):
         raise ValueError("start value must be 0 or 1")
+    if not 1 <= start_node <= g.n_nodes:
+        raise ValueError(f"start node {start_node} is outside the nodes 1..{g.n_nodes}")
     forward: dict[tuple[int, int], list[tuple[int, int]]] = {}
     full: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for arc in g.arcs:

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from importlib import resources
@@ -224,6 +227,33 @@ def test_network_directed_pentagon_trace(tmp_path, capsys):
     assert code == 0
     assert doc["results"]["contradiction"] is True
     assert doc["results"]["trace"][-1] == "X_1=0 denies X_1=1"
+
+
+def test_network_start_node_outside_the_graph_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"nodes": 2, "edges": [[1, 2, 1, "+"]]}))
+    code, out, err = run_cli(capsys, "network", "--file", str(path), "--directed",
+                             "--start", "5", "--value", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: start node 5 is outside the nodes 1..2\n"
+
+
+def test_reader_closing_after_one_line_exits_zero_quietly(tmp_path):
+    # 6,000 trace lines (about 330 kB) outgrow the pipe, so the writer is still
+    # writing when the reader closes.
+    n = 6000
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"nodes": n, "edges": [[i, i + 1, 1, "+"] for i in range(1, n)]}))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "seer_lab.cli", "network", "--file", str(path), "--directed",
+            "--start", "1", "--value", "1"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"contradiction")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (code, err) == (0, b"")
 
 
 def test_network_bad_json(tmp_path, capsys):

@@ -111,3 +111,38 @@ def test_pauli_dot_takes_a_stack_of_vectors():
     for bad in (1.0, [1.0, 2.0], np.zeros((3, 2))):
         with pytest.raises(ValueError, match="3-vector"):
             numkit.pauli_dot(bad)
+
+
+def test_stacked_projectors_equal_np_outer_bit_for_bit():
+    rng = np.random.default_rng(17)
+    kets = rng.normal(size=(4, 3, 5)) + 1j * rng.normal(size=(4, 3, 5))
+    kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
+    stacks = [kets, np.array(quantum.star_polygon(51).kets), np.array(quantum.build_hardy(1.7).up_a)]
+    for stack in stacks:
+        projs = projector(stack)
+        assert projs.shape == stack.shape + stack.shape[-1:]
+        for idx in np.ndindex(stack.shape[:-1]):
+            ket = stack[idx].astype(complex)
+            assert projs[idx].tobytes() == np.outer(ket, ket.conj()).tobytes()
+    bad = kets.copy()
+    bad[2, 1] *= 1.001
+    with pytest.raises(ValueError, match="normalized"):
+        projector(bad)
+    with pytest.raises(ValueError, match="nonempty"):
+        projector(np.zeros((3, 0)))
+
+
+def test_born_overlap_of_a_stack_is_each_entry_alone():
+    rng = np.random.default_rng(19)
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    images = rng.normal(size=(6, 2, 4)) + 1j * rng.normal(size=(6, 2, 4))
+    images[0, 0] = -1e-13 * psi  # noise below zero is clamped
+    stacked = numkit.born_overlap(psi, images)
+    assert stacked.shape == (6, 2)
+    for idx in np.ndindex(6, 2):
+        p = float(np.vdot(psi, images[idx]).real)
+        expected = 0.0 if -1e-12 < p < 0 else p
+        alone = numkit.born_overlap(psi, images[idx])
+        assert type(alone) is float
+        assert np.float64(alone).tobytes() == np.float64(expected).tobytes() == stacked[idx].tobytes()
+    assert stacked[0, 0] == 0.0 and not np.signbit(stacked[0, 0])

@@ -201,6 +201,19 @@ def test_cycle_certificate(n):
     )
 
 
+@pytest.mark.parametrize("n", range(5, 52, 2))
+def test_cycle_certificate_equals_the_unshared_route_exactly(n):
+    # The report reuses the residual's cycle operator; rebuilt apart, every
+    # figure is the same bits.
+    report = sos_certificate_klyachko(n)
+    xbars = np.array([2 * np.outer(k, k) - np.eye(3) for k in star_polygon(n).kets], dtype=complex)
+    cycle = (xbars @ np.roll(xbars, -1, axis=0)).sum(axis=0)
+    lam1, lam2 = quantum.klyachko_certificate_coefficients(n)
+    assert report.residual == klyachko_decomposition_residual(xbars)
+    assert report.extremal_eigenvalue == numkit.eig_extrema(cycle).min_eigenvalue
+    assert report.min_coefficient == min(min(lam1), min(lam2))
+
+
 def test_cycle_certificate_lambda_edge_cases():
     lam1, lam2 = quantum.klyachko_certificate_coefficients(5)
     assert lam1[-1] == pytest.approx(0.0, abs=1e-12)  # j = n term vanishes
@@ -360,6 +373,29 @@ def test_ring_observables_square_to_identity():
         assert np.max(np.abs(op @ op - np.eye(2))) < 1e-12
 
 
+def _same_bits(x, y) -> bool:
+    """Equal arrays, signs of zero included."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_stacked_spins_equal_scalar_spins_bit_for_bit():
+    # Only cos and sin round: the rest multiplies them by 0 and +-1 and adds.  So
+    # the scalar spin_observable is compared in full at every odd n <= 201 and at
+    # games.MAX_N, and through its cos and sin entries at every odd n <= 2001.
+    for n in [*range(3, 2002, 2), games.MAX_N]:
+        ring = [(n - 1) * math.pi * (a - 1) / n for a in range(1, n + 1)]
+        shifted = [phi + math.pi / (2 * n) for phi in ring]
+        ops_a, ops_b = quantum.odd_cycle_observables(n)
+        assert _same_bits(ops_a, ring_observables(n)), n
+        for stacked, angles in ((ops_a, ring), (ops_b, shifted)):
+            if n <= 201 or n == games.MAX_N:
+                assert _same_bits(stacked, [numkit.spin_observable(phi) for phi in angles]), n
+            else:
+                assert _same_bits(stacked[:, 0, 0].real, list(map(np.cos, angles))), n
+                assert _same_bits(stacked[:, 0, 1].real, list(map(np.sin, angles))), n
+
+
 @pytest.mark.parametrize("n", range(3, 52, 2))
 def test_ring_certificate(n):
     report = sos_certificate_bell(n)
@@ -367,6 +403,18 @@ def test_ring_certificate(n):
     closed = n * (4 * math.cos(math.pi / (2 * n)) ** 2 - 1)
     assert report.extremal_eigenvalue == pytest.approx(closed, abs=1e-9)
     assert report.min_coefficient >= -1e-12
+
+
+@pytest.mark.parametrize("n", range(3, 52, 2))
+def test_ring_certificate_equals_the_unshared_route_exactly(n):
+    # The report builds the observables and the ring operator once for both
+    # checks; through the public functions, every figure is the same bits.
+    report = sos_certificate_bell(n)
+    ops = ring_observables(n)
+    lams = 1 - 2 * np.cos(2 * np.pi * np.arange(n) / n)
+    assert report.residual == quantum.bell_decomposition_residual(ops, ops)
+    assert report.extremal_eigenvalue == numkit.eig_extrema(quantum.bell_ring_operator(n)).max_eigenvalue
+    assert report.min_coefficient == min((lams.max() + lams).min(), (lams.max() - lams).min())
 
 
 def test_ring_certificate_n3_bound_is_six():

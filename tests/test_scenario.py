@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from full_lp import full_lp_feasible
+from loop_scenario import loop_contexts
 from seer_lab import classical, quantum, scenario, signet
 from seer_lab.scenario import (
     CorrelationTable,
@@ -404,6 +405,31 @@ def test_table_validation_rejects_bad_input():
         CorrelationTable(scen, {(1, 2): {(0, 1): -0.1, (1, 0): 1.1}})
     with pytest.raises(ValueError):
         Scenario(2, ((1, 2), (2, 1)))  # duplicate context after sorting
+
+
+@st.composite
+def context_lists(draw):
+    """A measurement count and a list of contexts mixing valid ones with empty,
+    repeated-measurement, out-of-range and (after sorting) duplicate ones."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(1, n), st.integers(-1, n + 2))
+    pool = draw(st.lists(st.lists(entry, max_size=4), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=10))
+    return n, tuple(tuple(draw(st.permutations(pool[i]))) for i in picks)
+
+
+@settings(max_examples=400, deadline=None)
+@given(context_lists())
+def test_scenario_canonicalises_like_the_per_context_loop(case):
+    n, contexts = case
+    try:
+        expected = loop_contexts(n, contexts)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            Scenario(n, contexts)
+        assert str(got.value) == str(exc)
+    else:
+        assert Scenario(n, contexts).contexts == expected
 
 
 @pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])

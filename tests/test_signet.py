@@ -188,6 +188,13 @@ def test_incompatible_start_value_raises():
         check_implication_chain(g, 1, 0)
 
 
+@pytest.mark.parametrize("start", [0, 3, 5, -1])
+def test_start_node_outside_the_graph_names_the_range(start):
+    g = DirectedImplicationGraph(2, (Arc(1, 2, 1, "solid"),))
+    with pytest.raises(ValueError, match=rf"start node {start} is outside the nodes 1\.\.2"):
+        check_implication_chain(g, start, 1)
+
+
 def test_contrapositive_propagation_runs_backwards():
     # X1=1 => X2=1; starting from X2=0 uses the contrapositive.
     g = DirectedImplicationGraph(2, (Arc(1, 2, 1, "solid"),))
