@@ -172,38 +172,32 @@ def _load_axes(spec: str):
             data = json.load(fh)
         if not isinstance(data, list):
             raise ValueError("the axes JSON must be a list of 3-vectors")
-        return data
+        axes = povm._as_axes(data)  # shape, finiteness and unit length are reported first
+        bad = [x for axis in data for x in axis if type(x) not in (int, float)]
+        if bad:
+            raise ValueError(f"axis coordinates must be JSON numbers, got {bad[0]!r}")
+        return axes
     raise ValueError(f"--axes must be a preset {sorted(povm.PRESET_AXES)} or a JSON file")
 
 
 def cmd_povm(args) -> dict:
-    axes = _load_axes(args.axes)
-    axes_tuple = povm.PRESET_AXES[axes] if isinstance(axes, str) else axes
-    n_axes = len(axes_tuple)
-    necessary, sufficient = povm.eta_necessary(axes), povm.eta_sufficient(axes)
+    joint = povm.simulating_povm(_load_axes(args.axes))  # raises on completeness/marginal failure
+    axes, necessary, sufficient = joint.axes, joint.eta_necessary, joint.eta
     results: dict = {
         "axes": args.axes,
-        "n_axes": n_axes,
+        "n_axes": len(axes),
         "eta_necessary": necessary,
         "eta_sufficient": sufficient,
     }
-    if n_axes == 1:
+    if len(axes) == 1:
         results["threshold"] = necessary
         return results
-    pair_thresholds = [
-        povm.eta_sufficient([axes_tuple[j], axes_tuple[k]])
-        for j, k in itertools.combinations(range(n_axes), 2)
-    ]
-    pair_threshold = min(pair_thresholds)
+    pair_threshold = min(povm.eta_sufficient(pair) for pair in itertools.combinations(axes, 2))
     results["pair"] = pair_threshold
-    if n_axes >= 3:
+    if len(axes) >= 3:
         results["triple"] = sufficient
-        results["verdict"] = (
-            "pairwise beyond triplewise"
-            if pair_threshold > sufficient + STRUCT_TOL
-            else "no pairwise/triplewise gap"
-        )
-    povm.simulating_povm(axes)  # raises on completeness/marginal failure
+        gap = pair_threshold > sufficient + STRUCT_TOL
+        results["verdict"] = "pairwise beyond triplewise" if gap else "no pairwise/triplewise gap"
     results["povm_checks"] = "ok"
     results["anticorrelation"] = povm.anticorrelation_value(axes)
     results["nc_bound"] = povm.nc_bound_noisy(pair_threshold)

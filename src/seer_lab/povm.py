@@ -40,9 +40,9 @@ PRESET_AXES: dict[str, tuple[np.ndarray, ...]] = {
 }
 
 
-# Largest axis count.  The 2^N sign tuples make a whole-process `seer-lab povm`
-# run on N axes take 0.41 s at N=13, 0.44 s at N=14 (67 MB peak RSS) and
-# 0.57 s at N=15 with the cap lifted (median of seven, 2-core host), inside the
+# Largest axis count.  A whole-process `seer-lab povm` run on N axes takes
+# 0.35 s and 41 MB peak RSS at N=13, 0.38 s and 44 MB at N=14, and 0.41 s and
+# 52 MB at N=15 with the cap lifted (median of seven, 2-core host), inside the
 # 5 s budget; raising the cap changes which inputs exit 2.
 MAX_AXES = 14
 
@@ -90,35 +90,27 @@ def _bloch_sums(axes: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
     return signs, m
 
 
-def _lengths(m: np.ndarray) -> np.ndarray:
-    # Row by row, the BLAS dot that np.linalg.norm uses on one vector; a norm
-    # over axis=1 or (m * m).sum(axis=1) can differ from it in the last bit.
-    return np.sqrt(np.vecdot(m, m))
-
-
-def eta_necessary(axes: Union[str, Iterable[Sequence[float]]]) -> float:
-    """Necessary sharpness threshold sum|m|^2 / (N sum|m|)."""
-    signs, m = m_vectors(axes)
-    lengths = _lengths(m)
-    # Python's sum adds left to right; np.sum's pairwise order differs.
-    return sum((lengths * lengths).tolist()) / (signs.shape[1] * sum(lengths.tolist()))
-
-
-def eta_sufficient(axes: Union[str, Iterable[Sequence[float]]]) -> float:
-    """Sufficient sharpness threshold 2^N / sum|m|."""
-    signs, m = m_vectors(axes)
-    return len(signs) / sum(_lengths(m).tolist())
-
-
 @dataclass
 class JointPOVM:
     """Joint POVM whose outcome signs[i] (a row of +-1, one per axis) has the
-    rank-one or zero effect effects[i]."""
+    rank-one or zero effect effects[i], of trace 2 lengths[i] / sum(lengths)."""
 
     axes: tuple[np.ndarray, ...]
     signs: np.ndarray  # (2^N, N)
+    lengths: np.ndarray  # (2^N,) Bloch sum lengths |m_X|, which both thresholds read
     effects: np.ndarray  # (2^N, 2, 2)
-    eta: float  # sharpness of the marginals this POVM reproduces
+
+    @property
+    def eta(self) -> float:
+        """Sufficient threshold 2^N / sum|m| capped at 1: the sharpness its marginals reproduce."""
+        # Python's sum adds left to right; np.sum's pairwise order differs.
+        return min(len(self.lengths) / sum(self.lengths.tolist()), 1.0)
+
+    @property
+    def eta_necessary(self) -> float:
+        """Necessary threshold sum|m|^2 / (N sum|m|)."""
+        squares = (self.lengths * self.lengths).tolist()
+        return sum(squares) / (len(self.axes) * sum(self.lengths.tolist()))
 
     def completeness_defect(self) -> float:
         return float(np.max(np.abs(self.effects.sum(axis=0) - numkit.ID2)))
@@ -126,9 +118,13 @@ class JointPOVM:
     def marginal_defect(self) -> float:
         """Largest deviation of any coarse-grained marginal from the eta-sharp effect."""
         sign = np.array([1, -1])
-        # marginals[k, s] sums the effects whose k-th sign is sign[s].
-        picks = self.signs.T[:, None, :, None, None] == sign[:, None, None, None]
-        marginals = np.where(picks, self.effects, 0).sum(axis=2)
+        # marginals[k, s] sums, in row order, the effects whose k-th sign is
+        # sign[s]: that sign is bit N-k-1 of the row, so blocks of 2^(N-k-1)
+        # rows alternate between the two signs.
+        marginals = np.array([
+            self.effects.reshape(1 << k, 2, -1, 2, 2).swapaxes(0, 1).reshape(2, -1, 2, 2).sum(axis=1)
+            for k in range(len(self.axes))
+        ])
         # E^k_s = 1/2 + s (eta/2) sigma.n_k
         spins = pauli_dot(np.array(self.axes))[:, None]
         targets = (numkit.ID2 + (sign * self.eta)[:, None, None] * spins) / 2
@@ -144,7 +140,9 @@ def simulating_povm(axes: Union[str, Iterable[Sequence[float]]]) -> JointPOVM:
     """
     axes = _as_axes(axes)
     signs, m = _bloch_sums(axes)
-    lengths = _lengths(m)
+    # Row by row, the BLAS dot that np.linalg.norm uses on one vector; a norm
+    # over axis=1 or (m * m).sum(axis=1) can differ from it in the last bit.
+    lengths = np.sqrt(np.vecdot(m, m))
     total = sum(lengths.tolist())  # > 0: unit axes give sum|m|^2 = N 2^N
     live = lengths >= 1e-14
     direction = m[live] / lengths[live, None]
@@ -152,12 +150,22 @@ def simulating_povm(axes: Union[str, Iterable[Sequence[float]]]) -> JointPOVM:
     effects[live] = (2 * lengths[live] / total)[:, None, None] * (
         numkit.ID2 + pauli_dot(direction)
     ) / 2
-    povm = JointPOVM(axes, signs, effects, eta=min(len(signs) / total, 1.0))
+    povm = JointPOVM(axes, signs, lengths, effects)
     if povm.completeness_defect() > 1e-10:
         raise AssertionError("simulating POVM is not complete")
     if povm.marginal_defect() > 1e-10:
         raise AssertionError("simulating POVM marginals do not match the noisy spins")
     return povm
+
+
+def eta_necessary(axes: Union[str, Iterable[Sequence[float]]]) -> float:
+    """Necessary sharpness threshold sum|m|^2 / (N sum|m|)."""
+    return simulating_povm(axes).eta_necessary
+
+
+def eta_sufficient(axes: Union[str, Iterable[Sequence[float]]]) -> float:
+    """Sufficient sharpness threshold 2^N / sum|m|, capped at 1."""
+    return simulating_povm(axes).eta
 
 
 _ANTICORR_KIND = {"orthogonal": "orthogonal3", "trine": "trine3"}

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from seer_lab import classical, cli, games, povm
@@ -180,6 +180,8 @@ def test_povm_axes_file(tmp_path, capsys):
         [[0, 0, 1, 0]],
         [[0, 0, 2]],
         [[10**400, 0, 0]],
+        [[0, 0, "1"], [1, 0, 0]],
+        [[0, 0, 1], [True, False, False]],
     ],
 )
 def test_povm_bad_axes(tmp_path, capsys, axes):
@@ -493,6 +495,33 @@ def test_povm_axis_cap(tmp_path, capsys):
     assert err == f"error: at most {povm.MAX_AXES} axes are supported\n"
 
 
+def test_povm_axes_json_coordinates_are_numbers(tmp_path, capsys):
+    # Both entries convert to floats, yet neither is a JSON number.
+    path = tmp_path / "axes.json"
+    path.write_text(json.dumps([[0, 0, "1"], [True, False, False]]))
+    code, out, err = run_cli(capsys, "povm", "--axes", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: axis coordinates must be JSON numbers, got '1'\n"
+
+
+def test_povm_builds_the_full_family_once(tmp_path, capsys, monkeypatch):
+    sizes = []
+    build = povm._bloch_sums
+
+    def counted(axes):
+        sizes.append(len(axes))
+        return build(axes)
+
+    monkeypatch.setattr(povm, "_bloch_sums", counted)
+    angles = [math.pi * k / povm.MAX_AXES for k in range(povm.MAX_AXES)]
+    path = tmp_path / "axes.json"
+    path.write_text(json.dumps([[math.cos(t), math.sin(t), 0.0] for t in angles]))
+    code, _, _ = run_cli(capsys, "povm", "--axes", str(path))
+    assert code == 0
+    assert sizes.count(povm.MAX_AXES) == 1
+    assert set(sizes) == {2, povm.MAX_AXES}
+
+
 def test_povm_two_axis_presets(capsys):
     code, out, _ = run_cli(capsys, "povm", "--axes", "trine2", "--json")
     doc = json.loads(out)
@@ -569,6 +598,36 @@ def test_network_exit_codes_on_arbitrary_json(doc, directed):
 @example(doc=[[0, 0, 1.3407807929942597e154]])
 def test_povm_exit_codes_on_arbitrary_json(doc):
     assert run_on_document(["povm", "--axes"], doc) in EXIT_CODES
+
+
+@st.composite
+def near_unit_axes(draw):
+    """1-6 axes of length within 1e-12 of 1, each a fresh axis or a copy or
+    negation of an earlier one."""
+    axes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = draw(st.sampled_from(["new", "repeat", "opposite"])) if axes else "new"
+        if kind == "new":
+            v = [draw(st.floats(-1, 1)) for _ in range(3)]
+            norm = math.hypot(*v)
+            v = [x / norm for x in v] if norm > 1e-3 else [0.0, 0.0, 1.0]
+            length = draw(st.floats(1 - 1e-12, 1 + 1e-12))
+            axes.append([x * length for x in v])
+        else:
+            axis = draw(st.sampled_from(axes))
+            axes.append(axis if kind == "repeat" else [-x for x in axis])
+    return axes
+
+
+@settings(max_examples=60, deadline=None)
+@given(axes=near_unit_axes())
+@example(axes=[[0.0, 0.0, 1 - 5e-13]] * 2)
+def test_povm_runs_on_every_accepted_axis_set(axes):
+    try:
+        povm._as_axes(axes)
+    except ValueError:
+        assume(False)
+    assert run_on_document(["povm", "--axes"], axes) == cli.EXIT_OK
 
 
 # --------------------------------------------------------------------------
