@@ -8,6 +8,7 @@ responses over a payoff's cells).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -134,9 +135,21 @@ class GamePayoff:
         state is the state's winning probability."""
         if len(ops_a) != self.n_a or len(ops_b) != self.n_b:
             raise ValueError(f"the payoff needs {self.n_a} and {self.n_b} wing observables")
-        proj_a, proj_b = _outcome_projectors(ops_a), _outcome_projectors(ops_b)
-        out = np.einsum("axby,axij,bykl->ikjl", self._win_units(), proj_a, proj_b, optimize=True)
+        operands = self._win_units(), _outcome_projectors(ops_a), _outcome_projectors(ops_b)
+        path = _operator_path(*(op.shape for op in operands))
+        out = np.einsum(_OPERATOR_SUBSCRIPTS, *operands, optimize=path)
         return out.reshape(out.shape[0] * out.shape[1], -1) / self.denom
+
+
+_OPERATOR_SUBSCRIPTS = "axby,axij,bykl->ikjl"
+
+
+@functools.lru_cache(maxsize=32)
+def _operator_path(*shapes: tuple[int, ...]) -> list:
+    """The contraction order that np.einsum(optimize=True) searches for
+    GamePayoff.operator's operands, which it picks from their shapes alone."""
+    return np.einsum_path(_OPERATOR_SUBSCRIPTS, *(np.broadcast_to(0.0, shape) for shape in shapes),
+                          optimize=True)[0]
 
 
 def _outcome_projectors(ops: Sequence[np.ndarray]) -> np.ndarray:

@@ -383,7 +383,8 @@ def ring_observables(n: int) -> np.ndarray:
 def mermin_value(n: int) -> float:
     """Born-rule value of the two-wing ring game with trine-style observables;
     equals 1/3 + (2/3) cos^2(pi/2n)."""
-    return os_ring_payoff(n).value(mermin_table(n))
+    payoff, ops = os_ring_payoff(n), ring_observables(n)
+    return payoff.value(_born_table(payoff, ops, ops))
 
 
 def mermin_closed_form(n: int) -> float:
@@ -505,7 +506,8 @@ def odd_cycle_observables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def odd_cycle_game_value(n: int) -> float:
     """Born-rule winning probability of the odd-cycle game; equals cos^2(pi/4n)."""
-    return odd_cycle_payoff(n).value(odd_cycle_table(n))
+    payoff = odd_cycle_payoff(n)
+    return payoff.value(_born_table(payoff, *odd_cycle_observables(n)))
 
 
 def odd_cycle_table(n: int) -> scenario_mod.CorrelationTable:

@@ -11,11 +11,12 @@ it is the balance of their signed graph.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -28,10 +29,17 @@ Outcome = tuple[int, ...]
 # Largest n for the 2^n-atom feasibility LP, set from a 2 GB peak-RSS budget.
 # Measured on tables without zero entries, whose LP keeps every atom column
 # (2-core host, HiGHS via scipy 1.17): odd_cycle_table(9), 18 measurements,
-# 4.7 s and 0.80 GB; klyachko_table(19) mixed with 10% white noise, 11.8 s
-# and 1.59 GB.  An infeasible 20-measurement pair table took 27 s and 3.3 GB.
-# Pruning atoms does not lift the cap: the 2^n index arrays are built first.
+# 4.7 s and 0.80 GB (3.7-5.1 s and 0.77 GB with the allowed atoms enumerated
+# directly, 3.6-5.1 s and 0.80 GB before, alternating runs); klyachko_table(19)
+# mixed with 10% white noise, 11.8 s and 1.59 GB.  An infeasible
+# 20-measurement pair table took 27 s and 3.3 GB.
+# Enumerating only the allowed atoms does not lift the cap: a table without
+# zero entries, like these, still gets a column for every atom.
 MAX_JOINT_MEASUREMENTS = 19
+
+# Context lists whose layout is kept, and cycle scenarios kept.  A sweep over
+# sign patterns builds hundreds of tables over a handful of context lists.
+_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -91,6 +99,31 @@ def _in_order(context: Context, outcome: Outcome) -> tuple[Context, Outcome]:
     return tuple(zip(*sorted(zip(context, outcome, strict=True))))
 
 
+class _Layout(NamedTuple):
+    """Where the blocks of a context list sit in a table vector, shared read-only
+    by every table over that list."""
+
+    contexts: tuple[Context, ...]  # sorted
+    start: dict[Context, int]  # each block's first entry; no caller mutates it
+    offsets: np.ndarray  # the block starts in sorted order
+    index: np.ndarray  # the entry of the listed vector at each entry of the sorted one
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _layout(contexts: tuple[Context, ...]) -> _Layout:
+    """The layout of contexts listed in this order; a list that names one context
+    twice gets a start map with fewer keys than contexts."""
+    order = sorted(range(len(contexts)), key=contexts.__getitem__)
+    in_order = tuple(contexts[i] for i in order)
+    sizes = np.array([1 << len(ctx) for ctx in contexts], dtype=np.int64)
+    ends = np.cumsum(sizes)
+    sizes = sizes[order]
+    offsets = np.cumsum(sizes) - sizes
+    index = np.repeat(ends[order] - sizes - offsets, sizes) + np.arange(sizes.sum())
+    offsets.flags.writeable = index.flags.writeable = False
+    return _Layout(in_order, dict(zip(in_order, offsets.tolist())), offsets, index)
+
+
 def _index(outcome: Outcome) -> int:
     """Position of an outcome in its context's block, the first bit most significant."""
     if not all(b in (0, 1) for b in outcome):
@@ -120,33 +153,28 @@ class CorrelationTable:
             rows.append(np.zeros(1 << len(given)))
             for outcome, p in dist.items():
                 rows[-1][_index(_in_order(given, outcome)[1])] = float(p)
-        self._store(scenario, contexts, np.concatenate(rows))
+        self._store(scenario, tuple(contexts), np.concatenate(rows))
 
     @classmethod
     def from_vector(cls, scenario: Scenario, contexts: Sequence[Context], vector) -> "CorrelationTable":
         """A table from sorted contexts and their outcome rows, or the vector the rows ravel to."""
         table = cls.__new__(cls)
-        table._store(scenario, list(contexts), np.asarray(vector, dtype=float).ravel())
+        table._store(scenario, tuple(contexts), np.asarray(vector, dtype=float).ravel())
         return table
 
-    def _store(self, scenario: Scenario, contexts: list[Context], vector: np.ndarray) -> None:
-        """Sort the contexts with their blocks, then check and clamp the vector."""
+    def _store(self, scenario: Scenario, contexts: tuple[Context, ...], vector: np.ndarray) -> None:
+        """Sort the contexts with their blocks, then check and clamp a copy of the vector."""
         self.scenario = scenario
-        order = sorted(range(len(contexts)), key=contexts.__getitem__)
-        self.contexts = tuple(contexts[i] for i in order)
-        sizes = np.array([1 << len(ctx) for ctx in contexts], dtype=np.int64)
-        ends = np.cumsum(sizes)
-        if vector.size != ends[-1:].sum():
-            raise ValueError(f"the contexts need {sizes.sum()} probabilities, got {vector.size}")
-        sizes = sizes[order]
-        offsets = np.cumsum(sizes) - sizes
-        self._start = dict(zip(self.contexts, offsets.tolist()))
-        if len(self._start) < len(order):
+        layout = _layout(contexts)
+        self.contexts, self._start, offsets = layout.contexts, layout.start, layout.offsets
+        if vector.size != layout.index.size:
+            raise ValueError(f"the contexts need {layout.index.size} probabilities, got {vector.size}")
+        if len(self._start) < len(contexts):
             raise ValueError("two keys name one context")
         unknown = self._start.keys() - set(scenario.contexts)
         if unknown:
             raise ValueError(f"context {min(unknown)} is not part of the scenario")
-        vector = vector[np.repeat(ends[order] - sizes - offsets, sizes) + np.arange(vector.size)]
+        vector = vector[layout.index]
         # NaN fails both tests.
         if not (vector.min(initial=0.0) >= PROB_FLOOR and vector.max(initial=0.0) < math.inf):
             bad = np.flatnonzero(~((vector >= PROB_FLOOR) & (vector < math.inf)))[0]
@@ -260,9 +288,11 @@ class JointDistribution:
 # Builders
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def cycle_scenario(n: int) -> Scenario:
     """n measurements whose contexts are the adjacent pairs (a, a + 1) of an
-    n-cycle, (n, 1) closing it."""
+    n-cycle, (n, 1) closing it; built once per n and shared, as a Scenario is
+    frozen."""
     return Scenario(n, tuple((a, a % n + 1) for a in range(1, n + 1)))
 
 
@@ -297,7 +327,7 @@ def table_signed_graph(table: CorrelationTable) -> Optional[signet.SignedGraph]:
     """Signed graph of a table whose contexts are perfectly (anti)correlated pairs."""
     if any(len(ctx) != 2 for ctx in table.contexts):
         return None
-    rows = table.rows(table.contexts).reshape(-1, 4)
+    rows = table.vector.reshape(-1, 4)
     solid = np.abs(rows[:, 0] + rows[:, 3] - 1.0) < STRUCT_TOL
     dashed = np.abs(rows[:, 1] + rows[:, 2] - 1.0) < STRUCT_TOL
     if not (solid | dashed).all():
@@ -437,7 +467,7 @@ def joint_distribution_feasible(table: CorrelationTable) -> FeasibilityResult:
     whose rows the candidate misses (non-uniform marginals), goes to the
     linear program over the atoms that give every present context an outcome
     of nonzero probability.  It loads scipy on its first solve; a table whose
-    zeros admit no atom is infeasible without one.
+    zeros admit no atom, or only one, is decided without one.
     """
     n = table.scenario.n_measurements
     if n > MAX_JOINT_MEASUREMENTS:
@@ -459,45 +489,87 @@ def joint_distribution_feasible(table: CorrelationTable) -> FeasibilityResult:
     return _lp_feasible(table)
 
 
+def _bits(atoms: np.ndarray, n: int) -> np.ndarray:
+    """Bit m-1 of each atom in row m-1, for measurements 1..n."""
+    return (atoms >> np.arange(n, dtype=np.int32)[:, None]) & 1
+
+
+def _rows(bits: np.ndarray, ctx: Context, start: int) -> np.ndarray:
+    """Each atom's row in the context's block: its outcome on ctx, read as a
+    binary number first measurement first, after the block's start."""
+    code = bits[ctx[0] - 1]
+    for m in ctx[1:]:
+        code = (code << 1) | bits[m - 1]
+    return start + code
+
+
+def _allowed_atoms(table: CorrelationTable) -> np.ndarray:
+    """The atoms whose outcome on every present context has nonzero
+    probability, increasing, as int32 (atom i sets measurement m to bit m-1 of i).
+
+    Assignments to measurements 1..m grow by one measurement at a time, and one
+    is dropped as soon as a context it completes meets an exact zero (-0.0 is
+    zero, 1e-16 is not).  The extensions setting measurement m to 1 follow
+    those setting it to 0, which keeps the order increasing."""
+    closing: dict[int, list[tuple[Context, int]]] = {}
+    for ctx, start in table._start.items():
+        closing.setdefault(ctx[-1], []).append((ctx, start))
+    atoms = np.zeros(1, dtype=np.int32)
+    for m in range(1, table.scenario.n_measurements + 1):
+        atoms = np.concatenate([atoms, atoms | (1 << (m - 1))])
+        if m in closing:
+            bits = _bits(atoms, m)
+            atoms = atoms[np.logical_and.reduce([table.vector[_rows(bits, *each)] != 0 for each in closing[m]])]
+    return atoms
+
+
+def _column_rows(table: CorrelationTable, atoms: np.ndarray) -> np.ndarray:
+    """The rows of the 1s in each atom's column of A, column after column: one
+    per context block, in increasing row order, then the normalisation row."""
+    bits = _bits(atoms, table.scenario.n_measurements)
+    rows = [_rows(bits, ctx, start) for ctx, start in table._start.items()]
+    rows.append(np.full(atoms.size, table.vector.size, dtype=np.int32))
+    return np.stack(rows, axis=1).ravel()
+
+
+def _valuation(atom: int, n: int) -> Outcome:
+    return tuple(atom >> j & 1 for j in range(n))
+
+
 def _lp_feasible(table: CorrelationTable) -> FeasibilityResult:
     """The marginal problem as one linear program, whatever the table.
 
     One zero-cost LP over nonnegative weights w of the atoms (atom i sets
     measurement m to bit m-1 of i): A w = b, with one row per context outcome
     and a normalisation row.  An atom gets a column only when its outcome on
-    every present context has nonzero probability: where b_r = 0, every atom
-    with a 1 in row r has weight 0 in every solution.  The test is exact
-    (-0.0 is zero, 1e-16 is not), and every row stays.  A table whose zeros
-    admit no atom is infeasible without a solve.  HiGHS status 0 is feasible,
-    and the weights are re-checked against every row to NUM_TOL; status 2 is
-    infeasible.  Infeasible verdicts carry no certificate.  The caller bounds
-    n.
+    every present context has nonzero probability (``_allowed_atoms``): where
+    b_r = 0, every atom with a 1 in row r has weight 0 in every solution.
+    Every row stays.  A table whose zeros admit no atom is infeasible without a
+    solve.  With one atom left, the normalisation row forces its weight to 1:
+    the table is feasible, with that atom alone, iff the atom's column matches
+    every row to NUM_TOL, again without a solve.  Otherwise HiGHS status 0 is
+    feasible, and the weights are re-checked against every row to NUM_TOL;
+    status 2 is infeasible.  Infeasible verdicts carry no certificate.  The
+    caller bounds n.
     """
     n = table.scenario.n_measurements
-    atoms = np.arange(1 << n, dtype=np.int32)
-    b_eq = np.append(table.vector, 1.0)
-    keep = np.ones(atoms.size, dtype=bool)
-    rows = []
-    for ctx, start in table._start.items():
-        # The atom's outcome on ctx, read as a binary number first
-        # measurement first, indexes the context's block of rows.
-        code = np.zeros_like(atoms)
-        for m in ctx:
-            code = (code << 1) | ((atoms >> (m - 1)) & 1)
-        rows.append(start + code)
-        keep &= b_eq[rows[-1]] != 0
-    kept = np.flatnonzero(keep)
-    if not kept.size:
+    atoms = _allowed_atoms(table)
+    if not atoms.size:
         return FeasibilityResult(False, None)
+    b_eq = np.append(table.vector, 1.0)
+    indices = _column_rows(table, atoms)
+    if atoms.size == 1:
+        column = np.zeros(b_eq.size)
+        column[indices] = 1.0
+        if np.abs(column - b_eq).max() > NUM_TOL:
+            return FeasibilityResult(False, None)
+        return FeasibilityResult(True, JointDistribution(n, {_valuation(int(atoms[0]), n): 1.0}))
     from scipy import sparse
 
-    rows = [row[kept] for row in rows] + [np.full(kept.size, b_eq.size - 1, dtype=np.int32)]
-    # Every column holds one 1 per row block, in increasing row order.
-    indices = np.stack(rows, axis=1).ravel()
-    indptr = np.arange(0, indices.size + 1, len(rows), dtype=np.int32)
-    a_eq = sparse.csc_array((np.ones(indices.size), indices, indptr), shape=(b_eq.size, kept.size))
+    indptr = np.arange(0, indices.size + 1, len(table._start) + 1, dtype=np.int32)
+    a_eq = sparse.csc_array((np.ones(indices.size), indices, indptr), shape=(b_eq.size, atoms.size))
     # HiGHS presolve costs these LPs more time than it saves.
-    res = linprog(np.zeros(kept.size), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+    res = linprog(np.zeros(atoms.size), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
                   options={"presolve": False})
     if res.status == 0:
         residual = float(np.max(np.abs(a_eq @ res.x - b_eq)))
@@ -506,10 +578,7 @@ def _lp_feasible(table: CorrelationTable) -> FeasibilityResult:
                 f"solver reported feasibility but marginals are off by {residual:.3e}"
             )
         support = np.flatnonzero(res.x > 1e-15)
-        dist = {
-            tuple(int(i >> j) & 1 for j in range(n)): float(res.x[k])
-            for k, i in zip(support.tolist(), kept[support].tolist())
-        }
+        dist = {_valuation(i, n): float(res.x[k]) for k, i in zip(support.tolist(), atoms[support].tolist())}
         return FeasibilityResult(True, JointDistribution(n, dist))
     if res.status != 2:
         raise RuntimeError(f"linear program failed: {res.message}")

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -132,17 +134,27 @@ def test_stacked_projectors_equal_np_outer_bit_for_bit():
         projector(np.zeros((3, 0)))
 
 
+def _table_images(n):
+    """The (state, images) pairs that the ring, odd-cycle and Klyachko tables at n
+    finish with born_overlap."""
+    with mock.patch.object(quantum, "born_overlap", wraps=numkit.born_overlap) as finish:
+        quantum.mermin_table(n), quantum.odd_cycle_table(n), quantum.klyachko_table(n)
+    return [call.args for call in finish.call_args_list]
+
+
 def test_born_overlap_of_a_stack_is_each_entry_alone():
     rng = np.random.default_rng(19)
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
     images = rng.normal(size=(6, 2, 4)) + 1j * rng.normal(size=(6, 2, 4))
     images[0, 0] = -1e-13 * psi  # noise below zero is clamped
+    for state, stack in [(psi, images), *_table_images(1001)]:
+        stacked = numkit.born_overlap(state, stack)
+        assert stacked.shape == stack.shape[:-1]
+        for idx in np.ndindex(stacked.shape):
+            p = float(np.vdot(state, stack[idx]).real)
+            expected = 0.0 if -1e-12 < p < 0 else p
+            alone = numkit.born_overlap(state, stack[idx])
+            assert type(alone) is float
+            assert np.float64(alone).tobytes() == np.float64(expected).tobytes() == stacked[idx].tobytes()
     stacked = numkit.born_overlap(psi, images)
-    assert stacked.shape == (6, 2)
-    for idx in np.ndindex(6, 2):
-        p = float(np.vdot(psi, images[idx]).real)
-        expected = 0.0 if -1e-12 < p < 0 else p
-        alone = numkit.born_overlap(psi, images[idx])
-        assert type(alone) is float
-        assert np.float64(alone).tobytes() == np.float64(expected).tobytes() == stacked[idx].tobytes()
     assert stacked[0, 0] == 0.0 and not np.signbit(stacked[0, 0])

@@ -276,18 +276,37 @@ def tables_with_zeros(draw):
     return CorrelationTable.from_vector(scen, contexts, vector)
 
 
+def _brute_force_allowed(table) -> set:
+    """Every atom, as its bits measurement 1 first, whose outcome on each
+    present context has nonzero probability."""
+    n = table.scenario.n_measurements
+    # probs keeps the nonzero outcomes of each context, 1e-16 included.
+    probs = table.probs
+    return {
+        atom for atom in itertools.product((0, 1), repeat=n)
+        if all(tuple(atom[m - 1] for m in ctx) in dist for ctx, dist in probs.items())
+    }
+
+
+def _assert_enumerates(table, allowed):
+    """The enumerated atoms are the allowed ones, as increasing int32 (atom i
+    sets measurement m to bit m-1 of i, so measurement n is most significant)."""
+    n = table.scenario.n_measurements
+    atoms = scenario._allowed_atoms(table)
+    assert atoms.dtype == np.int32
+    bits = [tuple(a >> j & 1 for j in range(n)) for a in atoms.tolist()]
+    assert bits == sorted(allowed, key=lambda atom: atom[::-1])
+
+
 @settings(max_examples=200, deadline=None)
 @given(tables_with_zeros())
 def test_pruned_lp_matches_full_lp_on_tables_with_zeros(table):
-    n = table.scenario.n_measurements
-    # probs keeps the nonzero outcomes of each context, 1e-16 included.
-    allowed = {
-        atom for atom in itertools.product((0, 1), repeat=n)
-        if all(tuple(atom[m - 1] for m in ctx) in dist for ctx, dist in table.probs.items())
-    }
+    allowed = _brute_force_allowed(table)
+    _assert_enumerates(table, allowed)
     with mock.patch.object(scenario, "linprog", wraps=scenario.linprog) as solve:
         pruned = scenario._lp_feasible(table)
-    assert [call.args[0].size for call in solve.call_args_list] == ([len(allowed)] if allowed else [])
+    # HiGHS runs only when two or more atoms are allowed.
+    assert [call.args[0].size for call in solve.call_args_list] == ([len(allowed)] if len(allowed) > 1 else [])
     reference = full_lp_feasible(table)
     assert pruned.feasible == reference.feasible, table.to_json()
     assert pruned.certificate is None
@@ -305,7 +324,35 @@ def test_pruned_lp_matches_full_lp_on_tables_with_zeros(table):
     *(quantum.klyachko_table(n) for n in (5, 7, 9)),
 ], ids=lambda t: f"{len(t.contexts)}-contexts-n{t.scenario.n_measurements}")
 def test_pruned_lp_matches_full_lp_on_quantum_tables(table):
+    _assert_enumerates(table, _brute_force_allowed(table))
     assert scenario._lp_feasible(table).feasible == full_lp_feasible(table).feasible
+
+
+def test_point_tables_are_decided_without_a_solve():
+    rng = np.random.default_rng(29)
+    for n in (4, 7, 12, scenario.MAX_JOINT_MEASUREMENTS):
+        scen = Scenario(n, tuple((a, a % n + 1, (a + 1) % n + 1) for a in range(1, n + 1)))
+        bits = tuple(rng.integers(0, 2, size=n).tolist())
+        with mock.patch.object(scenario, "linprog") as solve:
+            result = joint_distribution_feasible(deterministic_table(scen, bits))
+        assert solve.call_count == 0
+        assert result.feasible and result.certificate is None
+        assert result.distribution.atoms == {bits: 1.0}
+
+
+@pytest.mark.parametrize("moved", [2e-9, 1e-8, 1e-7])
+def test_point_table_with_mass_moved_off_its_atom_is_infeasible(moved):
+    # Outcome (0, 0, 1) of context (1, 2, 3) gets the mass; context (2, 3, 4)
+    # keeps measurement 3 at 0, so the point's atom is still the only one.
+    scen = Scenario(4, ((1, 2, 3), (2, 3, 4)))
+    vector = deterministic_table(scen, (0, 0, 0, 0)).vector.copy()
+    vector[:2] += (-moved, moved)
+    table = CorrelationTable.from_vector(scen, scen.contexts, vector)
+    assert scenario._allowed_atoms(table).tolist() == [0]
+    with mock.patch.object(scenario, "linprog") as solve:
+        result = joint_distribution_feasible(table)
+    assert solve.call_count == 0
+    assert not result.feasible and result.distribution is None and result.certificate is None
 
 
 def test_table_without_present_contexts_is_feasible():
@@ -503,6 +550,26 @@ def test_mapping_tables_refuse_contexts_past_the_lp_cap():
 def test_vector_tables_check_their_length():
     with pytest.raises(ValueError, match="need 8 probabilities"):
         CorrelationTable.from_vector(scenario.cycle_scenario(3), ((1, 2), (2, 3)), [0.25] * 4)
+
+
+def test_tables_over_one_context_list_share_one_read_only_layout():
+    assert scenario.cycle_scenario(7) is scenario.cycle_scenario(7)
+    scen = scenario.cycle_scenario(7)
+    rows = np.tile([0.5, 0.0, -1e-16, 0.5], (7, 1))
+    first, second = cycle_correlation_table((-1,) * 7), CorrelationTable.from_vector(scen, scen.contexts, rows)
+    layout = scenario._layout(scen.contexts)
+    assert first._start is second._start is layout.start and first.contexts is second.contexts
+    assert not layout.offsets.flags.writeable and not layout.index.flags.writeable
+    # Each table checks and clamps a copy of its own.
+    assert not np.shares_memory(second.vector, rows) and second.vector[2] == 0.0 and rows[0, 2] < 0
+    assert quantum.mermin_table(5)._start is quantum.mermin_table(5)._start
+    scenario._layout.cache_clear()
+    scenario.cycle_scenario.cache_clear()
+    rebuilt = cycle_correlation_table((-1,) * 7)
+    assert rebuilt._start is not first._start and rebuilt.scenario is not first.scenario
+    assert rebuilt.scenario == first.scenario and rebuilt.contexts == first.contexts
+    assert list(rebuilt._start.items()) == list(first._start.items())
+    assert rebuilt.vector.tobytes() == first.vector.tobytes()
 
 
 def _dict_table(scen, probs):
