@@ -16,6 +16,12 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+# Largest n of the cycle bound and the games, set from a 5 s budget: the
+# quantum tables cost O(n), and the slowest kind, bipartite_os, takes 0.88 s
+# (120 MB peak RSS) at n = 10,001 for the whole `seer-lab game` process on a
+# 2-core host (odd_cycle 0.73 s, seer_ncycle 0.59 s; median of seven).
+MAX_N = 10_001
+
 # Largest per-wing setting count for local_bound, set from a 1 s / 0.5 GB
 # budget: it holds a few int64 rows of n entries per A strategy.  Whole
 # process on a 2-core host: n = 17 0.2 s / 100 MB, n = 19 0.8 s / 339 MB,
@@ -42,8 +48,6 @@ def ks_bound_ncycle(n: int) -> KsBoundResult:
     witness 0, 0, 1, 0, 1, ..., 0, 1 is the lexicographically first optimum:
     an optimum has one equal adjacent pair, and X_1 = X_2 = 0 puts it first.
     """
-    from .games import MAX_N  # games imports this module
-
     if n % 2 == 0:
         raise ValueError("the cycle bound is only nontrivial for odd n")
     if not 3 <= n <= MAX_N:

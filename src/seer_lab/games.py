@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import classical, quantum, scenario
+from .classical import MAX_N
 
 GAME_KINDS = ("seer_ncycle", "bipartite_os", "odd_cycle", "diachronic")
 STRATEGIES = ("classical_best", "quantum", "foil")
@@ -29,11 +30,6 @@ STRATEGIES = ("classical_best", "quantum", "foil")
 _MASK64 = (1 << 64) - 1
 # numpy draws counts as int64.
 MAX_TRIALS = (1 << 63) - 1
-# Largest n, set from a 5 s budget: the quantum tables cost O(n), and the
-# slowest kind, bipartite_os, takes 0.88 s (120 MB peak RSS) at n = 10,001
-# for the whole `seer-lab game` process on a 2-core host (odd_cycle 0.73 s,
-# seer_ncycle 0.59 s; median of seven).
-MAX_N = 10_001
 
 
 @dataclass(frozen=True)
@@ -115,7 +111,8 @@ def _two_wing_model(kind: str, n: int, strategy: str) -> _SamplingModel:
     odd = kind == "odd_cycle"
     payoff = classical.odd_cycle_payoff(n) if odd else classical.os_ring_payoff(n)
     if strategy == "quantum":
-        table = quantum.odd_cycle_table(n) if odd else quantum.mermin_table(n)
+        ops = quantum.odd_cycle_observables(n) if odd else (quantum.ring_observables(n),) * 2
+        table = quantum._born_table(payoff, *ops)
         expected = payoff.value(table)
     elif strategy == "foil":
         table = scenario.foil_table(payoff)

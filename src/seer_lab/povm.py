@@ -190,10 +190,14 @@ def anticorrelation_value(
     axes = _as_axes(axes)
     if len(axes) < 2:
         raise ValueError("anti-correlation needs at least two axes")
+    return _anticorrelation((simulating_povm(pair) for pair in itertools.combinations(axes, 2)), rng)
+
+
+def _anticorrelation(pairs: Iterable[JointPOVM], rng: Optional[np.random.Generator] = None) -> float:
+    """``anticorrelation_value`` of the pairs' simulating POVMs, taken in turn."""
     rng = rng or np.random.default_rng(20120521)
     pair_values = []
-    for j, k in itertools.combinations(range(len(axes)), 2):
-        povm = simulating_povm([axes[j], axes[k]])
+    for povm in pairs:
         anti = povm.effects[povm.signs[:, 0] != povm.signs[:, 1]].sum(axis=0)
         scale = float(np.trace(anti).real) / 2
         if np.max(np.abs(anti - scale * numkit.ID2)) > STRUCT_TOL:

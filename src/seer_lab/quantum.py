@@ -20,14 +20,10 @@ import numpy as np
 from . import numkit, scenario as scenario_mod
 from .classical import _outcome_projectors, odd_cycle_payoff, os_ring_payoff
 from .numkit import born_overlap, projector, spin_observable
-from .tolerances import NUM_TOL, STRUCT_TOL
+from .tolerances import CertificateError, NUM_TOL, STRUCT_TOL
 
 BELL_STATE = np.zeros(4, dtype=complex)
 BELL_STATE[0] = BELL_STATE[3] = 1 / math.sqrt(2)
-
-
-class CertificateError(RuntimeError):
-    """An operator identity or spectral bound failed its tolerance."""
 
 
 # --------------------------------------------------------------------------

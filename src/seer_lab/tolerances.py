@@ -1,4 +1,5 @@
-"""Central numeric tolerances used across the package."""
+"""Central numeric tolerances used across the package, and the error raised
+when a check against one of them fails."""
 
 # Structural identities: orthogonality, hermiticity, normalization, gauge checks.
 STRUCT_TOL = 1e-12
@@ -11,3 +12,7 @@ PSD_TOL = 1e-10
 
 # Probabilities above this floor are clamped to zero (Born-rule rounding noise).
 PROB_FLOOR = -1e-15
+
+
+class CertificateError(RuntimeError):
+    """An operator identity or spectral bound failed its tolerance."""

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import seer_lab
 from seer_lab import classical, cli, games, povm
 
 
@@ -338,7 +339,7 @@ def test_certificate_failure_exits_3(capsys, monkeypatch):
     def broken(n):
         raise CertificateError("forced failure")
 
-    monkeypatch.setattr(cli.quantum, "sos_certificate_klyachko", broken)
+    monkeypatch.setattr(seer_lab.quantum, "sos_certificate_klyachko", broken)
     code, _, err = run_cli(capsys, "bounds", "ks_ncycle", "--n", "5")
     assert code == 3
     assert "verification failure" in err
@@ -520,6 +521,22 @@ def test_povm_builds_the_full_family_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert sizes.count(povm.MAX_AXES) == 1
     assert set(sizes) == {2, povm.MAX_AXES}
+
+
+@pytest.mark.parametrize("axes", ["orthogonal2", "trine3", "orthogonal3"])
+def test_povm_builds_each_pair_povm_once(capsys, monkeypatch, axes):
+    pairs = []
+    build = povm.simulating_povm
+
+    def counted(pair):
+        pairs.append(len(povm._as_axes(pair)))
+        return build(pair)
+
+    monkeypatch.setattr(povm, "simulating_povm", counted)
+    code, _, _ = run_cli(capsys, "povm", "--axes", axes)
+    assert code == 0
+    n_axes = len(povm.PRESET_AXES[axes])
+    assert pairs == [n_axes] + [2] * math.comb(n_axes, 2)
 
 
 def test_povm_two_axis_presets(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from seer_lab import games, quantum
+from seer_lab import classical, games, quantum
 from seer_lab.games import (
     EnsembleResult,
     GameResult,
@@ -217,3 +217,21 @@ def test_quantum_seer_game_builds_its_table_once(monkeypatch):
     result = simulate(GameSpec("seer_ncycle", "quantum", trials=10, seed=0, n=7))
     assert calls == [7]
     assert result.expected_rate == quantum.seer_game_win_probability(7)
+
+
+@pytest.mark.parametrize("kind, n", [("bipartite_os", 5), ("odd_cycle", 5), ("diachronic", 3)])
+def test_quantum_two_wing_game_builds_its_payoff_once(monkeypatch, kind, n):
+    calls = []
+
+    def counting(name):
+        build = getattr(classical, name)
+        return lambda n: calls.append((name, n)) or build(n)
+
+    for name in ("os_ring_payoff", "odd_cycle_payoff"):
+        # quantum holds its own names for the two builders.
+        monkeypatch.setattr(classical, name, counting(name))
+        monkeypatch.setattr(quantum, name, getattr(classical, name))
+    result = simulate(GameSpec(kind, "quantum", trials=10, seed=0, n=n))
+    odd = kind == "odd_cycle"
+    assert calls == [("odd_cycle_payoff" if odd else "os_ring_payoff", n)]
+    assert result.expected_rate == (quantum.odd_cycle_game_value(n) if odd else quantum.mermin_value(n))

@@ -1,7 +1,8 @@
 """Importing the package, running the CLI, deciding a table of perfectly
 (anti)correlated pairs and deciding a table whose zeros admit no atom must not
 load scipy; the first marginal-problem LP loads it, through the module
-attribute ``scenario.linprog``."""
+attribute ``scenario.linprog``.  The package loads its submodules on first
+access, and each CLI subcommand loads only the modules it runs."""
 
 import json
 import os
@@ -9,7 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import seer_lab
+from seer_lab import cli, games, quantum, tolerances
 
 SRC = str(Path(seer_lab.__file__).resolve().parent.parent)
 
@@ -79,10 +83,34 @@ print(json.dumps({
 """
 
 
-def run_fresh(code: str) -> dict:
+LOADED = """
+import contextlib, io, json, sys
+from seer_lab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({
+    "codes": codes,
+    "modules": sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "seer_lab")),
+}))
+"""
+
+IMPORT_ALL = """
+import json, sys
+import seer_lab
+at_import = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "seer_lab"))
+lazy = [name for name in seer_lab.__all__ if name not in vars(seer_lab)]
+loaded = {name: type(getattr(seer_lab, name)).__name__ for name in seer_lab.__all__}
+namespace = {}
+exec("from seer_lab import *", namespace)
+star = sorted(k for k in namespace if k != "__builtins__")
+print(json.dumps({"at_import": at_import, "lazy": lazy, "loaded": loaded, "star": star}))
+"""
+
+
+def run_fresh(code: str, *args: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120, check=True
     )
     return json.loads(proc.stdout)
 
@@ -111,3 +139,67 @@ def test_signed_pair_tables_are_decided_without_scipy():
 def test_table_whose_zeros_admit_no_atom_is_decided_without_scipy():
     report = run_fresh(NO_ATOM)
     assert report == {"feasible": False, "certificate": None, "scipy": []}
+
+
+def loaded_by(*argvs: list[str]) -> set[str]:
+    """Modules of numpy and seer_lab that one fresh process loads to run ``argvs``."""
+    report = run_fresh(LOADED, json.dumps(list(argvs)))
+    assert report["codes"] == [0] * len(argvs)
+    return set(report["modules"])
+
+
+def test_importing_the_cli_loads_no_numpy_and_no_other_seer_lab_module():
+    assert loaded_by() == {"seer_lab", "seer_lab.cli", "seer_lab.tolerances"}
+
+
+def test_network_runs_without_numpy(tmp_path):
+    undirected, directed = tmp_path / "triangle.json", tmp_path / "pentagon.json"
+    undirected.write_text(json.dumps({"nodes": 3, "edges": [[1, 2, "-"], [2, 3, "-"], [3, 1, "-"]]}))
+    edges = [[1, 2, 1, "-"], [2, 3, 0, "-"], [3, 4, 1, "-"], [4, 5, 0, "-"], [5, 1, 1, "-"]]
+    directed.write_text(json.dumps({"nodes": 5, "edges": edges}))
+    loaded = loaded_by(
+        ["network", "--file", str(undirected)],
+        ["network", "--file", str(directed), "--directed", "--start", "1", "--value", "1"],
+    )
+    assert loaded == {"seer_lab", "seer_lab.cli", "seer_lab.signet", "seer_lab.tolerances"}
+
+
+def test_povm_loads_no_bound_table_or_game_module():
+    loaded = loaded_by(["povm", "--axes", "trine3"], ["povm", "--axes", "orthogonal2"])
+    assert "seer_lab.povm" in loaded
+    assert not loaded & {f"seer_lab.{name}" for name in ("classical", "quantum", "scenario", "signet", "games")}
+
+
+@pytest.mark.parametrize("argvs", [
+    [["bounds", "ks_ncycle", "--n", "5"], ["bounds", "bell_ring", "--n", "3"],
+     ["bounds", "odd_cycle", "--n", "3"], ["bounds", "pnc"]],
+    [["sweep", "klyachko_R", "--stop", "7"], ["sweep", "mermin_R", "--stop", "5"], ["sweep", "hardy_p"]],
+])
+def test_bounds_and_sweep_load_no_games_or_povm(argvs):
+    loaded = loaded_by(*argvs)
+    assert "seer_lab.quantum" in loaded
+    assert not loaded & {"seer_lab.games", "seer_lab.povm"}
+
+
+def test_game_loads_no_povm():
+    loaded = loaded_by(*[["game", kind, "--n", "3", "--strategy", strategy, "--trials", "10"]
+                         for kind in games.GAME_KINDS for strategy in games.STRATEGIES])
+    assert "seer_lab.games" in loaded
+    assert "seer_lab.povm" not in loaded
+
+
+def test_package_loads_each_name_in_all_on_first_access():
+    report = run_fresh(IMPORT_ALL)
+    assert report["at_import"] == ["seer_lab", "seer_lab.tolerances"]
+    assert report["lazy"] == ["classical", "games", "numkit", "povm", "quantum", "scenario", "signet"]
+    assert report["loaded"] == {name: type(getattr(seer_lab, name)).__name__ for name in seer_lab.__all__}
+    assert report["star"] == sorted(seer_lab.__all__)
+
+
+def test_cli_game_choices_are_the_games_tuples():
+    assert cli.GAME_KINDS == games.GAME_KINDS
+    assert cli.STRATEGIES == games.STRATEGIES
+
+
+def test_quantum_raises_the_tolerances_certificate_error():
+    assert quantum.CertificateError is tolerances.CertificateError
