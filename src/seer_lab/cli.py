@@ -92,27 +92,24 @@ def _emit(args, results, command: list[str], seed: Optional[int], started: float
         if getattr(args, "timing", False):
             envelope["wall_time_ms"] = _quantize((time.perf_counter() - started) * 1e3)
         sys.stdout.write(json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n")
-    elif getattr(args, "csv", False):
-        if isinstance(results, dict) and "columns" in results and "rows" in results:
-            sys.stdout.write(",".join(results["columns"]) + "\n")
-            for row in results["rows"]:
-                sys.stdout.write(",".join(_fmt(v) for v in row) + "\n")
-        else:
-            sys.stdout.write("key,value\n")
-            for key, value in _flatten(results):
-                sys.stdout.write(f"{key},{_fmt(value)}\n")
+        return
+    csv = getattr(args, "csv", False)
+    if isinstance(results, dict) and "columns" in results and "rows" in results:
+        sep = "," if csv else "  "
+        sys.stdout.write(sep.join(results["columns"]) + "\n")
+        for row in results["rows"]:
+            sys.stdout.write(sep.join(_fmt(v) for v in row) + "\n")
+    elif csv:
+        sys.stdout.write("key,value\n")
+        for key, value in _flatten(results):
+            sys.stdout.write(f"{key},{_fmt(value)}\n")
     else:
-        if isinstance(results, dict) and "columns" in results and "rows" in results:
-            sys.stdout.write("  ".join(results["columns"]) + "\n")
-            for row in results["rows"]:
-                sys.stdout.write("  ".join(_fmt(v) for v in row) + "\n")
-        else:
-            rows = _flatten(results)
-            width = max((len(k) for k, _ in rows), default=0)
-            for key, value in rows:
-                sys.stdout.write(f"{key.ljust(width)}  {_fmt(value)}\n")
-        if getattr(args, "timing", False):
-            sys.stdout.write(f"wall_time_ms  {_fmt((time.perf_counter() - started) * 1e3)}\n")
+        rows = _flatten(results)
+        width = max((len(k) for k, _ in rows), default=0)
+        for key, value in rows:
+            sys.stdout.write(f"{key.ljust(width)}  {_fmt(value)}\n")
+    if getattr(args, "timing", False) and not csv:
+        sys.stdout.write(f"wall_time_ms  {_fmt((time.perf_counter() - started) * 1e3)}\n")
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,7 @@ Philox stream keyed by the seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -74,18 +74,7 @@ class GameResult:
     sigma_distance: float
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "strategy": self.strategy,
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "wins": self.wins,
-            "empirical_rate": self.empirical_rate,
-            "expected_rate": self.expected_rate,
-            "std_error": self.std_error,
-            "sigma_distance": self.sigma_distance,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -47,9 +47,9 @@ def normalize(ket: Sequence[complex]) -> np.ndarray:
     return ket / nrm
 
 
-def is_normalized(ket: Sequence[complex], tol: float = STRUCT_TOL) -> bool:
+def is_normalized(ket: Sequence[complex]) -> bool:
     ket = as_ket(ket)
-    return abs(np.vdot(ket, ket).real - 1.0) < tol and abs(np.vdot(ket, ket).imag) < tol
+    return abs(np.vdot(ket, ket).real - 1.0) < STRUCT_TOL and abs(np.vdot(ket, ket).imag) < STRUCT_TOL
 
 
 def is_hermitian(m: np.ndarray, tol: float = STRUCT_TOL) -> bool:
@@ -59,25 +59,25 @@ def is_hermitian(m: np.ndarray, tol: float = STRUCT_TOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) < tol)
 
 
-def require_hermitian(m: np.ndarray, tol: float = STRUCT_TOL) -> np.ndarray:
+def require_hermitian(m: np.ndarray) -> np.ndarray:
     m = as_matrix(m)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise ValueError("matrix is not hermitian within tolerance")
     return m
 
 
-def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool:
+def is_psd(m: np.ndarray) -> bool:
     m = as_matrix(m)
-    if not is_hermitian(m, max(tol, STRUCT_TOL)):
+    if not is_hermitian(m, PSD_TOL):
         return False
-    return bool(np.linalg.eigvalsh(m).min() > -tol)
+    return bool(np.linalg.eigvalsh(m).min() > -PSD_TOL)
 
 
-def is_unitary(m: np.ndarray, tol: float = STRUCT_TOL) -> bool:
+def is_unitary(m: np.ndarray) -> bool:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) < tol)
+    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) < STRUCT_TOL)
 
 
 def projector(ket: Sequence[complex]) -> np.ndarray:

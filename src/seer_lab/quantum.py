@@ -41,8 +41,8 @@ class StarPolygon:
 
     n: int
     theta: float
-    phis: tuple[float, ...]
-    kets: tuple[np.ndarray, ...]
+    phis: np.ndarray  # (n,)
+    kets: np.ndarray  # (n, 3), one ray per row
 
 
 def star_polygon(n: int) -> StarPolygon:
@@ -51,13 +51,10 @@ def star_polygon(n: int) -> StarPolygon:
     cos2 = math.cos(math.pi / n) / (1 + math.cos(math.pi / n))
     theta = math.acos(math.sqrt(cos2))
     st, ct = math.sin(theta), math.cos(theta)
-    phis = tuple((n - 1) * math.pi * a / n for a in range(1, n + 1))
-    kets = tuple(
-        np.array([st * math.cos(phi), st * math.sin(phi), ct]) for phi in phis
-    )
-    for a in range(n):
-        if abs(kets[a] @ kets[(a + 1) % n]) > STRUCT_TOL:
-            raise AssertionError("adjacent rays failed orthogonality")
+    phis = (n - 1) * math.pi * np.arange(1, n + 1) / n
+    kets = np.stack([st * np.cos(phis), st * np.sin(phis), np.full(n, ct)], axis=1)
+    if np.max(np.abs(np.vecdot(kets, np.roll(kets, -1, axis=0)))) > STRUCT_TOL:
+        raise AssertionError("adjacent rays failed orthogonality")
     return StarPolygon(n, theta, phis, kets)
 
 
@@ -590,13 +587,14 @@ def hardy_closed_form_sqrt3() -> float:
     return 144 / (27 + math.sqrt(3)) ** 2
 
 
-def golden_section_maximize(f, lo: float, hi: float, tol: float = 1e-8):
-    """Golden-section search for a maximum of a unimodal function on [lo, hi]."""
+def golden_section_maximize(f, lo: float, hi: float):
+    """Golden-section search for a maximum of a unimodal function on [lo, hi],
+    narrowed to a bracket of width at most 1e-8."""
     inv_phi = (math.sqrt(5) - 1) / 2
     c = hi - inv_phi * (hi - lo)
     d = lo + inv_phi * (hi - lo)
     fc, fd = f(c), f(d)
-    while hi - lo > tol:
+    while hi - lo > 1e-8:
         if fc < fd:
             lo, c, fc = c, d, fd
             d = lo + inv_phi * (hi - lo)
@@ -609,9 +607,9 @@ def golden_section_maximize(f, lo: float, hi: float, tol: float = 1e-8):
     return mid, f(mid)
 
 
-def hardy_optimize(lo: float = 0.5, hi: float = 5.0, tol: float = 1e-8):
-    """Maximize the chain-contradiction probability over the state parameter."""
-    return golden_section_maximize(hardy_value, lo, hi, tol)
+def hardy_optimize():
+    """Maximize the chain-contradiction probability over the state parameter in [0.5, 5]."""
+    return golden_section_maximize(hardy_value, 0.5, 5.0)
 
 
 # --------------------------------------------------------------------------

@@ -405,8 +405,8 @@ class NoSignalingReport:
     max_violation: float
     offenders: list[tuple] = field(default_factory=list)
 
-    def passed(self, tol: float = STRUCT_TOL) -> bool:
-        return self.max_violation <= tol
+    def passed(self) -> bool:
+        return self.max_violation <= STRUCT_TOL
 
 
 def check_no_signaling(table: CorrelationTable) -> NoSignalingReport:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import dict_povm
 from seer_lab import numkit
 from seer_lab.povm import (
-    ANTICORR_CHECK_STATES,
     MAX_AXES,
     PRESET_AXES,
     JointPOVM,
@@ -131,17 +130,6 @@ def test_anticorrelation_coarse_graining_is_flat():
     anti = anti_effect(simulating_povm("trine2"))
     scale = SQRT3 / (SQRT3 + 1)
     assert np.max(np.abs(anti - scale * np.eye(2))) < 1e-12
-
-
-def test_anticorrelation_state_independence():
-    rng = np.random.default_rng(61)
-    anti = anti_effect(simulating_povm("trine2"))
-    values = []
-    for _ in range(20):
-        psi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        psi /= np.linalg.norm(psi)
-        values.append(numkit.born_probability(psi, anti))
-    assert np.var(values) < 1e-20
 
 
 def test_nc_bound_values():
@@ -296,6 +284,34 @@ def test_array_route_equals_dict_route(axes):
     assert_matches_dict_route(axes)
 
 
+@settings(max_examples=50, deadline=None)
+@given(axis_families())
+@example([tuple(axis) for axis in PRESET_AXES["orthogonal3"]])
+@example([tuple(axis) for axis in PRESET_AXES["trine3"]])
+def test_anticorrelation_state_independence(axes):
+    # The random-state oracle for the flatness check: every pair's Born
+    # anti-correlation on random states is its JointPOVM.anticorrelation.
+    rng = np.random.default_rng(61)
+    for pair in itertools.combinations(axes, 2):
+        joint = simulating_povm(pair)
+        anti = anti_effect(joint)
+        for _ in range(20):
+            psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+            psi /= np.linalg.norm(psi)
+            assert abs(numkit.born_probability(psi, anti) - joint.anticorrelation) < 1e-10
+
+
+def test_anticorrelation_rejects_effects_that_are_not_flat():
+    # A sharp z readout: outcome (1, -1) on spin up and (-1, -1) on spin
+    # down, so the anti-correlated effects sum to the projector |0><0|.
+    up, down = numkit.projector([1, 0]), numkit.projector([0, 1])
+    zero = np.zeros((2, 2), dtype=complex)
+    signs, _ = m_vectors("orthogonal2")
+    joint = JointPOVM(PRESET_AXES["orthogonal2"], signs, np.ones(4), np.array([zero, up, zero, down]))
+    with pytest.raises(AssertionError, match="anti-correlated coarse-graining is not flat"):
+        joint.anticorrelation
+
+
 def test_marginal_defect_memory_at_the_axis_cap():
     joint = simulating_povm(seeded_family(MAX_AXES, 14))
     tracemalloc.start()
@@ -305,12 +321,3 @@ def test_marginal_defect_memory_at_the_axis_cap():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
-
-
-def test_anticorrelation_checks_a_fixed_number_of_states():
-    # Each of the trine triple's three pairs draws ANTICORR_CHECK_STATES
-    # states of four normals, so a caller's generator advances by that much.
-    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-    anticorrelation_value("trine", rng=rng)
-    ref.normal(size=3 * ANTICORR_CHECK_STATES * 4)
-    assert rng.normal() == ref.normal()

@@ -70,6 +70,17 @@ def test_symmetry_axis_follows_a_rotated_polygon():
     assert np.allclose(symmetry_axis_state(turned), rotation @ [0.0, 0.0, 1.0], atol=1e-15)
 
 
+@pytest.mark.parametrize("n", [3, 5, 7, 51, 201, 1001])
+def test_star_polygon_rays_equal_the_per_ray_construction(n):
+    poly = star_polygon(n)
+    st, ct = math.sin(poly.theta), math.cos(poly.theta)
+    phis = [(n - 1) * math.pi * a / n for a in range(1, n + 1)]
+    rays = np.array([[st * math.cos(phi), st * math.sin(phi), ct] for phi in phis])
+    assert poly.kets.shape == (n, 3)
+    assert poly.phis.tobytes() == np.array(phis).tobytes()
+    assert poly.kets.tobytes() == rays.tobytes()
+
+
 def test_star_polygon_rejects_even():
     with pytest.raises(ValueError):
         star_polygon(4)

@@ -5,6 +5,7 @@ attribute ``scenario.linprog``.  The package loads its submodules on first
 access, and each CLI subcommand loads only the modules it runs."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -168,6 +169,17 @@ def test_povm_loads_no_bound_table_or_game_module():
     loaded = loaded_by(["povm", "--axes", "trine3"], ["povm", "--axes", "orthogonal2"])
     assert "seer_lab.povm" in loaded
     assert not loaded & {f"seer_lab.{name}" for name in ("classical", "quantum", "scenario", "signet", "games")}
+
+
+def test_povm_loads_no_numpy_random(tmp_path):
+    # 14 distinct unit axes: azimuth k, polar angle 1 + k.
+    axes = [[math.cos(k) * math.sin(1 + k), math.sin(k) * math.sin(1 + k), math.cos(1 + k)]
+            for k in range(14)]
+    path = tmp_path / "axes14.json"
+    path.write_text(json.dumps(axes))
+    loaded = loaded_by(["povm", "--axes", "trine3"], ["povm", "--axes", str(path)])
+    assert "seer_lab.povm" in loaded
+    assert not {m for m in loaded if m.split(".")[:2] == ["numpy", "random"]}
 
 
 @pytest.mark.parametrize("argvs", [
