@@ -12,6 +12,12 @@ Each subcommand imports the modules it runs when it is called, so a process
 loads only what its subcommand needs: ``network`` runs without numpy, and
 ``povm`` loads none of the bound, table or game modules.
 
+``run`` is the process entry of the ``seer-lab`` console script
+(``seer_lab.cli:run``) and of ``python -m seer_lab.cli``: it runs ``main`` once
+with the cyclic garbage collector off and freezes what is left, so the process
+ends without the collector's passes.  ``main`` leaves the collector alone for
+callers that run it in their own process.
+
 Exit codes: 0 success, 2 usage or input error, 3 certificate or invariant
 failure.  A reader that closes the output early (``| head``) ends the run
 quietly with 0.
@@ -20,6 +26,7 @@ quietly with 0.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import math
@@ -389,5 +396,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return EXIT_OK
 
 
+def run() -> None:
+    """Run ``main`` on ``sys.argv`` and exit with its code; only for a process
+    that ends here, since the collector stays off and what is left is frozen."""
+    gc.disable()
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import classical, quantum, scenario
+from . import classical, scenario
 from .classical import MAX_N
 
 GAME_KINDS = ("seer_ncycle", "bipartite_os", "odd_cycle", "diachronic")
@@ -100,6 +100,8 @@ def _two_wing_model(kind: str, n: int, strategy: str) -> _SamplingModel:
     odd = kind == "odd_cycle"
     payoff = classical.odd_cycle_payoff(n) if odd else classical.os_ring_payoff(n)
     if strategy == "quantum":
+        from . import quantum  # only the quantum strategy needs it
+
         ops = quantum.odd_cycle_observables(n) if odd else (quantum.ring_observables(n),) * 2
         table = quantum._born_table(payoff, *ops)
         expected = payoff.value(table)
@@ -138,7 +140,12 @@ def _seer_model(n: int, strategy: str) -> _SamplingModel:
         probs = np.tile([1, n - 1, n - 1, 1], (n, 1)) / (2 * n)
         expected = 1 / (2 * n)
     else:
-        table = quantum.klyachko_table(n) if strategy == "quantum" else scenario.build_os_ncycle(n)
+        if strategy == "quantum":
+            from . import quantum  # only the quantum strategy needs it
+
+            table = quantum.klyachko_table(n)
+        else:
+            table = scenario.build_os_ncycle(n)
         probs = table.rows(table.contexts)
         expected = table.prob((1, 2), (0, 0))  # = quantum.seer_game_win_probability(n) for quantum
     return _SamplingModel(np.full(n, 1 / n), probs, win, expected)

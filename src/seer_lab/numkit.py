@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .tolerances import PSD_TOL, STRUCT_TOL
+from .tolerances import NORM_TOL, PSD_TOL, STRUCT_TOL
 
 # Largest operator dimension the package is designed for.
 MAX_DIM = 16
@@ -45,11 +45,6 @@ def normalize(ket: Sequence[complex]) -> np.ndarray:
     if nrm == 0:
         raise ValueError("cannot normalize the zero vector")
     return ket / nrm
-
-
-def is_normalized(ket: Sequence[complex]) -> bool:
-    ket = as_ket(ket)
-    return abs(np.vdot(ket, ket).real - 1.0) < STRUCT_TOL and abs(np.vdot(ket, ket).imag) < STRUCT_TOL
 
 
 def is_hermitian(m: np.ndarray, tol: float = STRUCT_TOL) -> bool:
@@ -87,7 +82,7 @@ def projector(ket: Sequence[complex]) -> np.ndarray:
     if kets.ndim == 0 or kets.shape[-1] == 0:
         raise ValueError("a ket must be a nonempty sequence of amplitudes")
     norms = np.einsum("...i,...i->...", kets.conj(), kets)
-    if not (np.all(np.abs(norms.real - 1.0) < 1e-10) and np.all(np.abs(norms.imag) < 1e-10)):
+    if not (np.all(np.abs(norms.real - 1.0) < NORM_TOL) and np.all(np.abs(norms.imag) < NORM_TOL)):
         raise ValueError("projector requires a normalized ket")
     return kets[..., :, None] * kets.conj()[..., None, :]
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import numkit
 from .numkit import pauli_dot
-from .tolerances import STRUCT_TOL
+from .tolerances import POVM_TOL, STRUCT_TOL
 
 PRESET_AXES: dict[str, tuple[np.ndarray, ...]] = {
     "orthogonal2": (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])),
@@ -165,9 +165,9 @@ def simulating_povm(axes: Union[str, Iterable[Sequence[float]]]) -> JointPOVM:
         numkit.ID2 + pauli_dot(direction)
     ) / 2
     povm = JointPOVM(axes, signs, lengths, effects)
-    if povm.completeness_defect() > 1e-10:
+    if povm.completeness_defect() > POVM_TOL:
         raise AssertionError("simulating POVM is not complete")
-    if povm.marginal_defect() > 1e-10:
+    if povm.marginal_defect() > POVM_TOL:
         raise AssertionError("simulating POVM marginals do not match the noisy spins")
     return povm
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import numkit, scenario as scenario_mod
 from .classical import _outcome_projectors, odd_cycle_payoff, os_ring_payoff
 from .numkit import born_overlap, projector, spin_observable
-from .tolerances import CertificateError, NUM_TOL, STRUCT_TOL
+from .tolerances import CertificateError, CHAIN_TOL, NORM_TOL, NUM_TOL, ORTHO_TOL, RANK_TOL, STRUCT_TOL
 
 BELL_STATE = np.zeros(4, dtype=complex)
 BELL_STATE[0] = BELL_STATE[3] = 1 / math.sqrt(2)
@@ -280,7 +280,7 @@ def transitivity_chain_klyachko() -> TransitivityChainResult:
     effects = _ray_effects(k)
     # The pairs (l2,l3) and (l4,l5), zero-based.
     dists = _joint_born(psi2, effects[[1, 3]], effects[[2, 4]])
-    holds = all(abs(d[0, 1] / (d[0, 1] + d[0, 0]) - 1.0) < 1e-10 for d in dists)
+    holds = all(abs(d[0, 1] / (d[0, 1] + d[0, 0]) - 1.0) < CHAIN_TOL for d in dists)
     p_start = float((k[0] @ psi2) ** 2)
     return TransitivityChainResult(psi2, p_start, holds)
 
@@ -292,7 +292,7 @@ def heptagon_chain_rank() -> int:
     normals = np.vstack(
         [np.cross(k[1], k[2]), np.cross(k[3], k[4]), np.cross(k[5], k[6])]
     )
-    return int(np.linalg.matrix_rank(normals, tol=1e-10))
+    return int(np.linalg.matrix_rank(normals, tol=RANK_TOL))
 
 
 @dataclass(frozen=True)
@@ -324,7 +324,7 @@ def clifton_check() -> CliftonReport:
     edges = tuple(
         (names[i], names[j])
         for i, j in itertools.combinations(range(8), 2)
-        if abs(rays[i] @ rays[j]) < 1e-10
+        if abs(rays[i] @ rays[j]) < ORTHO_TOL
     )
     edge_idx = [
         (names.index(a), names.index(b)) for a, b in edges
@@ -333,7 +333,7 @@ def clifton_check() -> CliftonReport:
         (names[i], names[j], names[k_])
         for i, j, k_ in itertools.combinations(range(8), 3)
         if all(
-            abs(rays[x] @ rays[y]) < 1e-10
+            abs(rays[x] @ rays[y]) < ORTHO_TOL
             for x, y in itertools.combinations((i, j, k_), 2)
         )
     )
@@ -416,12 +416,6 @@ def _ring_correlator(ops_a: Sequence[np.ndarray], ops_b: Sequence[np.ndarray]) -
     n = len(ops_a)
     payoff = os_ring_payoff(n).operator(ops_a, ops_b)
     return 6 * n * payoff - 3 * n * np.eye(payoff.shape[0])
-
-
-def bell_ring_operator(n: int) -> np.ndarray:
-    """The two-wing operator whose spectrum bounds the ring-game value."""
-    ops = ring_observables(n)
-    return _ring_correlator(ops, ops)
 
 
 def _ring_certificate_coefficients(n: int) -> np.ndarray:
@@ -576,7 +570,7 @@ def hardy_value(eta: float) -> float:
     events = _hardy_events(build_hardy(eta))
     value = events.pop("p(A1=1,B3=0)")
     worst = max(abs(v) for v in events.values())
-    if worst > 1e-10:
+    if worst > CHAIN_TOL:
         raise ValueError(
             f"chain constraints fail at eta={eta!r} (worst residual {worst:.3e})"
         )
@@ -635,7 +629,7 @@ def relative_state_chain(
     case the initial event itself has probability zero.
     """
     rho = numkit.as_matrix(rho)
-    if not numkit.is_psd(rho) or abs(np.trace(rho).real - 1.0) > 1e-10:
+    if not numkit.is_psd(rho) or abs(np.trace(rho).real - 1.0) > NORM_TOL:
         raise ValueError("rho must be positive semidefinite with unit trace")
     if not numkit.is_unitary(numkit.as_matrix(u)):
         raise ValueError("u must be unitary")
@@ -656,7 +650,7 @@ def relative_state_chain(
             break
         chain.append(nxt / norm)
     overlap = 0.0 if collapsed else float(abs(np.vdot(chain[0], chain[-1])) ** 2)
-    if overlap < 1e-12 and p_initial > 1e-10:
+    if overlap < 1e-12 and p_initial > CHAIN_TOL:
         raise AssertionError(
             "chain denied its antecedent although the antecedent has support"
         )

@@ -3,6 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from helpers import bell_ring_operator, is_normalized
 from seer_lab import numkit, quantum
 from seer_lab.numkit import (
     PAULI_Z,
@@ -34,7 +35,7 @@ def test_tensor_on_bell_state():
 def test_eig_extrema_pauli_and_identity():
     lo, hi, vec = eig_extrema(PAULI_Z)
     assert (lo, hi) == (-1.0, 1.0)
-    assert numkit.is_normalized(vec)
+    assert is_normalized(vec)
     lo, hi, _ = eig_extrema(np.eye(4))
     assert (lo, hi) == (1.0, 1.0)
 
@@ -89,8 +90,6 @@ def test_hermitian_psd_unitary_predicates():
 
 
 def test_eig_extrema_on_two_wing_ring_operator():
-    from seer_lab.quantum import bell_ring_operator
-
     extrema = eig_extrema(bell_ring_operator(3))
     assert extrema.max_eigenvalue == pytest.approx(6.0, abs=1e-9)
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import bell_ring_operator, is_normalized
 from seer_lab import classical, games, numkit, quantum, scenario
 from seer_lab.quantum import (
     BELL_STATE,
@@ -424,7 +425,7 @@ def test_ring_certificate_equals_the_unshared_route_exactly(n):
     ops = ring_observables(n)
     lams = 1 - 2 * np.cos(2 * np.pi * np.arange(n) / n)
     assert report.residual == quantum.bell_decomposition_residual(ops, ops)
-    assert report.extremal_eigenvalue == numkit.eig_extrema(quantum.bell_ring_operator(n)).max_eigenvalue
+    assert report.extremal_eigenvalue == numkit.eig_extrema(bell_ring_operator(n)).max_eigenvalue
     assert report.min_coefficient == min((lams.max() + lams).min(), (lams.max() - lams).min())
 
 
@@ -584,7 +585,7 @@ def test_hardy_chain_equals_the_tensor_born_rule_exactly(eta):
 
 def test_hardy_state_normalized_and_kappas():
     cfg = build_hardy(math.sqrt(3))
-    assert numkit.is_normalized(cfg.state)
+    assert is_normalized(cfg.state)
     eta = math.sqrt(3)
     assert cfg.kappas == pytest.approx((eta**2.5, eta**0.5, eta**1.5))
 

@@ -2,8 +2,11 @@
 (anti)correlated pairs and deciding a table whose zeros admit no atom must not
 load scipy; the first marginal-problem LP loads it, through the module
 attribute ``scenario.linprog``.  The package loads its submodules on first
-access, and each CLI subcommand loads only the modules it runs."""
+access, and each CLI subcommand loads only the modules it runs.  The process
+entry ``cli.run`` prints and exits as ``cli.main`` does, with the collector
+off; ``cli.main`` leaves the collector alone."""
 
+import gc
 import json
 import math
 import os
@@ -87,12 +90,28 @@ print(json.dumps({
 LOADED = """
 import contextlib, io, json, sys
 from seer_lab import cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "seer_lab"))
+
+codes, modules = [], [loaded()]
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({
-    "codes": codes,
-    "modules": sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "seer_lab")),
-}))
+    for argv in json.loads(sys.argv[1]):
+        codes.append(cli.main(argv))
+        modules.append(loaded())
+print(json.dumps({"codes": codes, "modules": modules}))
+"""
+
+RUN_ENTRY = """
+import contextlib, gc, io, json, sys
+from seer_lab import cli
+sys.argv = ["seer-lab", "bounds", "ks_ncycle", "--n", "5"]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.run()
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({"code": code, "enabled": gc.isenabled(), "frozen": gc.get_freeze_count()}))
 """
 
 IMPORT_ALL = """
@@ -108,10 +127,12 @@ print(json.dumps({"at_import": at_import, "lazy": lazy, "loaded": loaded, "star"
 """
 
 
+FRESH_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
 def run_fresh(code: str, *args: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120, check=True
+        [sys.executable, "-c", code, *args], env=FRESH_ENV, capture_output=True, text=True, timeout=120, check=True
     )
     return json.loads(proc.stdout)
 
@@ -142,11 +163,17 @@ def test_table_whose_zeros_admit_no_atom_is_decided_without_scipy():
     assert report == {"feasible": False, "certificate": None, "scipy": []}
 
 
-def loaded_by(*argvs: list[str]) -> set[str]:
-    """Modules of numpy and seer_lab that one fresh process loads to run ``argvs``."""
+def loaded_after_each(*argvs: list[str]) -> list[set[str]]:
+    """Modules of numpy and seer_lab that one fresh process has loaded after
+    importing the CLI and after running each of ``argvs`` in turn."""
     report = run_fresh(LOADED, json.dumps(list(argvs)))
     assert report["codes"] == [0] * len(argvs)
-    return set(report["modules"])
+    return [set(modules) for modules in report["modules"]]
+
+
+def loaded_by(*argvs: list[str]) -> set[str]:
+    """Modules of numpy and seer_lab that one fresh process loads to run ``argvs``."""
+    return loaded_after_each(*argvs)[-1]
 
 
 def test_importing_the_cli_loads_no_numpy_and_no_other_seer_lab_module():
@@ -198,6 +225,56 @@ def test_game_loads_no_povm():
                          for kind in games.GAME_KINDS for strategy in games.STRATEGIES])
     assert "seer_lab.games" in loaded
     assert "seer_lab.povm" not in loaded
+
+
+@pytest.mark.parametrize("kind", games.GAME_KINDS)
+def test_game_loads_quantum_and_numkit_only_for_the_quantum_strategy(kind):
+    classical_best, foil, quantum_run = loaded_after_each(
+        *[["game", kind, "--n", "3", "--strategy", strategy, "--trials", "10"]
+          for strategy in ("classical_best", "foil", "quantum")]
+    )[1:]
+    assert "seer_lab.games" in classical_best
+    assert not foil & {"seer_lab.quantum", "seer_lab.numkit"}
+    assert {"seer_lab.quantum", "seer_lab.numkit"} <= quantum_run
+
+
+def test_main_leaves_the_collector_alone_and_run_turns_it_off(capsys):
+    assert cli.main(["bounds", "ks_ncycle", "--n", "5"]) == 0
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == 0
+    # The process entry runs the same command with the collector off and
+    # freezes what is left before exiting with main's code.
+    report = run_fresh(RUN_ENTRY)
+    assert report["code"] == 0
+    assert report["enabled"] is False
+    assert report["frozen"] > 0
+
+
+def test_module_entry_prints_and_exits_as_main(tmp_path, capsys):
+    graph = tmp_path / "triangle.json"
+    graph.write_text(json.dumps({"nodes": 3, "edges": [[1, 2, "-"], [2, 3, "-"], [3, 1, "-"]]}))
+    argvs = [
+        ["bounds", "ks_ncycle", "--n", "5"],
+        ["povm", "--axes", "trine3", "--json"],
+        ["network", "--file", str(graph), "--csv"],
+        ["game", "diachronic", "--trials", "1000", "--seed", "7"],
+        ["sweep", "mermin_R", "--stop", "9"],
+        ["--version"],
+        ["bounds", "ks_ncycle", "--n", "4"],  # a bad value: exit 2
+        ["game", "no_such_kind"],  # an argparse usage error: exit 2
+    ]
+    codes = []
+    for argv in argvs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's exits: --version and usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "seer_lab.cli", *argv], env=FRESH_ENV,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.stdout, proc.stderr, proc.returncode) == (out, err, code), argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 0, 0, 0, 2, 2]
 
 
 def test_package_loads_each_name_in_all_on_first_access():
