@@ -6,7 +6,8 @@ distribution over outcome tuples to every context.  The central question it
 answers: does a single joint distribution over all measurements reproduce
 every context's statistics as marginals?  That is a linear feasibility
 problem over the 2^n deterministic atoms; for perfectly (anti)correlated pairs
-it is the balance of their signed graph.
+it is the balance of their signed graph.  ``signet`` is imported where a
+signed graph is decided or built, so building tables does not load it.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import classical, signet
+from . import classical
 from .tolerances import NUM_TOL, PROB_FLOOR, STRUCT_TOL
 
 Context = tuple[int, ...]
 Outcome = tuple[int, ...]
 
-# Largest n for the 2^n-atom feasibility LP, set from a 2 GB peak-RSS budget.
+# Largest n for the 2^n-atom feasibility LP, set from a 2 GB peak-RSS budget;
+# tables decided on their signed graph are not capped.
 # Measured on tables without zero entries, whose LP keeps every atom column
 # (2-core host, HiGHS via scipy 1.17): odd_cycle_table(9), 18 measurements,
 # 4.7 s and 0.80 GB (3.7-5.1 s and 0.77 GB with the allowed atoms enumerated
@@ -236,11 +238,13 @@ class CorrelationTable:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "CorrelationTable":
+        from .signet import _json_int
+
         wings = doc.get("wings")
         scenario = Scenario(
-            signet._json_int(doc["n"], "n"),
-            tuple(tuple(signet._json_int(i, "context index") for i in c) for c in doc["contexts"]),
-            None if wings is None else signet._json_int(wings, "wings"),
+            _json_int(doc["n"], "n"),
+            tuple(tuple(_json_int(i, "context index") for i in c) for c in doc["contexts"]),
+            None if wings is None else _json_int(wings, "wings"),
         )
         probs = doc["probs"]
         if not isinstance(probs, Mapping) or not all(isinstance(d, Mapping) for d in probs.values()):
@@ -305,36 +309,53 @@ def build_os_ncycle(n: int) -> CorrelationTable:
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("the anti-correlation cycle needs odd n >= 3")
-    return cycle_correlation_table((signet.DASHED,) * n)
+    return cycle_correlation_table((-1,) * n)
 
 
 # Outcome rows (00, 01, 10, 11) of a perfectly correlated and an anti-correlated pair.
 _CORRELATED = (0.5, 0.0, 0.0, 0.5)
 _ANTICORRELATED = (0.0, 0.5, 0.5, 0.0)
+# The balanced candidate's row of a dashed (0) and a solid (1) pair.
+_CANDIDATE_ROWS = np.array([_ANTICORRELATED, _CORRELATED])
 
 
 def cycle_correlation_table(signs: Sequence[int]) -> CorrelationTable:
-    """Perfectly correlated (+1) or anti-correlated (-1) adjacent pairs on a cycle."""
+    """Perfectly correlated (+1, ``signet.SOLID``) or anti-correlated (-1,
+    ``signet.DASHED``) adjacent pairs on a cycle."""
     scenario = cycle_scenario(len(signs))
-    bad = [s for s in signs if s not in (signet.SOLID, signet.DASHED)]
+    bad = [s for s in signs if s not in (1, -1)]
     if bad:
         raise ValueError(f"bad sign {bad[0]!r}")
-    rows = [_CORRELATED if s == signet.SOLID else _ANTICORRELATED for s in signs]
+    rows = [_CORRELATED if s == 1 else _ANTICORRELATED for s in signs]
     return CorrelationTable.from_vector(scenario, scenario.contexts, rows)
 
 
-def table_signed_graph(table: CorrelationTable) -> Optional[signet.SignedGraph]:
-    """Signed graph of a table whose contexts are perfectly (anti)correlated pairs."""
+def _signed_pairs(table: CorrelationTable) -> Optional[tuple[np.ndarray, list[tuple[int, int, int]]]]:
+    """For a table whose present contexts are all perfectly (anti)correlated
+    pairs, which of them are solid (perfectly correlated), and their signed
+    edges (a, b, sign) in context order; None for any other table."""
     if any(len(ctx) != 2 for ctx in table.contexts):
         return None
     rows = table.vector.reshape(-1, 4)
-    solid = np.abs(rows[:, 0] + rows[:, 3] - 1.0) < STRUCT_TOL
-    dashed = np.abs(rows[:, 1] + rows[:, 2] - 1.0) < STRUCT_TOL
-    if not (solid | dashed).all():
+    # Columns p(00) + p(11) and p(01) + p(10): solid where the first is 1, dashed where the second is.
+    perfect = np.abs(rows[:, :2] + rows[:, :1:-1] - 1.0) < STRUCT_TOL
+    solid = perfect[:, 0]
+    if not (solid | perfect[:, 1]).all():
         return None
-    signs = np.where(solid, signet.SOLID, signet.DASHED).tolist()
-    edges = tuple((a, b, sign) for (a, b), sign in zip(table.contexts, signs))
-    return signet.SignedGraph(table.scenario.n_measurements, edges)
+    from .signet import DASHED, SOLID
+
+    return solid, [(a, b, SOLID if s else DASHED) for (a, b), s in zip(table.contexts, solid.tolist())]
+
+
+def table_signed_graph(table: CorrelationTable):
+    """Signed graph of a table whose contexts are perfectly (anti)correlated
+    pairs, a ``signet.SignedGraph``; None for any other table."""
+    pairs = _signed_pairs(table)
+    if pairs is None:
+        return None
+    from . import signet
+
+    return signet.SignedGraph(table.scenario.n_measurements, tuple(pairs[1]))
 
 
 def deterministic_table(scenario: Scenario, assignment: Sequence[int]) -> CorrelationTable:
@@ -458,30 +479,32 @@ class FeasibilityResult:
 def joint_distribution_feasible(table: CorrelationTable) -> FeasibilityResult:
     """Search for a joint distribution reproducing every context marginal.
 
-    A table of perfectly (anti)correlated pairs is decided on its signed graph
-    first.  A frustrated graph is infeasible, with the odd cycle as the
-    certificate: every atom breaks an edge of that cycle, whose wrong-sign
-    mass in the table is below STRUCT_TOL.  A balanced graph's valuation x
-    gives the candidate 1/2 (x + not x), which is the answer when it
-    reproduces every row to NUM_TOL.  Every other table, and a balanced one
-    whose rows the candidate misses (non-uniform marginals), goes to the
-    linear program over the atoms that give every present context an outcome
-    of nonzero probability.  It loads scipy on its first solve; a table whose
-    zeros admit no atom, or only one, is decided without one.
+    A table whose present contexts are all perfectly (anti)correlated pairs
+    is decided on its signed graph first, at any n: one solid/dashed mask over
+    its rows gives the edges, and ``signet.two_coloring`` runs on them.  A
+    frustrated graph is infeasible, with the odd cycle as the certificate:
+    every atom breaks an edge of that cycle, whose wrong-sign mass in the
+    table is below STRUCT_TOL.  A balanced graph's valuation x gives the
+    candidate 1/2 (x + not x), which is the answer when it reproduces every
+    row to NUM_TOL.  Every other table, and a balanced one whose rows the
+    candidate misses (non-uniform marginals), goes to the linear program
+    (``_lp_feasible``), which raises ValueError past MAX_JOINT_MEASUREMENTS.
+    It loads scipy on its first solve; a table whose zeros admit no atom, or
+    only one, is decided without one.
     """
-    n = table.scenario.n_measurements
-    if n > MAX_JOINT_MEASUREMENTS:
-        raise ValueError(f"atom count 2^{n} exceeds the supported limit 2^{MAX_JOINT_MEASUREMENTS}")
-    graph = table_signed_graph(table)
-    if graph is not None:
-        report = signet.is_frustrated(graph)
+    pairs = _signed_pairs(table)
+    if pairs is not None:
+        from .signet import two_coloring
+
+        n = table.scenario.n_measurements
+        solid, edges = pairs
+        report = two_coloring(n, edges)
         if report.frustrated:
             return FeasibilityResult(False, None, ("odd-parity cycle", report.witness))
         # x satisfies every edge, so 1/2 (x + not x) gives each pair half its
         # sign's two outcomes: (1/2, 0, 0, 1/2) solid, (0, 1/2, 1/2, 0) dashed.
-        dashed = np.array([sign == signet.DASHED for _, _, sign in graph.edges], dtype=bool)
-        candidate = np.where(dashed[:, None], [0, 0.5, 0.5, 0], [0.5, 0, 0, 0.5])
-        if np.abs(candidate.ravel() - table.vector).max(initial=0.0) <= NUM_TOL:
+        candidate = _CANDIDATE_ROWS.take(solid, axis=0)
+        if np.abs(candidate - table.vector.reshape(-1, 4)).max(initial=0.0) <= NUM_TOL:
             x = report.valuation
             atoms = {x: 0.5, tuple(1 - bit for bit in x): 0.5}
             return FeasibilityResult(True, JointDistribution(n, atoms))
@@ -505,17 +528,20 @@ def _rows(bits: np.ndarray, ctx: Context, start: int) -> np.ndarray:
 
 def _allowed_atoms(table: CorrelationTable) -> np.ndarray:
     """The atoms whose outcome on every present context has nonzero
-    probability, increasing, as int32 (atom i sets measurement m to bit m-1 of i).
+    probability, each measurement that no present context names at 0,
+    increasing, as int32 (atom i sets measurement m to bit m-1 of i).
 
-    Assignments to measurements 1..m grow by one measurement at a time, and one
-    is dropped as soon as a context it completes meets an exact zero (-0.0 is
-    zero, 1e-16 is not).  The extensions setting measurement m to 1 follow
-    those setting it to 0, which keeps the order increasing."""
+    Assignments to the named measurements grow by one measurement at a time,
+    in increasing order, and one is dropped as soon as a context it completes
+    meets an exact zero (-0.0 is zero, 1e-16 is not).  The extensions setting
+    measurement m to 1 follow those setting it to 0, which keeps the order
+    increasing.  An unnamed measurement's bit changes no row of the LP, so
+    setting it to 1 as well would only repeat every column."""
     closing: dict[int, list[tuple[Context, int]]] = {}
     for ctx, start in table._start.items():
         closing.setdefault(ctx[-1], []).append((ctx, start))
     atoms = np.zeros(1, dtype=np.int32)
-    for m in range(1, table.scenario.n_measurements + 1):
+    for m in sorted({m for ctx in table._start for m in ctx}):
         atoms = np.concatenate([atoms, atoms | (1 << (m - 1))])
         if m in closing:
             bits = _bits(atoms, m)
@@ -542,17 +568,21 @@ def _lp_feasible(table: CorrelationTable) -> FeasibilityResult:
     One zero-cost LP over nonnegative weights w of the atoms (atom i sets
     measurement m to bit m-1 of i): A w = b, with one row per context outcome
     and a normalisation row.  An atom gets a column only when its outcome on
-    every present context has nonzero probability (``_allowed_atoms``): where
-    b_r = 0, every atom with a 1 in row r has weight 0 in every solution.
-    Every row stays.  A table whose zeros admit no atom is infeasible without a
-    solve.  With one atom left, the normalisation row forces its weight to 1:
-    the table is feasible, with that atom alone, iff the atom's column matches
-    every row to NUM_TOL, again without a solve.  Otherwise HiGHS status 0 is
-    feasible, and the weights are re-checked against every row to NUM_TOL;
-    status 2 is infeasible.  Infeasible verdicts carry no certificate.  The
-    caller bounds n.
+    every present context has nonzero probability and it sets each measurement
+    that no present context names to 0 (``_allowed_atoms``): where b_r = 0,
+    every atom with a 1 in row r has weight 0 in every solution, and an
+    unnamed measurement's bit leaves a column unchanged.  Every row stays.  A
+    table whose zeros admit no atom is infeasible without a solve.  With one
+    atom left, the normalisation row forces its weight to 1: the table is
+    feasible, with that atom alone, iff the atom's column matches every row to
+    NUM_TOL, again without a solve.  Otherwise HiGHS status 0 is feasible, and
+    the weights are re-checked against every row to NUM_TOL; status 2 is
+    infeasible.  Infeasible verdicts carry no certificate.  A scenario of more
+    than MAX_JOINT_MEASUREMENTS measurements raises ValueError.
     """
     n = table.scenario.n_measurements
+    if n > MAX_JOINT_MEASUREMENTS:
+        raise ValueError(f"atom count 2^{n} exceeds the supported limit 2^{MAX_JOINT_MEASUREMENTS}")
     atoms = _allowed_atoms(table)
     if not atoms.size:
         return FeasibilityResult(False, None)
@@ -583,27 +613,3 @@ def _lp_feasible(table: CorrelationTable) -> FeasibilityResult:
     if res.status != 2:
         raise RuntimeError(f"linear program failed: {res.message}")
     return FeasibilityResult(False, None)
-
-
-# --------------------------------------------------------------------------
-# Forced form of the anti-correlation statistics
-
-
-def solve_anticorrelation_constraints(n: int = 3) -> CorrelationTable:
-    """Derive the unique pair statistics compatible with perfect anti-correlation.
-
-    Writing p(0,1) = q_a on the cycle context (a, a+1), consistency of the
-    single-measurement marginals forces q_a + q_{a+1} = 1 around the cycle;
-    for odd n the unique solution is q_a = 1/2 everywhere.  The resulting
-    table equals build_os_ncycle(n).
-    """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("the elimination applies to odd n >= 3")
-    # q_a + q_{a+1} = 1 as a circulant linear system (I + shift) q = 1.
-    system = np.eye(n) + np.roll(np.eye(n), -1, axis=1)
-    q = np.linalg.solve(system, np.ones(n))
-    if np.max(np.abs(q - 0.5)) > STRUCT_TOL:
-        raise AssertionError("elimination did not force q = 1/2")
-    scenario = cycle_scenario(n)
-    rows = np.stack([np.zeros(n), q, 1 - q, np.zeros(n)], axis=1)
-    return CorrelationTable.from_vector(scenario, scenario.contexts, rows)

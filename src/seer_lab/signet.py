@@ -71,11 +71,7 @@ class SignedGraph:
 
     def adjacency(self) -> dict[int, list[tuple[int, int]]]:
         """Signed neighbours of every node that has an edge; isolated nodes are absent."""
-        adj: dict[int, list[tuple[int, int]]] = {}
-        for u, v, s in self.edges:
-            adj.setdefault(u, []).append((v, s))
-            adj.setdefault(v, []).append((u, s))
-        return adj
+        return _adjacency(self.edges)
 
     def to_json_dict(self) -> dict:
         return {
@@ -115,15 +111,29 @@ class FrustrationReport:
         return self.frustrated
 
 
+def _adjacency(edges: Iterable[tuple[int, int, int]]) -> dict[int, list[tuple[int, int]]]:
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for u, v, s in edges:
+        adj.setdefault(u, []).append((v, s))
+        adj.setdefault(v, []).append((u, s))
+    return adj
+
+
 def is_frustrated(g: SignedGraph) -> FrustrationReport:
-    """BFS two-coloring on the sign structure; the witness is one odd cycle.
+    """BFS two-coloring on the sign structure; the witness is one odd cycle."""
+    return two_coloring(g.n_nodes, g.edges)
+
+
+def two_coloring(n_nodes: int, edges: Iterable[tuple[int, int, int]]) -> FrustrationReport:
+    """``is_frustrated`` on nodes 1..n_nodes and the edges (u, v, sign) of a
+    simple graph, u != v and sign SOLID or DASHED, which the caller has checked.
 
     Nodes get parity labels relative to their BFS root; a co-tree edge whose
     sign disagrees with the endpoint parities closes an odd cycle, recovered
     from the two tree paths plus the offending edge.  Without one, the
     parities are a valuation that satisfies every edge.
     """
-    adj = g.adjacency()
+    adj = _adjacency(edges)
     parity: dict[int, int] = {}
     parent: dict[int, Optional[int]] = {}
     # Isolated nodes close no cycle, so only nodes with edges are roots.
@@ -143,7 +153,7 @@ def is_frustrated(g: SignedGraph) -> FrustrationReport:
                     queue.append(v)
                 elif parity[v] != parity[u] ^ flip:
                     return FrustrationReport(True, _tree_cycle(parent, u, v))
-    return FrustrationReport(False, valuation=tuple(parity.get(v, 0) for v in range(1, g.n_nodes + 1)))
+    return FrustrationReport(False, valuation=tuple(parity.get(v, 0) for v in range(1, n_nodes + 1)))
 
 
 def _tree_cycle(parent: Mapping[int, Optional[int]], u: int, v: int) -> tuple[int, ...]:

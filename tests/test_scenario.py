@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from full_lp import full_lp_feasible
+from helpers import solve_anticorrelation_constraints
 from loop_scenario import loop_contexts
 from seer_lab import classical, quantum, scenario, signet
 from seer_lab.scenario import (
@@ -20,7 +21,6 @@ from seer_lab.scenario import (
     cycle_correlation_table,
     deterministic_table,
     joint_distribution_feasible,
-    solve_anticorrelation_constraints,
 )
 from seer_lab.tolerances import NUM_TOL, PROB_FLOOR, STRUCT_TOL
 
@@ -248,6 +248,69 @@ def test_signed_pair_route_matches_lp(table):
         assert kind == "odd-parity cycle" and len(set(cycle)) == len(cycle) >= 3
         steps = [signs[frozenset(e)] for e in zip(cycle, cycle[1:] + cycle[:1])]
         assert steps.count(signet.DASHED) % 2 == 1
+    _assert_pair_route_matches_signed_graph(table)
+
+
+def _assert_pair_route_matches_signed_graph(table):
+    """The public route decides a table of perfectly (anti)correlated pairs as
+    ``signet.is_frustrated`` decides its ``SignedGraph``: the same odd cycle,
+    or for a balanced graph the valuation x, whose candidate 1/2 (x + not x)
+    is the answer exactly when it reproduces every row, and the LP otherwise."""
+    report = signet.is_frustrated(scenario.table_signed_graph(table))
+    with mock.patch.object(scenario, "_lp_feasible", wraps=scenario._lp_feasible) as lp:
+        result = joint_distribution_feasible(table)
+    if report.frustrated:
+        assert (result.feasible, result.certificate) == (False, ("odd-parity cycle", report.witness))
+        assert lp.call_count == 0
+        return
+    x = report.valuation
+    candidate = np.zeros((len(table.contexts), 4))
+    for row, (a, b) in zip(candidate, table.contexts):
+        row[[2 * x[a - 1] + x[b - 1], 3 - 2 * x[a - 1] - x[b - 1]]] = 0.5
+    missed = np.abs(candidate.ravel() - table.vector).max(initial=0.0) > NUM_TOL
+    assert lp.call_count == missed
+    if missed:
+        assert result.feasible == full_lp_feasible(table).feasible
+    else:
+        assert result.feasible and result.certificate is None
+        assert list(result.distribution.atoms.items()) == [(x, 0.5), (tuple(1 - bit for bit in x), 0.5)]
+
+
+def test_pair_route_matches_the_signed_graph_on_every_cycle_pattern():
+    for n in range(3, 10):
+        for signs in itertools.product((signet.SOLID, signet.DASHED), repeat=n):
+            _assert_pair_route_matches_signed_graph(cycle_correlation_table(signs))
+
+
+def _sign_product(table, cycle) -> int:
+    """The product of the edge signs of the table's pairs around a cycle."""
+    signs = {frozenset(ctx): signet.SOLID if table.prob(ctx, (0, 0)) + table.prob(ctx, (1, 1)) > 0.5
+             else signet.DASHED for ctx in table.contexts}
+    return math.prod(signs[frozenset(edge)] for edge in zip(cycle, cycle[1:] + cycle[:1]))
+
+
+@pytest.mark.parametrize("n", [21, 1001])
+def test_anticorrelation_cycles_past_the_lp_cap_are_infeasible(n):
+    table = build_os_ncycle(n)
+    with mock.patch.object(scenario, "_lp_feasible", side_effect=AssertionError("the LP ran")):
+        result = joint_distribution_feasible(table)
+    assert not result.feasible and result.distribution is None
+    kind, cycle = result.certificate
+    assert kind == "odd-parity cycle" and len(set(cycle)) == len(cycle) >= 3
+    assert _sign_product(table, cycle) == -1
+
+
+def test_balanced_cycle_past_the_lp_cap_is_two_atoms():
+    n = 1001
+    signs = [signet.DASHED if a % 4 == 0 else signet.SOLID for a in range(1, n + 1)]
+    assert signs.count(signet.DASHED) % 2 == 0
+    table = cycle_correlation_table(signs)
+    with mock.patch.object(scenario, "_lp_feasible", side_effect=AssertionError("the LP ran")):
+        result = joint_distribution_feasible(table)
+    assert result.feasible and result.certificate is None
+    assert sorted(result.distribution.atoms.values()) == [0.5, 0.5]
+    for ctx, dist in table.probs.items():
+        assert result.distribution.context_marginal(ctx) == dist
 
 
 @st.composite
@@ -278,19 +341,23 @@ def tables_with_zeros(draw):
 
 def _brute_force_allowed(table) -> set:
     """Every atom, as its bits measurement 1 first, whose outcome on each
-    present context has nonzero probability."""
+    present context has nonzero probability and that sets each measurement no
+    present context names to 0."""
     n = table.scenario.n_measurements
     # probs keeps the nonzero outcomes of each context, 1e-16 included.
     probs = table.probs
+    named = {m for ctx in probs for m in ctx}
     return {
         atom for atom in itertools.product((0, 1), repeat=n)
-        if all(tuple(atom[m - 1] for m in ctx) in dist for ctx, dist in probs.items())
+        if all(atom[m - 1] == 0 for m in range(1, n + 1) if m not in named)
+        and all(tuple(atom[m - 1] for m in ctx) in dist for ctx, dist in probs.items())
     }
 
 
 def _assert_enumerates(table, allowed):
-    """The enumerated atoms are the allowed ones, as increasing int32 (atom i
-    sets measurement m to bit m-1 of i, so measurement n is most significant)."""
+    """The enumerated atoms are the allowed ones, unnamed measurements at 0,
+    as increasing int32 (atom i sets measurement m to bit m-1 of i, so
+    measurement n is most significant)."""
     n = table.scenario.n_measurements
     atoms = scenario._allowed_atoms(table)
     assert atoms.dtype == np.int32
@@ -386,12 +453,35 @@ def test_point_distributions_always_feasible():
 
 
 def test_joint_feasibility_size_limit():
-    # 20 is one past the measured cap: refused before any 2^n array exists.
+    # 20 is one past the measured cap: a table that reaches the LP is refused
+    # before any atom is enumerated.  A balanced path of solid pairs whose rows
+    # are not uniform misses the two-atom candidate; a triple has no signed graph.
     for n in (20, 21):
-        scen = Scenario(n, ((1, 2),))
-        table = CorrelationTable(scen, {(1, 2): {(0, 1): 0.5, (1, 0): 0.5}})
-        with pytest.raises(ValueError):
-            joint_distribution_feasible(table)
+        path = Scenario(n, tuple((a, a + 1) for a in range(1, n)))
+        skewed = CorrelationTable(path, {ctx: {(0, 0): 0.3, (1, 1): 0.7} for ctx in path.contexts})
+        triple = CorrelationTable(Scenario(n, ((1, 2, 3),)), {(1, 2, 3): {(0, 1, 1): 1.0}})
+        for table in (skewed, triple):
+            with mock.patch.object(scenario, "_allowed_atoms", side_effect=AssertionError("atoms built")):
+                with pytest.raises(ValueError, match="exceeds the supported limit"):
+                    joint_distribution_feasible(table)
+
+
+@pytest.mark.parametrize("moved", [0.0, 1e-3])
+def test_point_table_with_an_unnamed_measurement_is_decided_without_a_solve(moved):
+    # Context (1, 4) is absent, so no present context names measurement 4:
+    # atom 0 is the only one, and without moved mass the point's valuation.
+    scen = Scenario(5, ((1, 2, 3), (2, 3, 5), (1, 4)))
+    vector = np.zeros(16)
+    vector[[0, 8]] = 1.0
+    vector[:2] += (-moved, moved)
+    table = CorrelationTable.from_vector(scen, scen.contexts[:2], vector)
+    assert scenario._allowed_atoms(table).tolist() == [0]
+    with mock.patch.object(scenario, "linprog", side_effect=AssertionError("HiGHS ran")):
+        result = joint_distribution_feasible(table)
+    assert result.feasible == full_lp_feasible(table).feasible == (moved == 0.0)
+    assert result.certificate is None
+    if result.feasible:
+        assert result.distribution.atoms == {(0,) * 5: 1.0}
 
 
 def test_infeasible_table_without_signed_graph_has_no_certificate():

@@ -2,7 +2,9 @@
 (anti)correlated pairs and deciding a table whose zeros admit no atom must not
 load scipy; the first marginal-problem LP loads it, through the module
 attribute ``scenario.linprog``.  The package loads its submodules on first
-access, and each CLI subcommand loads only the modules it runs.  The process
+access, and each CLI subcommand loads only the modules it runs: ``signet``
+only for ``network``, as a table imports it only to decide or build a signed
+graph.  The process
 entry ``cli.run`` prints and exits as ``cli.main`` does, with the collector
 off; ``cli.main`` leaves the collector alone."""
 
@@ -218,6 +220,22 @@ def test_bounds_and_sweep_load_no_games_or_povm(argvs):
     loaded = loaded_by(*argvs)
     assert "seer_lab.quantum" in loaded
     assert not loaded & {"seer_lab.games", "seer_lab.povm"}
+
+
+_TABLE_MODULES = {"seer_lab", "seer_lab.cli", "seer_lab.tolerances", "seer_lab.classical", "seer_lab.numkit",
+                  "seer_lab.quantum", "seer_lab.scenario"}
+
+
+@pytest.mark.parametrize("argvs, expected", [
+    ([["bounds", "ks_ncycle", "--n", "5"], ["bounds", "bell_ring", "--n", "3"], ["bounds", "odd_cycle", "--n", "3"],
+      ["bounds", "pnc"]], _TABLE_MODULES),
+    ([["sweep", quantity, "--stop", "5"] for quantity in ("klyachko_R", "mermin_R")] + [["sweep", "hardy_p"]],
+     _TABLE_MODULES),
+    ([["game", kind, "--n", "3", "--strategy", strategy, "--trials", "10"]
+      for kind in games.GAME_KINDS for strategy in games.STRATEGIES], _TABLE_MODULES | {"seer_lab.games"}),
+], ids=["bounds", "sweep", "game"])
+def test_bounds_sweep_and_game_load_no_signet(argvs, expected):
+    assert {m for m in loaded_by(*argvs) if m.split(".")[0] == "seer_lab"} == expected
 
 
 def test_game_loads_no_povm():
