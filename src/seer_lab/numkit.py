@@ -2,8 +2,8 @@
 
 Kets are 1-D complex ``numpy`` arrays and operators are square 2-D complex
 arrays.  The helpers here add the validation and conventions the rest of the
-package relies on: hermiticity checks before eigen-decompositions, a fixed
-global phase for eigenvectors, and projector construction.
+package relies on: hermiticity checks before eigen-decompositions and
+projector construction.
 """
 
 from __future__ import annotations
@@ -90,24 +90,19 @@ def projector(ket: Sequence[complex]) -> np.ndarray:
 class EigExtrema(NamedTuple):
     min_eigenvalue: float
     max_eigenvalue: float
-    max_eigvec: np.ndarray
 
 
 def eig_extrema(m: np.ndarray) -> EigExtrema:
-    """Extreme eigenvalues of a hermitian matrix plus the top eigenvector.
+    """Extreme eigenvalues of a hermitian matrix.
 
-    The eigenvector's global phase is fixed by making its largest-magnitude
-    amplitude real and positive, so repeated calls are reproducible.
+    They are read from np.linalg.eigh: np.linalg.eigvalsh can differ from it
+    in the last bit of an extreme eigenvalue of the ring and cycle operators.
     """
     m = require_hermitian(m)
     if m.shape[0] > MAX_DIM:
         raise ValueError(f"dimension {m.shape[0]} exceeds supported maximum {MAX_DIM}")
-    vals, vecs = np.linalg.eigh(m)
-    top = vecs[:, -1]
-    pivot = int(np.argmax(np.abs(top)))
-    phase = top[pivot] / abs(top[pivot])
-    top = top * phase.conjugate()
-    return EigExtrema(float(vals[0]), float(vals[-1]), top)
+    vals = np.linalg.eigh(m).eigenvalues
+    return EigExtrema(float(vals[0]), float(vals[-1]))
 
 
 def pauli_dot(vec: Sequence[float]) -> np.ndarray:

@@ -78,10 +78,7 @@ def _as_axes(axes: Union[str, Iterable[Sequence[float]]]) -> tuple[np.ndarray, .
 def m_vectors(axes: Union[str, Iterable[Sequence[float]]]) -> tuple[np.ndarray, np.ndarray]:
     """The 2^N sign tuples X as rows of +-1 (first axis slowest, +1 first, as
     in itertools.product((1, -1))) and their Bloch sums m_X = sum_k X_k n_k."""
-    return _bloch_sums(_as_axes(axes))
-
-
-def _bloch_sums(axes: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    axes = _as_axes(axes)
     n = len(axes)
     signs = 1 - 2 * ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
     m = np.zeros((1 << n, 3))
@@ -153,7 +150,7 @@ def simulating_povm(axes: Union[str, Iterable[Sequence[float]]]) -> JointPOVM:
     observables at eta = eta_sufficient(axes); both are asserted.
     """
     axes = _as_axes(axes)
-    signs, m = _bloch_sums(axes)
+    signs, m = m_vectors(axes)
     # Row by row, the BLAS dot that np.linalg.norm uses on one vector; a norm
     # over axis=1 or (m * m).sum(axis=1) can differ from it in the last bit.
     lengths = np.sqrt(np.vecdot(m, m))

@@ -154,7 +154,20 @@ class SosCertificateReport:
     certified_bound: float
     extremal_eigenvalue: float
     min_coefficient: float
-    ok: bool
+
+
+def _certified(
+    what: str, n: int, residual: float, bound: float, extremum: float, min_coeff: float
+) -> SosCertificateReport:
+    """The report of a sum-of-squares certificate, or CertificateError unless the
+    identity's residual is below NUM_TOL, no coefficient is below -STRUCT_TOL,
+    and the operator's extremal eigenvalue attains the bound within NUM_TOL."""
+    if not (residual < NUM_TOL and min_coeff >= -STRUCT_TOL and abs(extremum - bound) < NUM_TOL):
+        raise CertificateError(
+            f"{what} certificate failed at n={n}: residual={residual:.3e}, "
+            f"min coefficient={min_coeff:.3e}, extremum={extremum!r} vs bound={bound!r}"
+        )
+    return SosCertificateReport(n, residual, bound, extremum, min_coeff)
 
 
 def _fourier_squares(stack: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -221,21 +234,9 @@ def sos_certificate_klyachko(n: int) -> SosCertificateReport:
     xbars = 2 * _ray_effects(star_polygon(n).kets)[:, 1] - np.eye(3)
     residual, cycle = _klyachko_residual(xbars)
     lam1, lam2 = klyachko_certificate_coefficients(n)
-    min_coeff = min(min(lam1), min(lam2))
     bound = klyachko_closed_form(n)[1]
     extremum = numkit.eig_extrema(cycle).min_eigenvalue
-    ok = (
-        residual < NUM_TOL
-        and min_coeff >= -STRUCT_TOL
-        and extremum >= bound - NUM_TOL
-        and abs(extremum - bound) < NUM_TOL
-    )
-    if not ok:
-        raise CertificateError(
-            f"cycle certificate failed at n={n}: residual={residual:.3e}, "
-            f"min coefficient={min_coeff:.3e}, extremum={extremum!r} vs bound={bound!r}"
-        )
-    return SosCertificateReport(n, residual, bound, extremum, min_coeff, ok)
+    return _certified("cycle", n, residual, bound, extremum, min(min(lam1), min(lam2)))
 
 
 # --------------------------------------------------------------------------
@@ -313,31 +314,19 @@ def clifton_check() -> CliftonReport:
     each orthogonal triple and at most one 1 on each edge; none has both
     v(psi2)=1 and v(l1)=1.
     """
-    poly = star_polygon(5)
-    k = list(poly.kets)
+    k = star_polygon(5).kets
     chi = np.cross(k[1], k[2])
     chi /= np.linalg.norm(chi)
     chip = np.cross(k[3], k[4])
     chip /= np.linalg.norm(chip)
-    rays = k + [chi, chip, _pentagram_psi2(k)]
+    rays = np.vstack([k, chi, chip, _pentagram_psi2(k)])
     names = ("l1", "l2", "l3", "l4", "l5", "chi", "chi'", "psi2")
-    edges = tuple(
-        (names[i], names[j])
-        for i, j in itertools.combinations(range(8), 2)
-        if abs(rays[i] @ rays[j]) < ORTHO_TOL
-    )
-    edge_idx = [
-        (names.index(a), names.index(b)) for a, b in edges
+    ortho = np.abs(rays @ rays.T) < ORTHO_TOL
+    edge_idx = [(i, j) for i, j in itertools.combinations(range(8), 2) if ortho[i, j]]
+    triple_idx = [
+        t for t in itertools.combinations(range(8), 3)
+        if all(ortho[x, y] for x, y in itertools.combinations(t, 2))
     ]
-    triples = tuple(
-        (names[i], names[j], names[k_])
-        for i, j, k_ in itertools.combinations(range(8), 3)
-        if all(
-            abs(rays[x] @ rays[y]) < ORTHO_TOL
-            for x, y in itertools.combinations((i, j, k_), 2)
-        )
-    )
-    triple_idx = [tuple(names.index(x) for x in t) for t in triples]
     valid = []
     for bits in itertools.product((0, 1), repeat=8):
         if any(bits[i] + bits[j] > 1 for i, j in edge_idx):
@@ -348,8 +337,8 @@ def clifton_check() -> CliftonReport:
     i_l1, i_psi2 = names.index("l1"), names.index("psi2")
     return CliftonReport(
         names,
-        edges,
-        triples,
+        tuple(tuple(names[x] for x in e) for e in edge_idx),
+        tuple(tuple(names[x] for x in t) for t in triple_idx),
         len(valid),
         sum(1 for b in valid if b[i_l1] == 1 and b[i_psi2] == 1),
         sum(1 for b in valid if b[i_l1] == 0),
@@ -428,12 +417,13 @@ def bell_decomposition_residual(
 ) -> float:
     """Frobenius residual of the sum-of-squares identity for the two-wing ring
     operator, valid for arbitrary Hermitian wing observables."""
-    return _bell_residual(ops_a, ops_b, _ring_correlator(ops_a, ops_b))
+    return _bell_residual(ops_a, ops_b)[0]
 
 
-def _bell_residual(ops_a, ops_b, correlator: np.ndarray) -> float:
-    """bell_decomposition_residual given the wings' ring correlator."""
+def _bell_residual(ops_a, ops_b) -> tuple[float, np.ndarray]:
+    """bell_decomposition_residual and the ring correlator it checks."""
     n = len(ops_a)
+    correlator = _ring_correlator(ops_a, ops_b)
     abar, bbar = _wing_lift(ops_a, ops_b)
     lams = _ring_certificate_coefficients(n)
     lam_star = lams.max()
@@ -444,7 +434,7 @@ def _bell_residual(ops_a, ops_b, correlator: np.ndarray) -> float:
     # (lam* + lam_k)|A - B|^2 and (lam* - lam_k)|A + B|^2 of mode k, over 4n.
     coeffs = np.stack([lam_star + lams, lam_star - lams], axis=1) / (4 * n)
     rhs += _fourier_squares(np.stack([abar - bbar, abar + bbar], axis=1), coeffs)
-    return float(np.linalg.norm(lhs - rhs))
+    return float(np.linalg.norm(lhs - rhs)), correlator
 
 
 def sos_certificate_bell(n: int) -> SosCertificateReport:
@@ -452,27 +442,18 @@ def sos_certificate_bell(n: int) -> SosCertificateReport:
     and its attainment by the trine-style realization."""
     if n < 3 or n % 2 == 0:
         raise ValueError("the certificate applies to odd n >= 3")
-    ops = ring_observables(n)
-    correlator = _ring_correlator(ops, ops)
-    residual = _bell_residual(ops, ops, correlator)
     lams = _ring_certificate_coefficients(n)
     lam_star = float(lams.max())
     closed = 4 * math.cos(math.pi / (2 * n)) ** 2 - 1
-    bound = n * lam_star
+    if not abs(lam_star - closed) < NUM_TOL:
+        raise CertificateError(
+            f"ring certificate failed at n={n}: top coefficient={lam_star!r} vs closed form={closed!r}"
+        )
+    ops = ring_observables(n)
+    residual, correlator = _bell_residual(ops, ops)
     extremum = numkit.eig_extrema(correlator).max_eigenvalue
     min_coeff = float(min((lam_star + lams).min(), (lam_star - lams).min()))
-    ok = (
-        residual < NUM_TOL
-        and abs(lam_star - closed) < NUM_TOL
-        and min_coeff >= -STRUCT_TOL
-        and abs(extremum - bound) < NUM_TOL
-    )
-    if not ok:
-        raise CertificateError(
-            f"ring certificate failed at n={n}: residual={residual:.3e}, "
-            f"extremum={extremum!r} vs bound={bound!r}"
-        )
-    return SosCertificateReport(n, residual, bound, extremum, min_coeff, ok)
+    return _certified("ring", n, residual, n * lam_star, extremum, min_coeff)
 
 
 # --------------------------------------------------------------------------
@@ -700,8 +681,11 @@ def diachronic_quantum() -> DiachronicResult:
     two-time table is mermin_table(3) and its success the n = 3 ring value.
     The defect is the largest trace distance between the unconditioned
     mixtures (Pi_t^0 + Pi_t^1)/2 for different t; all equal 1/2 identity, so
-    it vanishes.
+    it vanishes, and CertificateError is raised unless it is below STRUCT_TOL.
     """
     mixes = _outcome_projectors(ring_observables(3)).mean(axis=1)
     gaps = np.linalg.eigvalsh(mixes[:, None] - mixes[None, :])
-    return DiachronicResult(mermin_value(3), 0.5 * float(np.abs(gaps).sum(axis=-1).max()))
+    defect = 0.5 * float(np.abs(gaps).sum(axis=-1).max())
+    if defect >= STRUCT_TOL:
+        raise CertificateError(f"trit-obliviousness defect {defect:.3e}")
+    return DiachronicResult(mermin_value(3), defect)

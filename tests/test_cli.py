@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -11,12 +12,13 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import seer_lab
-from seer_lab import classical, cli, games, povm
+from seer_lab import classical, cli, games, numkit, povm, quantum
 
 
 def run_cli(capsys, *argv):
@@ -345,6 +347,93 @@ def test_certificate_failure_exits_3(capsys, monkeypatch):
     assert "verification failure" in err
 
 
+def _break_certificate(monkeypatch, check):
+    """Make one certificate check fail on its own."""
+    if check == "residual":  # every sum of squares gains 1e-6 identity
+        squares = quantum._fourier_squares
+        monkeypatch.setattr(quantum, "_fourier_squares", lambda s, c: squares(s, c) + 1e-6 * np.eye(s.shape[-1]))
+    elif check == "extremum":  # both extreme eigenvalues move up by 1e-6
+        eig = numkit.eig_extrema
+        monkeypatch.setattr(numkit, "eig_extrema", lambda m: numkit.EigExtrema(*(v + 1e-6 for v in eig(m))))
+    elif check == "top":  # the ring's coefficients move up by 1e-6
+        lams = quantum._ring_certificate_coefficients
+        monkeypatch.setattr(quantum, "_ring_certificate_coefficients", lambda n: lams(n) + 1e-6)
+    else:
+        # One trine outcome projector gains 1e-8 sigma_y: the mixtures differ,
+        # while every Born probability with a real projector stays the same.
+        projectors = quantum._outcome_projectors
+
+        def uneven(ops):
+            p = projectors(ops)
+            p[0, 0] += 1e-8 * numkit.PAULI_Y
+            return p
+
+        monkeypatch.setattr(quantum, "_outcome_projectors", uneven)
+
+
+@pytest.mark.parametrize(
+    "argv, check, failed",
+    [
+        (["ks_ncycle", "--n", "5"], "residual", r"cycle certificate failed at n=5: residual=1\.732e-06, "),
+        (["bell_ring", "--n", "3"], "residual", r"ring certificate failed at n=3: residual=2\.000e-06, "),
+        (["ks_ncycle", "--n", "5"], "extremum", r"cycle certificate failed at n=5: .* extremum=(\S+) vs bound=(\S+)"),
+        (["bell_ring", "--n", "3"], "extremum", r"ring certificate failed at n=3: .* extremum=(\S+) vs bound=(\S+)"),
+        (["bell_ring", "--n", "3"], "top", r"ring certificate failed at n=3: top coefficient=(\S+) vs closed form=(\S+)"),
+        (["pnc"], "defect", r"trit-obliviousness defect 5\.000e-09"),
+    ],
+    ids=["ks_ncycle-residual", "bell_ring-residual", "ks_ncycle-extremum", "bell_ring-extremum", "bell_ring-top",
+         "pnc-defect"],
+)
+def test_forced_certificate_failure_exits_3(capsys, monkeypatch, argv, check, failed):
+    _break_certificate(monkeypatch, check)
+    code, out, err = run_cli(capsys, "bounds", *argv)
+    assert (code, out) == (3, "")
+    shown = re.fullmatch("verification failure: " + failed + r"[^\n]*\n", err)
+    assert shown, err
+    if shown.groups():  # the shifted quantity against the one it must equal
+        assert float(shown[1]) - float(shown[2]) == pytest.approx(1e-6, rel=1e-3)
+
+
+# The residual and defect digits are rounding noise that varies with the BLAS
+# build; every other byte of the `bounds` output is pinned.
+CERTIFICATE_NOISE = re.compile(r"(ok \((?:residual|obliviousness defect)) \d\.\d{3}e[-+]\d{2}\)")
+
+
+BOUNDS_OUTPUT = {
+    "ks_ncycle --n 5":
+        'certificate  ok (residual #)\nclassical    0.8\nfamily       ks_ncycle\nn            5\nquantum      0.894427191\nratio        1.11803398875\n',
+    "ks_ncycle --n 5 --json":
+        '{"command":["bounds","ks_ncycle","--n","5","--json"],"results":{"certificate":"ok (residual #)","classical":0.8,"family":"ks_ncycle","n":5,"quantum":0.894427191,"ratio":1.11803398875},"seed":null,"version":"0.1.0"}\n',
+    "ks_ncycle --n 5 --csv":
+        'key,value\ncertificate,ok (residual #)\nclassical,0.8\nfamily,ks_ncycle\nn,5\nquantum,0.894427191\nratio,1.11803398875\n',
+    "bell_ring --n 3":
+        'certificate  ok (residual #)\nclassical    0.777777777778\nfamily       bell_ring\nn            3\nquantum      0.833333333333\nratio        1.07142857143\n',
+    "bell_ring --n 3 --json":
+        '{"command":["bounds","bell_ring","--n","3","--json"],"results":{"certificate":"ok (residual #)","classical":0.777777777778,"family":"bell_ring","n":3,"quantum":0.833333333333,"ratio":1.07142857143},"seed":null,"version":"0.1.0"}\n',
+    "bell_ring --n 3 --csv":
+        'key,value\ncertificate,ok (residual #)\nclassical,0.777777777778\nfamily,bell_ring\nn,3\nquantum,0.833333333333\nratio,1.07142857143\n',
+    "odd_cycle --n 5":
+        'certificate  n/a\nclassical    0.9\nfamily       odd_cycle\nn            5\nquantum      0.975528258148\nratio        1.08392028683\n',
+    "odd_cycle --n 5 --json":
+        '{"command":["bounds","odd_cycle","--n","5","--json"],"results":{"certificate":"n/a","classical":0.9,"family":"odd_cycle","n":5,"quantum":0.975528258148,"ratio":1.08392028683},"seed":null,"version":"0.1.0"}\n',
+    "odd_cycle --n 5 --csv":
+        'key,value\ncertificate,n/a\nclassical,0.9\nfamily,odd_cycle\nn,5\nquantum,0.975528258148\nratio,1.08392028683\n',
+    "pnc":
+        'certificate  ok (obliviousness defect #)\nclassical    0.777777777778\nfamily       pnc\nn            3\nquantum      0.833333333333\nratio        1.07142857143\n',
+    "pnc --json":
+        '{"command":["bounds","pnc","--json"],"results":{"certificate":"ok (obliviousness defect #)","classical":0.777777777778,"family":"pnc","n":3,"quantum":0.833333333333,"ratio":1.07142857143},"seed":null,"version":"0.1.0"}\n',
+    "pnc --csv":
+        'key,value\ncertificate,ok (obliviousness defect #)\nclassical,0.777777777778\nfamily,pnc\nn,3\nquantum,0.833333333333\nratio,1.07142857143\n',
+}
+
+
+@pytest.mark.parametrize("argv", list(BOUNDS_OUTPUT))
+def test_bounds_output_is_pinned(capsys, argv):
+    code, out, err = run_cli(capsys, "bounds", *argv.split())
+    assert (code, err) == (0, "")
+    assert CERTIFICATE_NOISE.sub(r"\1 #)", out) == BOUNDS_OUTPUT[argv]
+
+
 def test_csv_output_for_bounds(capsys):
     code, out, _ = run_cli(capsys, "bounds", "pnc", "--csv")
     assert code == 0
@@ -507,13 +596,13 @@ def test_povm_axes_json_coordinates_are_numbers(tmp_path, capsys):
 
 def test_povm_builds_the_full_family_once(tmp_path, capsys, monkeypatch):
     sizes = []
-    build = povm._bloch_sums
+    build = povm.m_vectors
 
     def counted(axes):
         sizes.append(len(axes))
         return build(axes)
 
-    monkeypatch.setattr(povm, "_bloch_sums", counted)
+    monkeypatch.setattr(povm, "m_vectors", counted)
     angles = [math.pi * k / povm.MAX_AXES for k in range(povm.MAX_AXES)]
     path = tmp_path / "axes.json"
     path.write_text(json.dumps([[math.cos(t), math.sin(t), 0.0] for t in angles]))

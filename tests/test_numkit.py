@@ -3,7 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from helpers import bell_ring_operator, is_normalized
+from helpers import bell_ring_operator
 from seer_lab import numkit, quantum
 from seer_lab.numkit import (
     PAULI_Z,
@@ -33,11 +33,8 @@ def test_tensor_on_bell_state():
 
 
 def test_eig_extrema_pauli_and_identity():
-    lo, hi, vec = eig_extrema(PAULI_Z)
-    assert (lo, hi) == (-1.0, 1.0)
-    assert is_normalized(vec)
-    lo, hi, _ = eig_extrema(np.eye(4))
-    assert (lo, hi) == (1.0, 1.0)
+    assert eig_extrema(PAULI_Z) == (-1.0, 1.0)
+    assert eig_extrema(np.eye(4)) == (1.0, 1.0)
 
 
 def test_eig_extrema_rejects_non_hermitian_and_oversize():
@@ -47,24 +44,12 @@ def test_eig_extrema_rejects_non_hermitian_and_oversize():
         eig_extrema(np.eye(17))
 
 
-def test_eig_extrema_phase_is_deterministic():
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    m = m + m.conj().T
-    v1 = eig_extrema(m).max_eigvec
-    v2 = eig_extrema(np.exp(0j) * m).max_eigvec
-    assert np.allclose(v1, v2)
-    pivot = np.argmax(np.abs(v1))
-    assert v1[pivot].imag == pytest.approx(0, abs=1e-12)
-    assert v1[pivot].real > 0
-
-
 def test_eigenvalue_sandwich_over_random_states():
     rng = np.random.default_rng(11)
     for dim in (2, 3, 4, 8):
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         m = m + m.conj().T
-        lo, hi, _ = eig_extrema(m)
+        lo, hi = eig_extrema(m)
         for _ in range(100):
             psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             psi /= np.linalg.norm(psi)

@@ -37,6 +37,7 @@ from seer_lab.quantum import (
     symmetry_axis_state,
     transitivity_chain_klyachko,
 )
+from seer_lab.tolerances import CertificateError
 
 # ---------------------------------------------------------------------------
 # Star polygon geometry
@@ -213,6 +214,27 @@ def test_cycle_certificate(n):
     )
 
 
+def test_certified_report_keeps_each_figure():
+    report = quantum._certified("test", 7, 0.0, 2.0, 2.0, -1e-12)
+    assert report == quantum.SosCertificateReport(7, 0.0, 2.0, 2.0, -1e-12)
+
+
+@pytest.mark.parametrize(
+    "residual, min_coeff, extremum, shown",
+    [
+        (1e-9, 0.0, 2.0, "residual=1.000e-09,"),
+        (float("nan"), 0.0, 2.0, "residual=nan,"),
+        (0.0, -1.1e-12, 2.0, "min coefficient=-1.100e-12,"),
+        (0.0, 0.0, 2.0 + 1e-9, "extremum=2.000000001 vs bound=2.0"),
+        (0.0, 0.0, 2.0 - 1e-9, "extremum=1.999999999 vs bound=2.0"),
+    ],
+)
+def test_certified_raises_when_one_condition_fails(residual, min_coeff, extremum, shown):
+    with pytest.raises(CertificateError, match="^test certificate failed at n=7: ") as failure:
+        quantum._certified("test", 7, residual, 2.0, extremum, min_coeff)
+    assert shown in str(failure.value)
+
+
 @pytest.mark.parametrize("n", range(5, 52, 2))
 def test_cycle_certificate_equals_the_unshared_route_exactly(n):
     # The report reuses the residual's cycle operator; rebuilt apart, every
@@ -343,14 +365,12 @@ def test_heptagon_has_no_common_ray():
 
 def test_clifton_eight_ray_report():
     report = clifton_check()
-    assert len(report.edges) == 11
-    expected_edges = {
-        ("l1", "l2"), ("l1", "l5"), ("l2", "l3"), ("l3", "l4"), ("l4", "l5"),
-        ("l2", "chi"), ("l3", "chi"), ("l4", "chi'"), ("l5", "chi'"),
-        ("chi", "psi2"), ("chi'", "psi2"),
-    }
-    assert set(report.edges) == expected_edges
-    assert set(report.triples) == {("l2", "l3", "chi"), ("l4", "l5", "chi'")}
+    # Pairs and triples in index order over l1..l5, chi, chi', psi2.
+    assert report.edges == (
+        ("l1", "l2"), ("l1", "l5"), ("l2", "l3"), ("l2", "chi"), ("l3", "l4"), ("l3", "chi"),
+        ("l4", "l5"), ("l4", "chi'"), ("l5", "chi'"), ("chi", "psi2"), ("chi'", "psi2"),
+    )
+    assert report.triples == (("l2", "l3", "chi"), ("l4", "l5", "chi'"))
     assert report.n_valid_colorings == 14
     assert report.n_colorings_start_and_psi2 == 0
     assert report.n_colorings_l1_zero == 11
