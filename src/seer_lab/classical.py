@@ -1,9 +1,9 @@
 """Classical bounds: optima over deterministic strategies.
 
 Covers the noncontextual bound for anti-correlation cycles (in closed form),
-Bell-local bounds for the two-wing prediction games and the
-preparation-noncontextual bound for the two-time game (both by best
-responses over a payoff's cells).
+Bell-local bounds for the two-wing prediction games (by max-plus elimination
+over one wing's settings) and the preparation-noncontextual bound for the
+two-time game (by best responses over a payoff's cells).
 """
 
 from __future__ import annotations
@@ -22,11 +22,20 @@ import numpy as np
 # 2-core host (odd_cycle 0.73 s, seer_ncycle 0.59 s; median of seven).
 MAX_N = 10_001
 
-# Largest per-wing setting count for local_bound, set from a 1 s / 0.5 GB
-# budget: it holds a few int64 rows of n entries per A strategy.  Whole
-# process on a 2-core host: n = 17 0.2 s / 100 MB, n = 19 0.8 s / 339 MB,
-# n = 20 1.5 s / 679 MB, n = 21 3.4 s / 1.4 GB peak RSS.
-MAX_LOCAL_SETTINGS = 19
+# Largest local_bound elimination table, in int64 entries: 2^width scope
+# assignments x (2 answers per B setting + 1), about 11.4 bytes each.  Set
+# from a 0.5 GB budget: a one-block payoff of 19 x 31 settings whose B
+# settings each read all of A (2^19 x 63 entries) took 0.25 s and 411 MB
+# peak RSS, 2^24 x 3 entries 0.79 s and 547 MB (in-process, 2-core host).
+MAX_LOCAL_TABLE = 1 << 25
+
+# Wing-A settings per local_bound elimination block.  The ring and odd-cycle
+# games at n <= 7, the sizes the game sampler plays, are one block.  A ring
+# block also reads four settings of earlier blocks, so its table has
+# 2^(_BLOCK + 4) rows: in-process on a 2-core host the ring at n = 10,001 took
+# 0.25 s with blocks of 5 settings, 0.33 s with 7, 0.39-0.48 s with 8 and
+# 0.79 s with 9, and the twelve games at n = 3..13 took 2-3 ms with any of them.
+_BLOCK = 7
 
 
 @dataclass(frozen=True)
@@ -198,10 +207,21 @@ class LocalBoundResult:
 def local_bound(game: Union[str, GamePayoff], n: Optional[int] = None) -> LocalBoundResult:
     """Maximum payoff over all pairs of deterministic wing strategies.
 
-    For a fixed A strategy the payoff splits over B's measurements, so B's
-    best response is chosen bit by bit; every A strategy is scored at once in
-    integer units of the weights' common denominator.  Ties break toward the
-    lexicographically first strategies (B bits prefer 0).
+    For a fixed A strategy the payoff splits over B's settings: setting b adds
+    the better of its two answers, a function of the A settings that share a
+    cell with b.  The sum of those functions is maximised by max-plus (bucket)
+    elimination over A's settings (Dechter, Artif. Intell. 113, 41 (1999)),
+    in blocks of ``_BLOCK`` settings, the last block first.  A block scores
+    every assignment of its own settings and of the earlier ones that its
+    functions and incoming messages read (its separator), in integer units of
+    the weights' common denominator, and passes the best score for each
+    separator assignment to the block of the separator's last setting.  A
+    wing of at most ``_BLOCK`` settings is one block, which scores all 2^n_a
+    strategies at once.  Fixing the blocks first to last, each to its first
+    best assignment given the settings already fixed, gives the
+    lexicographically first optimal A strategy (X_1 most significant); B bits
+    then prefer 0.  In the ring and odd-cycle games each function reads at
+    most three settings, so the work grows linearly with n.
     """
     if isinstance(game, str):
         if game == "os3":
@@ -215,19 +235,65 @@ def local_bound(game: Union[str, GamePayoff], n: Optional[int] = None) -> LocalB
     else:
         payoff = game
     n_a, n_b = payoff.n_a, payoff.n_b
-    if n_a > MAX_LOCAL_SETTINGS or n_b > MAX_LOCAL_SETTINGS:
-        raise ValueError(f"local bounds are limited to {MAX_LOCAL_SETTINGS} settings per wing")
-
-    won, denom = payoff._win_units(), payoff.denom
-    # score[x_b, x_a, a, b]: weight won at settings (a, b) on outcomes (x_a, x_b).
-    score = won.transpose(3, 1, 0, 2)
-    # Row k holds the bits of A strategy k, X_1 the most significant.
-    bits_a = (np.arange(1 << n_a)[:, None] >> np.arange(n_a - 1, -1, -1)) & 1
-    s0, s1 = (score[xb, 0].sum(axis=0) + bits_a @ (score[xb, 1] - score[xb, 0]) for xb in (0, 1))
-    best = int(np.argmax(np.maximum(s0, s1).sum(axis=1)))
-    value = Fraction(int(np.maximum(s0[best], s1[best]).sum()), denom)
-    witness_b = tuple(int(x) for x in s1[best] > s0[best])
-    return LocalBoundResult(float(value), value, tuple(int(x) for x in bits_a[best]), witness_b)
+    if n_a > MAX_N or n_b > MAX_N:
+        raise ValueError(f"local bounds are limited to {MAX_N} settings per wing")
+    # units[cell, x_a, x_b]: units of 1/denom won on (x_a, x_b); a cell that
+    # wins nothing reads nothing.
+    units = (payoff.weights[:, None] * payoff.wins).reshape(-1, 2, 2)
+    live = units.any(axis=(1, 2))
+    units, (a, b) = units[live], payoff.settings[live].T - 1
+    # B setting b's function belongs to the block of the last A setting it
+    # reads.  The cells go block by block, each block's B settings in turn.
+    last = np.full(n_b, -1, dtype=np.int64)
+    np.maximum.at(last, b, a)
+    home = last[b] // _BLOCK
+    order = np.lexsort((b, home))
+    units, a, b, home = units[order], a[order], b[order], home[order]
+    column = np.zeros(len(b), dtype=np.int64)  # the cell's B setting, counted over the blocks in turn
+    np.cumsum(b[1:] != b[:-1], out=column[1:])
+    n_blocks = -(-n_a // _BLOCK)
+    ends = np.searchsorted(home, np.arange(n_blocks + 1)).tolist()
+    # Per block: the messages (separator, best score per separator assignment)
+    # sent to it, and (separator, own settings, best own assignment per
+    # separator assignment) for fixing its settings.
+    inbox: list[list] = [[] for _ in range(n_blocks)]
+    choices: list = [None] * n_blocks
+    for k in reversed(range(n_blocks)):
+        own = range(k * _BLOCK, min(n_a, (k + 1) * _BLOCK))
+        cells = slice(ends[k], ends[k + 1])
+        sep = sorted(set(a[cells].tolist()).union(*(s for s, _ in inbox[k])).difference(own))
+        scope = sep + list(own)  # increasing: the first setting is the most significant bit
+        cols = column[cells] - column[cells][:1]
+        width, n_cols = len(scope), int(cols.max(initial=-1)) + 1
+        if (1 << width) * (2 * n_cols + 1) > MAX_LOCAL_TABLE:
+            raise ValueError(f"local bounds are limited to elimination tables of {MAX_LOCAL_TABLE} entries; "
+                             f"this payoff needs 2^{width} x {2 * n_cols + 1}")
+        # won[i, x_a, j, x_b]: units won at scope setting i and the block's B setting j.
+        won = np.zeros((width, 2, n_cols, 2), dtype=np.int64)
+        np.add.at(won, (np.searchsorted(scope, a[cells]), slice(None), cols), units[cells])
+        # score[r, j, y]: units won by answer y at B setting j under scope
+        # assignment r, built by doubling from the last scope setting (bit 0).
+        score = np.empty((1 << width, n_cols, 2), dtype=np.int64)
+        score[0] = won[:, 0].sum(axis=0)
+        for i, step in enumerate(won[::-1, 1] - won[::-1, 0]):
+            np.add(score[:1 << i], step, out=score[1 << i:2 << i])
+        table = np.maximum(score[..., 0], score[..., 1]).sum(axis=1)
+        grid = table.reshape((2,) * width)
+        for s, message in inbox[k]:
+            grid += message.reshape([2 if x in s else 1 for x in scope])
+        table = table.reshape(1 << len(sep), -1)
+        choices[k] = sep, own, table.argmax(axis=1)
+        if sep:
+            inbox[sep[-1] // _BLOCK].append((sep, table.max(axis=1)))
+    bits_a = [0] * n_a
+    for sep, own, choice in choices:
+        best = int(choice[sum(bits_a[x] << i for i, x in enumerate(reversed(sep)))])
+        bits_a[own.start:own.stop] = map(int, format(best, f"0{len(own)}b"))
+    won_b = np.zeros((n_b, 2), dtype=np.int64)
+    np.add.at(won_b, b, units[np.arange(len(b)), np.array(bits_a, dtype=np.int64)[a]])
+    value = Fraction(int(np.maximum(won_b[:, 0], won_b[:, 1]).sum()), payoff.denom)
+    witness_b = tuple((won_b[:, 1] > won_b[:, 0]).astype(int).tolist())
+    return LocalBoundResult(float(value), value, tuple(bits_a), witness_b)
 
 
 def _require_n(n: Optional[int]) -> int:

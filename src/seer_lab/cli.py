@@ -50,6 +50,13 @@ EXIT_VERIFICATION = 3
 MAX_SWEEP_ROWS = 10_000
 MAX_SWEEP_N = 201
 
+# Largest `bounds bell_ring`, set from a 0.5 GB peak-RSS budget: the ring
+# certificate's operator grows as n^2, and the whole process takes 0.63 s and
+# 404 MB at n = 2,001 and 1.00 s and 865 MB at n = 3,001 (2-core host, median
+# of seven).  `bounds odd_cycle` has no certificate and runs to
+# classical.MAX_N (0.62 s, 94 MB at n = 10,001).
+MAX_BELL_RING_N = 2_001
+
 # The `game` choices, in the order of games.GAME_KINDS and games.STRATEGIES
 # (a test keeps them equal), stated here so that parsing argv imports no games.
 GAME_KINDS = ("seer_ncycle", "bipartite_os", "odd_cycle", "diachronic")
@@ -123,11 +130,13 @@ def _emit(args, results, command: list[str], seed: Optional[int], started: float
 # Subcommands
 
 
-def _require_odd(n: Optional[int], minimum: int, what: str) -> int:
+def _require_odd(n: Optional[int], minimum: int, maximum: int, what: str) -> int:
     if n is None:
         raise ValueError(f"--n is required for {what}")
     if n < minimum or n % 2 == 0:
         raise ValueError(f"{what} needs odd n >= {minimum}")
+    if n > maximum:
+        raise ValueError(f"{what} is limited to n <= {maximum}")
     return n
 
 
@@ -136,21 +145,19 @@ def cmd_bounds(args) -> dict:
 
     family = args.family
     if family == "ks_ncycle":
-        n = _require_odd(args.n, 5, "ks_ncycle")
-        if n > MAX_SWEEP_N:
-            raise ValueError(f"ks_ncycle is limited to n <= {MAX_SWEEP_N}")
+        n = _require_odd(args.n, 5, MAX_SWEEP_N, "ks_ncycle")
         classical_bound = classical.ks_bound_ncycle(n).r_nc
         quantum_value = quantum.klyachko_value(n).r
         cert = quantum.sos_certificate_klyachko(n)
         certificate = f"ok (residual {cert.residual:.3e})"
     elif family == "bell_ring":
-        n = _require_odd(args.n, 3, "bell_ring")
+        n = _require_odd(args.n, 3, MAX_BELL_RING_N, "bell_ring")
         classical_bound = classical.local_bound("os_ring", n).value
         quantum_value = quantum.mermin_value(n)
         cert = quantum.sos_certificate_bell(n)
         certificate = f"ok (residual {cert.residual:.3e})"
     elif family == "odd_cycle":
-        n = _require_odd(args.n, 3, "odd_cycle")
+        n = _require_odd(args.n, 3, classical.MAX_N, "odd_cycle")
         classical_bound = classical.local_bound("odd_cycle", n).value
         quantum_value = quantum.odd_cycle_game_value(n)
         certificate = "n/a"

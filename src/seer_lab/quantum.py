@@ -10,6 +10,7 @@ odd-cycle game observables; and the two-time (diachronic) protocol.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -94,6 +95,16 @@ def _joint_born(state, first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return born_overlap(psi, images)
 
 
+@contextlib.contextmanager
+def _born_rows():
+    """Report a table check that fails on the package's own Born rows as a
+    CertificateError: such rows mean a broken construction, not bad input."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CertificateError(f"Born table: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class KlyachkoValue:
     n: int
@@ -134,7 +145,8 @@ def klyachko_table(n: int) -> scenario_mod.CorrelationTable:
     effects = _ray_effects(poly.kets)
     first, second = (effects[[ctx[i] - 1 for ctx in scen.contexts]] for i in (0, 1))
     p = _joint_born(symmetry_axis_state(poly), first, second)
-    return scenario_mod.CorrelationTable.from_vector(scen, scen.contexts, np.where(p > 1e-15, p, 0.0))
+    with _born_rows():
+        return scenario_mod.CorrelationTable.from_vector(scen, scen.contexts, np.where(p > 1e-15, p, 0.0))
 
 
 def seer_game_win_probability(n: int) -> float:
@@ -389,7 +401,8 @@ def _born_table(payoff, ops_a, ops_b) -> scenario_mod.CorrelationTable:
     eff_a, eff_b = _wing_lift(_outcome_projectors(ops_a), _outcome_projectors(ops_b))
     a, b = payoff.settings.T - 1
     dists = _joint_born(BELL_STATE, eff_a[a], eff_b[b])
-    return scenario_mod.payoff_table(payoff, dists)
+    with _born_rows():
+        return scenario_mod.payoff_table(payoff, dists)
 
 
 def mermin_table(n: int) -> scenario_mod.CorrelationTable:

@@ -173,9 +173,12 @@ class CorrelationTable:
             raise ValueError(f"the contexts need {layout.index.size} probabilities, got {vector.size}")
         if len(self._start) < len(contexts):
             raise ValueError("two keys name one context")
-        unknown = self._start.keys() - set(scenario.contexts)
-        if unknown:
-            raise ValueError(f"context {min(unknown)} is not part of the scenario")
+        # The scenario's own context tuple, which every builder passes, holds
+        # only its contexts.
+        if contexts is not scenario.contexts:
+            unknown = self._start.keys() - set(scenario.contexts)
+            if unknown:
+                raise ValueError(f"context {min(unknown)} is not part of the scenario")
         vector = vector[layout.index]
         # NaN fails both tests.
         if not (vector.min(initial=0.0) >= PROB_FLOOR and vector.max(initial=0.0) < math.inf):

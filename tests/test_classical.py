@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enum_local_bound import enumerated_local_bound
 from seer_lab import classical, games, numkit, scenario, signet
 from seer_lab.classical import (
-    MAX_LOCAL_SETTINGS,
+    MAX_N,
     GamePayoff,
     bell_s3,
     c_function,
@@ -101,21 +103,70 @@ def test_local_bound_witness_attains_value():
     assert strategy_value(os_ring_payoff(3), bound.witness_a, bound.witness_b) == bound.value_exact
 
 
-@pytest.mark.parametrize("n", range(3, MAX_LOCAL_SETTINGS + 1, 2))
+@pytest.mark.parametrize("n", [*range(3, 20, 2), 21, 101, 1_001, MAX_N])
 def test_local_bound_closed_forms_up_to_cap(n):
     assert local_bound("os_ring", n).value_exact == 1 - Fraction(2, 3 * n)
     assert local_bound("odd_cycle", n).value_exact == 1 - Fraction(1, 2 * n)
 
 
+@pytest.mark.parametrize("n", range(3, 14, 2))
+@pytest.mark.parametrize("payoff_of", [os_ring_payoff, odd_cycle_payoff])
+def test_local_bound_matches_enumeration(payoff_of, n):
+    payoff = payoff_of(n)
+    bound = local_bound(payoff)
+    assert (bound.value_exact, bound.witness_a, bound.witness_b) == enumerated_local_bound(payoff)
+
+
+@pytest.mark.parametrize("payoff_of", [os_ring_payoff, odd_cycle_payoff])
+def test_local_bound_witness_scores_the_bound_at_large_n(payoff_of):
+    payoff = payoff_of(1_001)
+    bound = local_bound(payoff)
+    witness = scenario.deterministic_table(scenario.payoff_scenario(payoff), bound.witness_a + bound.witness_b)
+    assert payoff.value(witness) == bound.value
+
+
+def _readers(n_a, n_b):
+    """n_b B settings that each share a cell with every one of n_a A settings."""
+    cells = [(a, b) for b in range(1, n_b + 1) for a in range(1, n_a + 1)]
+    return GamePayoff(n_a, n_b, cells, [1] * len(cells), len(cells), [(True, False, False, False)] * len(cells))
+
+
 def test_local_bound_oversize_rejected():
     # The ring games need odd n, so the first ring past the cap is cap + 2;
     # a one-cell payoff puts cap + 1 settings on either wing.
-    message = f"limited to {MAX_LOCAL_SETTINGS} settings per wing"
+    message = f"limited to {MAX_N} settings per wing"
     with pytest.raises(ValueError, match=message):
-        local_bound("os_ring", MAX_LOCAL_SETTINGS + 2)
-    for n_a, n_b in ((MAX_LOCAL_SETTINGS + 1, 1), (1, MAX_LOCAL_SETTINGS + 1)):
+        local_bound("os_ring", MAX_N + 2)
+    for n_a, n_b in ((MAX_N + 1, 1), (1, MAX_N + 1)):
         with pytest.raises(ValueError, match=message):
             local_bound(GamePayoff(n_a, n_b, [(1, 1)], [1], 1, [(True, False, False, False)]))
+    # 16 B settings that read 20 A settings need 2^20 x 33 entries, one reader
+    # of 24 A settings 2^24 x 3, both past 2^25; neither is allocated.
+    for n_a, n_b, need in ((20, 16, "2^20 x 33"), (24, 1, "2^24 x 3")):
+        message = f"elimination tables of {classical.MAX_LOCAL_TABLE} entries; this payoff needs {need}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            local_bound(_readers(n_a, n_b))
+
+
+def test_local_bound_cells_that_win_nothing_read_nothing():
+    # One B setting shares cells with 24 A settings, which would need a
+    # 2^24 x 3 table; all but the last cell have weight 0 or never win.
+    cells = [(a, 1) for a in range(1, 25)]
+    weights = [0] * 12 + [1] * 12
+    wins = [(True, False, False, False)] * 12 + [(False,) * 4] * 11 + [(True, False, False, False)]
+    bound = local_bound(GamePayoff(24, 1, cells, weights, 12, wins))
+    assert (bound.value_exact, bound.witness_a, bound.witness_b) == (Fraction(1, 12), (0,) * 24, (0,))
+
+
+def test_local_bound_table_cap_is_inclusive(monkeypatch):
+    # One reader of 12 A settings needs 2^12 x 3 entries: a cap of exactly
+    # that admits it, one entry fewer refuses it.
+    payoff = _readers(12, 1)
+    monkeypatch.setattr(classical, "MAX_LOCAL_TABLE", 3 << 12)
+    assert local_bound(payoff).value_exact == 1
+    monkeypatch.setattr(classical, "MAX_LOCAL_TABLE", (3 << 12) - 1)
+    with pytest.raises(ValueError, match=re.escape("needs 2^12 x 3")):
+        local_bound(payoff)
 
 
 def test_local_bound_gauge_invariance():
@@ -432,11 +483,31 @@ def brute_force_local_bound(payoff):
 def test_local_bound_matches_brute_force(payoff):
     bound = local_bound(payoff)
     assert (bound.value_exact, bound.witness_a, bound.witness_b) == brute_force_local_bound(payoff)
+    assert (bound.value_exact, bound.witness_a, bound.witness_b) == enumerated_local_bound(payoff)
     assert bound.value == float(bound.value_exact)
     witness = scenario.deterministic_table(
         scenario.payoff_scenario(payoff), bound.witness_a + bound.witness_b
     )
     assert abs(payoff.value(witness) - float(bound.value_exact)) <= 1e-12
+
+
+@st.composite
+def wide_payoffs(draw):
+    """Payoffs over more A settings than one elimination block, whose random
+    cells tie settings of different blocks together."""
+    n_a, n_b = draw(st.integers(classical._BLOCK + 1, 16)), draw(st.integers(1, 12))
+    size = draw(st.integers(1, 24))
+    weights = draw(st.lists(st.integers(0, 24), min_size=size, max_size=size).filter(lambda ws: sum(ws) > 0))
+    settings = [(draw(st.integers(1, n_a)), draw(st.integers(1, n_b))) for _ in weights]
+    wins = [draw(st.lists(st.booleans(), min_size=4, max_size=4)) for _ in weights]
+    return GamePayoff(n_a, n_b, settings, weights, sum(weights), wins)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_payoffs())
+def test_local_bound_matches_enumeration_across_blocks(payoff):
+    bound = local_bound(payoff)
+    assert (bound.value_exact, bound.witness_a, bound.witness_b) == enumerated_local_bound(payoff)
 
 
 @settings(max_examples=80, deadline=None)

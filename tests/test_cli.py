@@ -91,12 +91,25 @@ def test_bounds_ks_ncycle_cap(capsys):
 
 @pytest.mark.parametrize("family", ["bell_ring", "odd_cycle"])
 def test_bounds_beyond_local_bound_cap(capsys, family):
-    # The cap + 1 is even and fails the parity check, so the first odd n past
-    # the cap reaches the local_bound limit.
-    code, out, err = run_cli(capsys, "bounds", family, "--n", str(classical.MAX_LOCAL_SETTINGS + 2))
-    assert code == 2
-    assert out == ""
-    assert err == f"error: local bounds are limited to {classical.MAX_LOCAL_SETTINGS} settings per wing\n"
+    # n = 21 was past the old 2^n local_bound's cap; each family now stops at
+    # its own cap, and cap + 1 is even, so cap + 2 is the first n refused.
+    code, out, err = run_cli(capsys, "bounds", family, "--n", "21", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]["classical"] == pytest.approx(
+        1 - 2 / 63 if family == "bell_ring" else 1 - 1 / 42, abs=1e-12)
+    cap = cli.MAX_BELL_RING_N if family == "bell_ring" else classical.MAX_N
+    for n in (cap + 2, 10**30 + 1):
+        code, out, err = run_cli(capsys, "bounds", family, "--n", str(n))
+        assert (code, out) == (2, "")
+        assert err == f"error: {family} is limited to n <= {cap}\n"
+
+
+def test_bounds_odd_cycle_at_its_cap(capsys):
+    code, out, err = run_cli(capsys, "bounds", "odd_cycle", "--n", str(classical.MAX_N), "--json")
+    assert (code, err) == (0, "")
+    results = json.loads(out)["results"]
+    assert results["n"] == classical.MAX_N
+    assert results["classical"] == pytest.approx(1 - 1 / (2 * classical.MAX_N), abs=1e-12)
 
 
 def test_game_n_cap(capsys):
@@ -112,6 +125,13 @@ def test_game_n_cap(capsys):
             assert out == ""
             assert err.startswith("error:") and err.count("\n") == 1
         assert err == f"error: games are limited to n <= {games.MAX_N}\n"
+
+
+def test_game_classical_best_at_the_cap(capsys):
+    code, out, err = run_cli(capsys, "game", "bipartite_os", "--n", str(games.MAX_N),
+                             "--strategy", "classical_best", "--trials", "10", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]["expected_rate"] == pytest.approx(1 - 2 / (3 * games.MAX_N), abs=1e-12)
 
 
 def test_byte_identical_reruns(capsys):
@@ -392,6 +412,47 @@ def test_forced_certificate_failure_exits_3(capsys, monkeypatch, argv, check, fa
     assert shown, err
     if shown.groups():  # the shifted quantity against the one it must equal
         assert float(shown[1]) - float(shown[2]) == pytest.approx(1e-6, rel=1e-3)
+
+
+@pytest.mark.parametrize("argv", [["bounds", "bell_ring", "--n", "3"],
+                                  ["game", "bipartite_os", "--n", "3", "--strategy", "quantum"]])
+def test_broken_born_table_exits_3(capsys, monkeypatch, argv):
+    # Outcome 0 of the first setting gains 1e-8 sigma_z, which pushes one Born
+    # probability of the package's own table below zero: a broken
+    # construction, not bad input.
+    projectors = quantum._outcome_projectors
+
+    def broken(ops):
+        p = projectors(ops)
+        p[0, 0] += 1e-8 * numkit.PAULI_Z
+        return p
+
+    monkeypatch.setattr(quantum, "_outcome_projectors", broken)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    shown = re.fullmatch(r"verification failure: Born table: negative or non-finite probability (\S+) "
+                         r"in context \(1, 4\)\n", err)
+    assert shown, err
+    assert float(shown[1]) == pytest.approx(-5e-9, rel=1e-6)
+
+
+@pytest.mark.parametrize("argv", [["bounds", "ks_ncycle", "--n", "5"],
+                                  ["game", "seer_ncycle", "--n", "5", "--strategy", "quantum"]])
+def test_broken_cycle_born_table_exits_3(capsys, monkeypatch, argv):
+    # The first ray's projector grows by 1e-6, so the cycle table's first
+    # context no longer sums to 1.
+    effects = quantum._ray_effects
+
+    def broken(kets):
+        e = effects(kets)
+        e[0, 1] *= 1 + 1e-6
+        return e
+
+    monkeypatch.setattr(quantum, "_ray_effects", broken)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert re.fullmatch(r"verification failure: Born table: context \(1, 2\) is not normalized "
+                        r"\(sum=1\.00000044\d*\)\n", err), err
 
 
 # The residual and defect digits are rounding noise that varies with the BLAS
@@ -788,7 +849,7 @@ GRAPHS = {
 @example(argv=["sweep", "hardy_p", "--start=1e300", "--stop=1e300"])
 @example(argv=["sweep", "klyachko_R", "--start=5.5", "--stop=9"])
 @example(argv=["game", "bipartite_os", f"--n={games.MAX_N + 2}", "--trials=10"])
-@example(argv=["bounds", "bell_ring", f"--n={classical.MAX_LOCAL_SETTINGS + 2}"])
+@example(argv=["bounds", "bell_ring", f"--n={cli.MAX_BELL_RING_N + 2}"])
 @example(argv=["bounds", "ks_ncycle", "--n=27"])
 @example(argv=["bounds", "ks_ncycle", f"--n={cli.MAX_SWEEP_N + 2}"])
 @example(argv=["bounds", "ks_ncycle", f"--n={10**30 + 1}"])

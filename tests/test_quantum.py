@@ -545,7 +545,6 @@ def test_payoff_scores_quantum_foil_and_witness_tables():
         assert ring.value(scenario.build_bipartite_table("nonlocal_os_n", n)) == 1.0
         for payoff in (ring, odd):
             assert payoff.value(scenario.foil_table(payoff)) == 1.0
-    # local_bound scores all 2^n strategies at once, a few ms each up to n=13.
     for n in range(3, 14, 2):
         for game, payoff in (
             ("os_ring", classical.os_ring_payoff(n)),

@@ -642,6 +642,26 @@ def test_vector_tables_check_their_length():
         CorrelationTable.from_vector(scenario.cycle_scenario(3), ((1, 2), (2, 3)), [0.25] * 4)
 
 
+def test_only_foreign_context_lists_are_checked_against_the_scenario(monkeypatch):
+    # The scenario's own context tuple names no context outside it, so its
+    # tables build no membership set; any other list is still checked.
+    scen = scenario.cycle_scenario(3)
+    checked = []
+
+    def spy(*args):
+        checked.extend(arg is scen.contexts for arg in args)
+        return set(*args)
+
+    monkeypatch.setattr(scenario, "set", spy, raising=False)
+    rows = np.tile([0.5, 0.0, 0.0, 0.5], (3, 1))
+    own = CorrelationTable.from_vector(scen, scen.contexts, rows)
+    assert checked == []
+    copy = CorrelationTable.from_vector(scen, list(scen.contexts), rows)
+    assert checked == [True] and np.array_equal(copy.vector, own.vector)
+    with pytest.raises(ValueError, match=r"^context \(1, 3\) is not part of the scenario$"):
+        CorrelationTable.from_vector(scenario.cycle_scenario(4), [(1, 3)], rows[0])
+
+
 def test_tables_over_one_context_list_share_one_read_only_layout():
     assert scenario.cycle_scenario(7) is scenario.cycle_scenario(7)
     scen = scenario.cycle_scenario(7)
