@@ -166,8 +166,11 @@ def _operator_path(*shapes: tuple[int, ...]) -> list:
 
 
 def _outcome_projectors(ops: Sequence[np.ndarray]) -> np.ndarray:
-    """(1 + O)/2 and (1 - O)/2 for each observable O, stacked as (settings, 2, d, d)."""
-    ops = np.asarray(ops, dtype=complex)
+    """(1 + O)/2 and (1 - O)/2 for each observable O, stacked as (settings, 2, d, d),
+    real for a float64 stack."""
+    from .numkit import as_operand  # only quantum operators need it
+
+    ops = as_operand(ops)
     eye = np.eye(ops.shape[-1])
     return np.stack([(eye + ops) / 2, (eye - ops) / 2], axis=1)
 

@@ -323,7 +323,56 @@ def cmd_sweep(args) -> dict:
 # Parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _bounds_arguments(p):
+    p.add_argument("family", choices=["ks_ncycle", "bell_ring", "odd_cycle", "pnc"])
+    p.add_argument("--n", type=int)
+    p.set_defaults(func=cmd_bounds)
+
+
+def _povm_arguments(p):
+    p.add_argument("--axes", required=True, help="preset name or JSON file of 3-vectors")
+    p.set_defaults(func=cmd_povm)
+
+
+def _network_arguments(p):
+    p.add_argument("--file", required=True, help="graph JSON file")
+    p.add_argument("--directed", action="store_true")
+    p.add_argument("--start", type=int, help="start node for directed chains")
+    p.add_argument("--value", type=int, choices=[0, 1], help="start value")
+    p.set_defaults(func=cmd_network)
+
+
+def _game_arguments(p):
+    p.add_argument("kind", choices=list(GAME_KINDS))
+    p.add_argument("--n", type=int)
+    p.add_argument("--strategy", choices=list(STRATEGIES), default="quantum")
+    p.add_argument("--trials", type=int, default=100000)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=cmd_game)
+
+
+def _sweep_arguments(p):
+    p.add_argument("quantity", choices=["klyachko_R", "mermin_R", "hardy_p"])
+    p.add_argument("--start", type=float)
+    p.add_argument("--stop", type=float)
+    p.add_argument("--step", type=float)
+    p.set_defaults(func=cmd_sweep)
+
+
+# Each subcommand's help line and the function that adds its own arguments.
+_SUBCOMMANDS = {
+    "bounds": ("classical bound vs quantum value", _bounds_arguments),
+    "povm": ("joint-measurability thresholds for spin axes", _povm_arguments),
+    "network": ("frustration / implication-chain analysis", _network_arguments),
+    "game": ("Monte Carlo game simulation", _game_arguments),
+    "sweep": ("CSV series of classical bound vs quantum value", _sweep_arguments),
+}
+
+
+def build_parser(subcommand: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or one whose subcommands all exist but only
+    `subcommand` has its arguments: the others' help lines, names and errors
+    need none of theirs."""
     parser = argparse.ArgumentParser(
         prog="seer-lab",
         description="Bounds, certificates, networks and game simulations "
@@ -331,54 +380,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"seer-lab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_output_flags(p):
-        p.add_argument("--json", action="store_true", help="emit a JSON envelope")
-        p.add_argument("--csv", action="store_true", help="emit CSV")
-        p.add_argument("--timing", action="store_true", help="include wall time")
-
-    p = sub.add_parser("bounds", help="classical bound vs quantum value")
-    p.add_argument("family", choices=["ks_ncycle", "bell_ring", "odd_cycle", "pnc"])
-    p.add_argument("--n", type=int)
-    add_output_flags(p)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("povm", help="joint-measurability thresholds for spin axes")
-    p.add_argument("--axes", required=True, help="preset name or JSON file of 3-vectors")
-    add_output_flags(p)
-    p.set_defaults(func=cmd_povm)
-
-    p = sub.add_parser("network", help="frustration / implication-chain analysis")
-    p.add_argument("--file", required=True, help="graph JSON file")
-    p.add_argument("--directed", action="store_true")
-    p.add_argument("--start", type=int, help="start node for directed chains")
-    p.add_argument("--value", type=int, choices=[0, 1], help="start value")
-    add_output_flags(p)
-    p.set_defaults(func=cmd_network)
-
-    p = sub.add_parser("game", help="Monte Carlo game simulation")
-    p.add_argument("kind", choices=list(GAME_KINDS))
-    p.add_argument("--n", type=int)
-    p.add_argument("--strategy", choices=list(STRATEGIES), default="quantum")
-    p.add_argument("--trials", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-    add_output_flags(p)
-    p.set_defaults(func=cmd_game)
-
-    p = sub.add_parser("sweep", help="CSV series of classical bound vs quantum value")
-    p.add_argument("quantity", choices=["klyachko_R", "mermin_R", "hardy_p"])
-    p.add_argument("--start", type=float)
-    p.add_argument("--stop", type=float)
-    p.add_argument("--step", type=float)
-    add_output_flags(p)
-    p.set_defaults(func=cmd_sweep)
+    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if subcommand is None or subcommand == name:
+            add_arguments(p)
+            p.add_argument("--json", action="store_true", help="emit a JSON envelope")
+            p.add_argument("--csv", action="store_true", help="emit CSV")
+            p.add_argument("--timing", action="store_true", help="include wall time")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.perf_counter()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    command = list(argv) if argv is not None else sys.argv[1:]
+    # The top level takes only -h and --version, so argparse dispatches to the
+    # first token that does not start with "-": only that subcommand needs its
+    # arguments.
+    parser = build_parser(next((str(c) for c in command if not str(c).startswith("-")), ""))
+    args = parser.parse_args(command)
     if getattr(args, "subcommand", None) == "sweep" and not args.json:
         args.csv = True  # sweeps default to CSV series
     try:
@@ -389,7 +408,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    command = list(argv) if argv is not None else sys.argv[1:]
     try:
         _emit(args, results, [str(c) for c in command], getattr(args, "seed", None), started)
         sys.stdout.flush()

@@ -1,9 +1,15 @@
-"""Dense complex linear algebra helpers for small Hilbert spaces (dim <= 16).
+"""Dense linear algebra helpers for small Hilbert spaces (dim <= 16).
 
-Kets are 1-D complex ``numpy`` arrays and operators are square 2-D complex
-arrays.  The helpers here add the validation and conventions the rest of the
-package relies on: hermiticity checks before eigen-decompositions and
-projector construction.
+Kets are 1-D ``numpy`` arrays and operators are square 2-D arrays, under one
+dtype rule (``as_operand``): a float64 array stays float64, and any other input
+is coerced to complex128.  The ring, odd-cycle and star-polygon constructions
+are real, so their Born tables and the cycle certificate run in real
+arithmetic, with the same bits as the complex route.  Complex is kept where a
+construction is complex or real arithmetic would move a reported bit:
+``as_matrix`` (so ``eig_extrema`` and the hermiticity checks), ``pauli_dot``,
+the ring certificate's operands, Hardy's rays and the relative-state helpers.
+The helpers add the validation and conventions the rest of the package relies
+on: hermiticity checks before eigen-decompositions and projector construction.
 """
 
 from __future__ import annotations
@@ -18,14 +24,21 @@ from .tolerances import NORM_TOL, PSD_TOL, STRUCT_TOL
 MAX_DIM = 16
 
 ID2 = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+
+
+def as_operand(values) -> np.ndarray:
+    """A float64 array as it is, any other input coerced to a complex array."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        return values
+    return np.asarray(values, dtype=complex)
 
 
 def as_ket(values: Sequence[complex]) -> np.ndarray:
-    """Coerce a sequence of amplitudes to a 1-D complex vector."""
-    ket = np.asarray(values, dtype=complex)
+    """Coerce a sequence of amplitudes to a 1-D vector by the as_operand rule."""
+    ket = as_operand(values)
     if ket.ndim != 1 or ket.size == 0:
         raise ValueError("a ket must be a nonempty 1-D sequence of amplitudes")
     return ket
@@ -77,8 +90,9 @@ def is_unitary(m: np.ndarray) -> bool:
 
 def projector(ket: Sequence[complex]) -> np.ndarray:
     """Rank-one projector |k><k| onto a normalized ket, or the (..., d, d) stack
-    of them for a (..., d) stack of kets: the products np.outer takes."""
-    kets = np.asarray(ket, dtype=complex)
+    of them for a (..., d) stack of kets: the products np.outer takes, real for
+    a float64 stack."""
+    kets = as_operand(ket)
     if kets.ndim == 0 or kets.shape[-1] == 0:
         raise ValueError("a ket must be a nonempty sequence of amplitudes")
     norms = np.einsum("...i,...i->...", kets.conj(), kets)
@@ -123,9 +137,12 @@ def spin_observable(angle) -> np.ndarray:
 
 
 def born_probability(state: Sequence[complex], effect: np.ndarray) -> float:
-    """<psi|E|psi> for a pure state, clamped of floating-point noise."""
-    psi = as_ket(state)
-    return born_overlap(psi, as_matrix(effect) @ psi)
+    """<psi|E|psi> for a pure state, clamped of floating-point noise; real for a
+    float64 state and effect."""
+    psi, effect = as_ket(state), as_operand(effect)
+    if effect.ndim != 2:
+        raise ValueError("a matrix must be a 2-D array of entries")
+    return born_overlap(psi, effect @ psi)
 
 
 def born_overlap(psi: np.ndarray, image: np.ndarray):

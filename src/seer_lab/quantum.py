@@ -20,10 +20,10 @@ import numpy as np
 
 from . import numkit, scenario as scenario_mod
 from .classical import _outcome_projectors, odd_cycle_payoff, os_ring_payoff
-from .numkit import born_overlap, projector, spin_observable
+from .numkit import as_operand, born_overlap, projector, spin_observable
 from .tolerances import CertificateError, CHAIN_TOL, NORM_TOL, NUM_TOL, ORTHO_TOL, RANK_TOL, STRUCT_TOL
 
-BELL_STATE = np.zeros(4, dtype=complex)
+BELL_STATE = np.zeros(4)
 BELL_STATE[0] = BELL_STATE[3] = 1 / math.sqrt(2)
 
 
@@ -196,15 +196,16 @@ def klyachko_decomposition_residual(xbars: Sequence[np.ndarray]) -> float:
     """Frobenius residual of the sum-of-nonnegative-terms identity for the
     cycle operator, valid for any Hermitian family of n >= 3 members with
     adjacent members commuting (no dichotomy assumption)."""
-    return _klyachko_residual(xbars)[0]
-
-
-def _klyachko_residual(xbars) -> tuple[float, np.ndarray]:
-    """klyachko_decomposition_residual and the cycle operator sum_a X_a X_a+1 it checks."""
-    xb = np.asarray(xbars, dtype=complex)
-    n = len(xb)
-    if n < 3:
+    if len(xbars) < 3:
         raise ValueError("the cycle identity needs at least three operators")
+    return _klyachko_residual(xbars, klyachko_certificate_coefficients(len(xbars)))[0]
+
+
+def _klyachko_residual(xbars, coefficients: tuple[list[float], list[float]]) -> tuple[float, np.ndarray]:
+    """klyachko_decomposition_residual, given klyachko_certificate_coefficients(n),
+    and the cycle operator sum_a X_a X_a+1 it checks; real for a float64 family."""
+    xb = as_operand(xbars)
+    n = len(xb)
     eye = np.eye(xb.shape[-1])
     sec = 1 / math.cos(math.pi / n)
     squares = xb @ xb
@@ -221,9 +222,9 @@ def _klyachko_residual(xbars) -> tuple[float, np.ndarray]:
     rhs += (1 + sec) / (4 * n) * (v0.conj().T @ v0)
     # The squares of the members take lam1 over j = 1..n, those of the adjacent
     # products lam2 over j = 1..n-1; mode j mod n of each.
-    lam1, lam2 = klyachko_certificate_coefficients(n)
+    lam1, lam2 = coefficients
     coeffs = np.stack([np.roll(lam1, 1), [0.0, *lam2]], axis=1) / n
-    rhs += _fourier_squares(np.stack([xb, prods], axis=1), coeffs)
+    rhs = rhs + _fourier_squares(np.stack([xb, prods], axis=1), coeffs)
     return float(np.linalg.norm(lhs - rhs)), cycle
 
 
@@ -244,8 +245,8 @@ def sos_certificate_klyachko(n: int) -> SosCertificateReport:
     if n < 5 or n % 2 == 0:
         raise ValueError("the certificate applies to odd n >= 5")
     xbars = 2 * _ray_effects(star_polygon(n).kets)[:, 1] - np.eye(3)
-    residual, cycle = _klyachko_residual(xbars)
     lam1, lam2 = klyachko_certificate_coefficients(n)
+    residual, cycle = _klyachko_residual(xbars, (lam1, lam2))
     bound = klyachko_closed_form(n)[1]
     extremum = numkit.eig_extrema(cycle).min_eigenvalue
     return _certified("cycle", n, residual, bound, extremum, min(min(lam1), min(lam2)))
@@ -387,18 +388,19 @@ def mermin_closed_form(n: int) -> float:
 
 def _wing_lift(ops_a, ops_b) -> tuple[np.ndarray, np.ndarray]:
     """A (x) 1 and 1 (x) B for stacks of wing operators (leading axes kept), the
-    products np.kron takes."""
-    ops_a, ops_b = np.asarray(ops_a, dtype=complex), np.asarray(ops_b, dtype=complex)
+    products np.kron takes, real for float64 stacks."""
+    ops_a, ops_b = as_operand(ops_a), as_operand(ops_b)
     da, db = ops_a.shape[-1], ops_b.shape[-1]
-    abar = ops_a[..., :, None, :, None] * np.eye(db, dtype=complex)[:, None, :]
-    bbar = np.eye(da, dtype=complex)[:, None, :, None] * ops_b[..., None, :, None, :]
+    abar = ops_a[..., :, None, :, None] * np.eye(db, dtype=ops_a.dtype)[:, None, :]
+    bbar = np.eye(da, dtype=ops_b.dtype)[:, None, :, None] * ops_b[..., None, :, None, :]
     return abar.reshape(*abar.shape[:-4], da * db, -1), bbar.reshape(*bbar.shape[:-4], da * db, -1)
 
 
 def _born_table(payoff, ops_a, ops_b) -> scenario_mod.CorrelationTable:
     """Table of a payoff's cells, the wings measuring on the maximally entangled
     pair (outcome 0 <-> +1 eigenvalue)."""
-    eff_a, eff_b = _wing_lift(_outcome_projectors(ops_a), _outcome_projectors(ops_b))
+    proj_a = _outcome_projectors(ops_a)
+    eff_a, eff_b = _wing_lift(proj_a, proj_a if ops_b is ops_a else _outcome_projectors(ops_b))
     a, b = payoff.settings.T - 1
     dists = _joint_born(BELL_STATE, eff_a[a], eff_b[b])
     with _born_rows():
@@ -414,9 +416,10 @@ def mermin_table(n: int) -> scenario_mod.CorrelationTable:
 
 def _ring_correlator(ops_a: Sequence[np.ndarray], ops_b: Sequence[np.ndarray]) -> np.ndarray:
     """sum_a A_a B_a minus the adjacent-setting correlators: each ring cell is
-    (1 +- A (x) B)/2 with weight 1/(3n), so this is 6n P - 3n for the payoff P."""
+    (1 +- A (x) B)/2 with weight 1/(3n), so this is 6n P - 3n for the payoff P.
+    The certificate's operands are complex: real ones move its last bits."""
     n = len(ops_a)
-    payoff = os_ring_payoff(n).operator(ops_a, ops_b)
+    payoff = os_ring_payoff(n).operator(np.asarray(ops_a, dtype=complex), np.asarray(ops_b, dtype=complex))
     return 6 * n * payoff - 3 * n * np.eye(payoff.shape[0])
 
 
@@ -434,7 +437,9 @@ def bell_decomposition_residual(
 
 
 def _bell_residual(ops_a, ops_b) -> tuple[float, np.ndarray]:
-    """bell_decomposition_residual and the ring correlator it checks."""
+    """bell_decomposition_residual and the ring correlator it checks, both from
+    complex operands as _ring_correlator's."""
+    ops_a, ops_b = np.asarray(ops_a, dtype=complex), np.asarray(ops_b, dtype=complex)
     n = len(ops_a)
     correlator = _ring_correlator(ops_a, ops_b)
     abar, bbar = _wing_lift(ops_a, ops_b)
@@ -631,7 +636,7 @@ def relative_state_chain(
         raise ValueError("rho and u must act on the same space")
     if steps < 1:
         raise ValueError("need at least one step")
-    phi = numkit.normalize(phi1)
+    phi = numkit.normalize(np.asarray(phi1, dtype=complex))
     rho_t = rho.T
     p_initial = float(np.real(np.vdot(phi, rho_t @ phi)))
     chain = [phi]

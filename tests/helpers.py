@@ -1,11 +1,13 @@
 """Small functions only the tests call: the two-wing ring operator, whose top
-eigenvalue bounds the ring-game value, a unit-norm test for one ket, and the
-anti-correlation cycle derived from its forced pair statistics."""
+eigenvalue bounds the ring-game value, a unit-norm test for one ket, the
+anti-correlation cycle derived from its forced pair statistics, and the
+complex128 route of the Born tables that their real arithmetic must equal bit
+for bit."""
 
 import numpy as np
 
-from seer_lab import quantum, scenario
-from seer_lab.numkit import as_ket
+from seer_lab import classical, quantum, scenario
+from seer_lab.numkit import as_ket, born_overlap
 from seer_lab.tolerances import STRUCT_TOL
 
 
@@ -38,3 +40,59 @@ def solve_anticorrelation_constraints(n: int = 3) -> scenario.CorrelationTable:
     cycle = scenario.cycle_scenario(n)
     rows = np.stack([np.zeros(n), q, 1 - q, np.zeros(n)], axis=1)
     return scenario.CorrelationTable.from_vector(cycle, cycle.contexts, rows)
+
+
+# The Born tables in complex128 throughout: the oracle that their float64
+# route must equal bit for bit.
+
+
+def complex_outcome_projectors(ops) -> np.ndarray:
+    """classical._outcome_projectors on complex operands."""
+    ops = np.asarray(ops, dtype=complex)
+    eye = np.eye(ops.shape[-1])
+    return np.stack([(eye + ops) / 2, (eye - ops) / 2], axis=1)
+
+
+def complex_wing_lift(ops_a, ops_b) -> tuple[np.ndarray, np.ndarray]:
+    """quantum._wing_lift on complex operands."""
+    ops_a, ops_b = np.asarray(ops_a, dtype=complex), np.asarray(ops_b, dtype=complex)
+    da, db = ops_a.shape[-1], ops_b.shape[-1]
+    abar = ops_a[..., :, None, :, None] * np.eye(db, dtype=complex)[:, None, :]
+    bbar = np.eye(da, dtype=complex)[:, None, :, None] * ops_b[..., None, :, None, :]
+    return abar.reshape(*abar.shape[:-4], da * db, -1), bbar.reshape(*bbar.shape[:-4], da * db, -1)
+
+
+def complex_joint_born(state, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """quantum._joint_born on a complex state and complex effects."""
+    psi = np.asarray(state, dtype=complex)
+    products = first[:, :, None] @ second[:, None, :]
+    return born_overlap(psi, products @ psi)
+
+
+def complex_born_table(payoff, ops_a, ops_b) -> scenario.CorrelationTable:
+    """quantum._born_table in complex128."""
+    eff_a, eff_b = complex_wing_lift(complex_outcome_projectors(ops_a), complex_outcome_projectors(ops_b))
+    a, b = payoff.settings.T - 1
+    return scenario.payoff_table(payoff, complex_joint_born(quantum.BELL_STATE, eff_a[a], eff_b[b]))
+
+
+def complex_klyachko_table(n: int) -> scenario.CorrelationTable:
+    """quantum.klyachko_table in complex128."""
+    poly = quantum.star_polygon(n)
+    kets = poly.kets.astype(complex)
+    projs = kets[:, :, None] * kets.conj()[:, None, :]
+    effects = np.stack([np.eye(3) - projs, projs], axis=1)
+    scen = scenario.cycle_scenario(n)
+    first, second = (effects[[ctx[i] - 1 for ctx in scen.contexts]] for i in (0, 1))
+    p = complex_joint_born(quantum.symmetry_axis_state(poly), first, second)
+    return scenario.CorrelationTable.from_vector(scen, scen.contexts, np.where(p > 1e-15, p, 0.0))
+
+
+def complex_tables(n: int) -> dict[str, scenario.CorrelationTable]:
+    """The ring, odd-cycle and star-polygon tables at n by the complex route."""
+    ring = quantum.ring_observables(n)
+    return {
+        "mermin": complex_born_table(classical.os_ring_payoff(n), ring, ring),
+        "odd_cycle": complex_born_table(classical.odd_cycle_payoff(n), *quantum.odd_cycle_observables(n)),
+        "klyachko": complex_klyachko_table(n),
+    }

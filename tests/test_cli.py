@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -381,10 +382,11 @@ def _break_certificate(monkeypatch, check):
     else:
         # One trine outcome projector gains 1e-8 sigma_y: the mixtures differ,
         # while every Born probability with a real projector stays the same.
+        # The real trine projectors are cast to complex to hold the fault.
         projectors = quantum._outcome_projectors
 
         def uneven(ops):
-            p = projectors(ops)
+            p = projectors(ops).astype(complex)
             p[0, 0] += 1e-8 * numkit.PAULI_Y
             return p
 
@@ -507,6 +509,52 @@ def test_missing_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main([])
     assert info.value.code == 2
+
+
+def _parse(parser, argv):
+    """What a parser makes of argv: its namespace or exit code, and what it prints."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parsed = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            parsed = exc.code
+    return parsed, out.getvalue(), err.getvalue()
+
+
+def test_build_parser_gives_arguments_to_one_or_every_subcommand():
+    def with_arguments(parser):
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return [name for name, sub in subparsers.choices.items() if len(sub._actions) > 1]
+
+    assert with_arguments(cli.build_parser()) == ["bounds", "povm", "network", "game", "sweep"]
+    for name in cli._SUBCOMMANDS:
+        assert with_arguments(cli.build_parser(name)) == [name]
+    assert with_arguments(cli.build_parser("")) == []
+
+
+@pytest.mark.parametrize("argv, dispatched", [
+    ([], ""), (["--help"], ""), (["--version"], ""), (["nope"], "nope"), (["--n", "5", "bounds", "pnc"], "5"),
+    (["-", "bounds"], "bounds"), (["-5", "bounds"], "bounds"), (["--", "bounds", "pnc"], "bounds"),
+    (["", "game"], ""), (["bounds"], "bounds"), (["bounds", "nope"], "bounds"), (["bounds", "pnc", "--bogus"], "bounds"),
+    (["bounds", "ks_ncycle", "--n", "x"], "bounds"), (["bounds", "-h", "povm"], "bounds"), (["-h", "game"], "game"),
+    (["game", "odd_cycle", "--strategy", "nope"], "game"), (["network", "--file"], "network"),
+    (["sweep", "hardy_p", "--step", "abc"], "sweep"), (["povm"], "povm"),
+    *(([name, "-h"], name) for name in ("bounds", "povm", "network", "game", "sweep")),
+    (["bounds", "pnc", "--json"], "bounds"), (["povm", "--axes", "trine3"], "povm"),
+    (["game", "diachronic", "--trials", "10"], "game"), (["sweep", "mermin_R", "--stop", "5", "--csv"], "sweep"),
+])
+def test_main_parses_with_the_dispatched_subcommand_as_with_all(monkeypatch, argv, dispatched):
+    # Every subcommand gets its name and help line; only the first token not
+    # starting with "-" gets its arguments, and argv parses, prints and exits
+    # as it does with every subcommand's arguments.
+    build, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda *args: built.append(args) or build(*args))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.suppress(SystemExit):
+            cli.main(argv)
+    assert built == [(dispatched,)]
+    assert _parse(build(dispatched), argv) == _parse(build(), argv)
 
 
 def test_network_arity_mismatch_is_usage_error(tmp_path, capsys):

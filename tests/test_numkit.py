@@ -106,9 +106,9 @@ def test_stacked_projectors_equal_np_outer_bit_for_bit():
     stacks = [kets, np.array(quantum.star_polygon(51).kets), np.array(quantum.build_hardy(1.7).up_a)]
     for stack in stacks:
         projs = projector(stack)
-        assert projs.shape == stack.shape + stack.shape[-1:]
+        assert projs.shape == stack.shape + stack.shape[-1:] and projs.dtype == stack.dtype
         for idx in np.ndindex(stack.shape[:-1]):
-            ket = stack[idx].astype(complex)
+            ket = stack[idx]
             assert projs[idx].tobytes() == np.outer(ket, ket.conj()).tobytes()
     bad = kets.copy()
     bad[2, 1] *= 1.001

@@ -1,12 +1,19 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bell_ring_operator, is_normalized
+from helpers import (
+    bell_ring_operator,
+    complex_born_table,
+    complex_klyachko_table,
+    complex_tables,
+    is_normalized,
+)
 from seer_lab import classical, games, numkit, quantum, scenario
 from seer_lab.quantum import (
     BELL_STATE,
@@ -555,6 +562,85 @@ def test_payoff_scores_quantum_foil_and_witness_tables():
                 scenario.payoff_scenario(payoff), bound.witness_a + bound.witness_b
             )
             assert abs(payoff.value(witness) - bound.value) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Real constructions in real arithmetic, with the complex route's bits
+
+
+@pytest.mark.parametrize("n", [*range(3, 52, 2), 101, 1001])
+def test_real_born_tables_equal_the_complex_route_bit_for_bit(n):
+    expected = complex_tables(n)
+    tables = {"mermin": quantum.mermin_table(n), "odd_cycle": quantum.odd_cycle_table(n),
+              "klyachko": klyachko_table(n)}
+    for name, table in tables.items():
+        assert table.vector.tobytes() == expected[name].vector.tobytes(), name
+    assert mermin_value(n) == classical.os_ring_payoff(n).value(expected["mermin"])
+    assert odd_cycle_game_value(n) == classical.odd_cycle_payoff(n).value(expected["odd_cycle"])
+    if n > 3:
+        ring = expected["klyachko"]
+        r = float(np.mean(ring.rows(ring.scenario.contexts)[:, 1:3].sum(axis=1)))
+        assert klyachko_value(n) == quantum.KlyachkoValue(n, r, n - 2 * n * r, r)
+
+
+@pytest.mark.parametrize("kind", games.GAME_KINDS)
+def test_games_equal_the_complex_born_route(kind, monkeypatch):
+    specs = [games.GameSpec(kind, strategy, trials=100_000, seed=5, n=n)
+             for n in ((3,) if kind == "diachronic" else (3, 5, 7, 11, 101)) for strategy in games.STRATEGIES]
+    real = [games.simulate(spec).to_dict() for spec in specs]
+    monkeypatch.setattr(quantum, "_born_table", complex_born_table)
+    monkeypatch.setattr(quantum, "klyachko_table", complex_klyachko_table)
+    assert [games.simulate(spec).to_dict() for spec in specs] == real
+
+
+def _born_images(build):
+    """The (state, images) pairs that `build` finishes with born_overlap."""
+    with mock.patch.object(quantum, "born_overlap", wraps=numkit.born_overlap) as finish:
+        build()
+    return [call.args for call in finish.call_args_list]
+
+
+def test_ring_cycle_and_star_polygon_constructions_are_float64():
+    ops = ring_observables(7)
+    poly = star_polygon(7)
+    lifts = quantum._wing_lift(classical._outcome_projectors(ops), classical._outcome_projectors(ops))
+    arrays = [ops, *quantum.odd_cycle_observables(7), poly.kets, symmetry_axis_state(poly), BELL_STATE,
+              classical._outcome_projectors(ops), quantum._ray_effects(poly.kets), *lifts]
+    for build in (lambda: quantum.mermin_table(7), lambda: quantum.odd_cycle_table(7), lambda: klyachko_table(7),
+                  transitivity_chain_klyachko):
+        arrays += [array for args in _born_images(build) for array in args]
+    assert all(array.dtype == np.float64 for array in arrays)
+    with mock.patch.object(quantum, "_fourier_squares", wraps=quantum._fourier_squares) as squares:
+        sos_certificate_klyachko(7)
+    assert squares.call_args.args[0].dtype == np.float64
+
+
+def test_pauli_dot_relative_states_hardy_and_the_ring_certificate_stay_complex():
+    rho, u = np.diag([0.7, 0.3]), np.eye(2)
+    chain = relative_state_chain(rho, u, np.array([0.6, 0.8]), 2).chain
+    arrays = [numkit.pauli_dot([0.0, 0.0, 1.0]), *chain, relative_state_partner(rho, u, np.array([0.6, 0.8])),
+              purification_state(rho, u), build_hardy(1.5).state]
+    ops = ring_observables(7)
+    with mock.patch.object(quantum, "_fourier_squares", wraps=quantum._fourier_squares) as squares:
+        sos_certificate_bell(7)
+    arrays += [squares.call_args.args[0], quantum._ring_correlator(ops, ops), bell_ring_operator(7)]
+    assert all(array.dtype == np.complex128 for array in arrays)
+
+
+def test_born_table_builds_one_projector_stack_for_shared_wings():
+    with mock.patch.object(quantum, "_outcome_projectors", wraps=classical._outcome_projectors) as build:
+        quantum.mermin_table(5)
+        games.simulate(games.GameSpec("diachronic", "quantum", trials=10, seed=0))
+        assert build.call_count == 2
+        quantum.odd_cycle_table(5)
+        assert build.call_count == 4
+
+
+def test_cycle_certificate_computes_its_coefficients_once():
+    with mock.patch.object(quantum, "klyachko_certificate_coefficients",
+                           wraps=quantum.klyachko_certificate_coefficients) as coefficients:
+        sos_certificate_klyachko(9)
+    assert coefficients.call_count == 1
 
 
 # ---------------------------------------------------------------------------
