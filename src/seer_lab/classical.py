@@ -145,10 +145,12 @@ class GamePayoff:
         """Sum over cells of weight * sum over winning (x, y) of Pi_a^x (x) Pi_b^y,
         with Pi^x = (1 + (-1)^x O)/2 for the wing observable O at each setting
         (outcome 0 is eigenvalue +1); for +-1 observables its expectation in a
-        state is the state's winning probability."""
+        state is the state's winning probability.  Wings that share one stack
+        share its projectors."""
         if len(ops_a) != self.n_a or len(ops_b) != self.n_b:
             raise ValueError(f"the payoff needs {self.n_a} and {self.n_b} wing observables")
-        operands = self._win_units(), _outcome_projectors(ops_a), _outcome_projectors(ops_b)
+        proj_a = _outcome_projectors(ops_a)
+        operands = self._win_units(), proj_a, proj_a if ops_b is ops_a else _outcome_projectors(ops_b)
         path = _operator_path(*(op.shape for op in operands))
         out = np.einsum(_OPERATOR_SUBSCRIPTS, *operands, optimize=path)
         return out.reshape(out.shape[0] * out.shape[1], -1) / self.denom

@@ -414,12 +414,18 @@ def mermin_table(n: int) -> scenario_mod.CorrelationTable:
     return _born_table(os_ring_payoff(n), ops, ops)
 
 
+def _complex_wings(ops_a, ops_b) -> tuple[np.ndarray, np.ndarray]:
+    """Both wings' stacks as complex128, one array when the wings share one."""
+    complex_a = np.asarray(ops_a, dtype=complex)
+    return complex_a, complex_a if ops_b is ops_a else np.asarray(ops_b, dtype=complex)
+
+
 def _ring_correlator(ops_a: Sequence[np.ndarray], ops_b: Sequence[np.ndarray]) -> np.ndarray:
     """sum_a A_a B_a minus the adjacent-setting correlators: each ring cell is
     (1 +- A (x) B)/2 with weight 1/(3n), so this is 6n P - 3n for the payoff P.
     The certificate's operands are complex: real ones move its last bits."""
     n = len(ops_a)
-    payoff = os_ring_payoff(n).operator(np.asarray(ops_a, dtype=complex), np.asarray(ops_b, dtype=complex))
+    payoff = os_ring_payoff(n).operator(*_complex_wings(ops_a, ops_b))
     return 6 * n * payoff - 3 * n * np.eye(payoff.shape[0])
 
 
@@ -439,7 +445,7 @@ def bell_decomposition_residual(
 def _bell_residual(ops_a, ops_b) -> tuple[float, np.ndarray]:
     """bell_decomposition_residual and the ring correlator it checks, both from
     complex operands as _ring_correlator's."""
-    ops_a, ops_b = np.asarray(ops_a, dtype=complex), np.asarray(ops_b, dtype=complex)
+    ops_a, ops_b = _complex_wings(ops_a, ops_b)
     n = len(ops_a)
     correlator = _ring_correlator(ops_a, ops_b)
     abar, bbar = _wing_lift(ops_a, ops_b)

@@ -6,8 +6,14 @@ distribution over outcome tuples to every context.  The central question it
 answers: does a single joint distribution over all measurements reproduce
 every context's statistics as marginals?  That is a linear feasibility
 problem over the 2^n deterministic atoms; for perfectly (anti)correlated pairs
-it is the balance of their signed graph.  ``signet`` is imported where a
-signed graph is decided or built, so building tables does not load it.
+it is the balance of their signed graph.  Any other table is checked for
+consistency first: two contexts must agree, in exact sums, on every marginal
+they share.  A consistent table goes to nonnegative least squares on those
+shared marginals, and each infeasible verdict comes with an integer Farkas
+vector that scores every atom at most 0 and the table above 0 in exact
+arithmetic; a residual too small for one leaves the table undecided, and
+RuntimeError says so.  ``signet`` is imported where a signed graph is decided
+or built, so building tables does not load it.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -27,16 +34,17 @@ from .tolerances import NUM_TOL, PROB_FLOOR, STRUCT_TOL
 Context = tuple[int, ...]
 Outcome = tuple[int, ...]
 
-# Largest n for the 2^n-atom feasibility LP, set from a 2 GB peak-RSS budget;
-# tables decided on their signed graph are not capped.
-# Measured on tables without zero entries, whose LP keeps every atom column
-# (2-core host, HiGHS via scipy 1.17): odd_cycle_table(9), 18 measurements,
-# 4.7 s and 0.80 GB (3.7-5.1 s and 0.77 GB with the allowed atoms enumerated
-# directly, 3.6-5.1 s and 0.80 GB before, alternating runs); klyachko_table(19)
-# mixed with 10% white noise, 11.8 s and 1.59 GB.  An infeasible
-# 20-measurement pair table took 27 s and 3.3 GB.
-# Enumerating only the allowed atoms does not lift the cap: a table without
-# zero entries, like these, still gets a column for every atom.
+# Largest n for the 2^n-atom marginal problem, set from a 2 GB peak-RSS budget
+# when HiGHS solved it; tables decided on their signed graph are not capped.
+# Measured on tables without zero entries, which keep every atom (2-core
+# host, scipy 1.17, one process each).  With HiGHS on the outcome rows:
+# odd_cycle_table(9), 18 measurements, 3.9 s and 0.77 GB; klyachko_table(19)
+# mixed with 10% white noise, 8.0 s and 1.54 GB.  With nnls on the
+# shared-marginal rows: 3.2 s and 0.29 GB (infeasible, Farkas vector
+# included), and 15-17 s and 0.48 GB (feasible).  An infeasible
+# 20-measurement pair table took 27 s and 3.3 GB under HiGHS.  Enumerating
+# only the allowed atoms does not lift the cap: a table without zero entries,
+# like these, still gets a weight for every atom.
 MAX_JOINT_MEASUREMENTS = 19
 
 # Context lists whose layout is kept, and cycle scenarios kept.  A sweep over
@@ -421,6 +429,93 @@ def build_bipartite_table(kind: str, n: Optional[int] = None) -> CorrelationTabl
 
 
 # --------------------------------------------------------------------------
+# Shared marginals
+
+
+class _Subsets(NamedTuple):
+    """Every nonempty subset S of every present context, once per context that
+    names it, sorted by S and then by context."""
+
+    masks: np.ndarray  # S as bits, measurement m at bit m - 1
+    contexts: np.ndarray  # the naming context's position in table.contexts
+    cells: np.ndarray  # the table entry of that context's outcome reading 1 on S alone
+    values: np.ndarray  # P(every measurement of S reads 1) in that context, in float64
+    first: np.ndarray  # True at the first context naming each S
+
+
+def _blocks(table: CorrelationTable) -> dict[int, tuple[list[int], np.ndarray]]:
+    """The present contexts of each size: their positions in table.contexts
+    and the table entries of their blocks, one block per row."""
+    by_size: dict[int, list[int]] = {}
+    for i, ctx in enumerate(table.contexts):
+        by_size.setdefault(len(ctx), []).append(i)
+    starts = [table._start[ctx] for ctx in table.contexts]
+    return {size: (index, np.array([starts[i] for i in index])[:, None] + np.arange(1 << size))
+            for size, index in by_size.items()}
+
+
+def _bit_sums(rows: np.ndarray, into: int) -> np.ndarray:
+    """Each row's entry M replaced, in place, by the sum of its entries at the
+    indices whose bits include M's (``into`` 0) or lie within M's (``into`` 1)."""
+    bit = 1
+    while bit < rows.shape[1]:
+        view = rows.reshape(rows.shape[0], -1, 2, bit)
+        view[:, :, into] += view[:, :, 1 - into]
+        bit <<= 1
+    return rows
+
+
+def _subsets(table: CorrelationTable) -> _Subsets:
+    """The subsets of the present contexts and their marginals, one
+    superset-sum pass over the blocks of each size."""
+    parts = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),)]
+    for size, (index, entries) in _blocks(table).items():
+        sums = _bit_sums(table.vector[entries], 0)
+        local = np.arange(1, 1 << size)
+        # Bit j of an outcome index is measurement ctx[size - 1 - j].
+        weights = 1 << (np.array([table.contexts[i] for i in index])[:, ::-1] - 1)
+        masks = weights @ ((local[:, None] >> np.arange(size)) & 1).T
+        parts.append((masks.ravel(), np.repeat(index, local.size), entries[:, 1:].ravel(), sums[:, 1:].ravel()))
+    masks, contexts, cells, values = map(np.concatenate, zip(*parts))
+    order = np.lexsort((contexts, masks))
+    masks = masks[order]
+    first = np.ones(masks.size, dtype=bool)
+    first[1:] = masks[1:] != masks[:-1]
+    return _Subsets(masks, contexts[order], cells[order], values[order], first)
+
+
+def _reading_ones(table: CorrelationTable, context: int, cell: int) -> np.ndarray:
+    """The entries of a present context's block whose outcome reads 1 wherever
+    the outcome at entry ``cell`` of that block does."""
+    start = table._start[table.contexts[context]]
+    index, local = np.arange(1 << len(table.contexts[context])), cell - start
+    return start + index[(index & local) == local]
+
+
+def _disagreements(table: CorrelationTable, subsets: _Subsets, screen: float):
+    """Each set that two or more present contexts name and whose float
+    marginals spread by more than ``screen``: its mask, the positions in
+    ``subsets`` of the contexts naming it, and their marginals as exact
+    ``Fraction`` sums of the table's floats.  A float marginal sums at most
+    2^19 entries in [0, 1] along at most 19 additions, so it is within 1e-14 of
+    the exact one, and a screen of half a tolerance misses no exact gap above
+    the tolerance."""
+    starts = np.flatnonzero(subsets.first)
+    ends = np.append(starts[1:], subsets.masks.size)
+    if not starts.size:
+        return
+    spread = np.maximum.reduceat(subsets.values, starts) - np.minimum.reduceat(subsets.values, starts)
+    for g in np.flatnonzero((ends - starts > 1) & (spread > screen)).tolist():
+        at = range(starts[g], ends[g])
+        exact = [
+            sum(map(Fraction, table.vector[_reading_ones(table, subsets.contexts[j], subsets.cells[j])].tolist()),
+                Fraction(0))
+            for j in at
+        ]
+        yield int(subsets.masks[starts[g]]), at, exact
+
+
+# --------------------------------------------------------------------------
 # No-signaling
 
 
@@ -434,43 +529,48 @@ class NoSignalingReport:
 
 
 def check_no_signaling(table: CorrelationTable) -> NoSignalingReport:
-    """Largest L-infinity shift of a wing marginal under a remote setting change."""
-    scen = table.scenario
-    if not scen.is_bipartite():
+    """Largest shift of a wing marginal under a remote setting change.
+
+    These are the consistency gaps of ``_lp_feasible``'s first step: two
+    contexts of a bipartite table share at most one measurement m, and their
+    gap is P(m reads 1) in one minus the other, summed exactly.  The offenders
+    are (m, context, context, gap) for each pair of contexts, in context
+    order, whose gap passes STRUCT_TOL."""
+    if not table.scenario.is_bipartite():
         raise ValueError("no-signaling check requires a bipartite table")
+    subsets = _subsets(table)
     worst, offenders = 0.0, []
-    rows = table.rows(table.contexts).reshape(-1, 2, 2)  # [context, x_A, x_B]
-    ends = np.array(table.contexts, dtype=int).reshape(-1, 2)
-    for side in (0, 1):
-        margs = rows.sum(axis=2 - side)  # the marginal of each context's wing-`side` measurement
-        high = np.full((scen.n_measurements + 1, 2), -1.0)
-        low = np.full_like(high, 2.0)
-        np.maximum.at(high, ends[:, side], margs)
-        np.minimum.at(low, ends[:, side], margs)
-        gaps = np.maximum(high - low, 0.0).max(axis=1)  # 0 for a measurement in no context
-        worst = max(worst, float(gaps.max()))
-        for m in np.flatnonzero(gaps > STRUCT_TOL).tolist():
-            for i, j in itertools.combinations(np.flatnonzero(ends[:, side] == m).tolist(), 2):
-                gap = float(np.abs(margs[i] - margs[j]).max())
-                if gap > STRUCT_TOL:
-                    offenders.append((m, table.contexts[i], table.contexts[j], gap))
+    for mask, at, exact in _disagreements(table, subsets, -1.0):
+        worst = max(worst, float(max(exact) - min(exact)))
+        named = [table.contexts[subsets.contexts[j]] for j in at]
+        for (ctx, p), (other, q) in itertools.combinations(zip(named, exact), 2):
+            if abs(p - q) > STRUCT_TOL:
+                offenders.append((mask.bit_length(), ctx, other, float(abs(p - q))))
     return NoSignalingReport(worst, offenders)
 
 
 # --------------------------------------------------------------------------
-# Joint-distribution feasibility (linear program over atom weights)
+# Joint-distribution feasibility (nonnegative least squares over atom weights)
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first marginal-problem LP
+def nnls(*args, **kwargs):
+    """``scipy.optimize.nnls``, imported on the first marginal-problem solve
     so that importing the package does not load scipy."""
     from scipy import optimize
 
-    return optimize.linprog(*args, **kwargs)
+    return optimize.nnls(*args, **kwargs)
 
 
 @dataclass
 class FeasibilityResult:
+    """A verdict on the marginal problem.  ``certificate`` is None for a
+    feasible table.  An infeasible one carries ("odd-parity cycle", cycle) from
+    its signed graph, or ("farkas", y) from ``_lp_feasible``: integers y, one
+    per table entry and one for normalisation, that score every atom at most 0
+    and the table above 0, both in exact arithmetic.  It is None only when the
+    table's zeros admit no atom or a single one, which is decided without a
+    solve."""
+
     feasible: bool
     distribution: Optional[JointDistribution]
     certificate: Optional[tuple] = None
@@ -490,10 +590,13 @@ def joint_distribution_feasible(table: CorrelationTable) -> FeasibilityResult:
     table is below STRUCT_TOL.  A balanced graph's valuation x gives the
     candidate 1/2 (x + not x), which is the answer when it reproduces every
     row to NUM_TOL.  Every other table, and a balanced one whose rows the
-    candidate misses (non-uniform marginals), goes to the linear program
-    (``_lp_feasible``), which raises ValueError past MAX_JOINT_MEASUREMENTS.
-    It loads scipy on its first solve; a table whose zeros admit no atom, or
-    only one, is decided without one.
+    candidate misses (non-uniform marginals), goes to ``_lp_feasible``: an
+    exact consistency check, then nonnegative least squares on the shared
+    marginals, whose infeasible verdicts carry an exact Farkas vector and
+    which raises RuntimeError where the residual is too small to certify, and
+    ValueError past MAX_JOINT_MEASUREMENTS.  It loads scipy on its first
+    solve; a table that is inconsistent, or whose zeros admit no atom or only
+    one, is decided without one.
     """
     pairs = _signed_pairs(table)
     if pairs is not None:
@@ -538,7 +641,7 @@ def _allowed_atoms(table: CorrelationTable) -> np.ndarray:
     in increasing order, and one is dropped as soon as a context it completes
     meets an exact zero (-0.0 is zero, 1e-16 is not).  The extensions setting
     measurement m to 1 follow those setting it to 0, which keeps the order
-    increasing.  An unnamed measurement's bit changes no row of the LP, so
+    increasing.  An unnamed measurement's bit changes no row of A w = b, so
     setting it to 1 as well would only repeat every column."""
     closing: dict[int, list[tuple[Context, int]]] = {}
     for ctx, start in table._start.items():
@@ -552,36 +655,74 @@ def _allowed_atoms(table: CorrelationTable) -> np.ndarray:
     return atoms
 
 
-def _column_rows(table: CorrelationTable, atoms: np.ndarray) -> np.ndarray:
-    """The rows of the 1s in each atom's column of A, column after column: one
-    per context block, in increasing row order, then the normalisation row."""
-    bits = _bits(atoms, table.scenario.n_measurements)
+def _column_rows(table: CorrelationTable, bits: np.ndarray) -> np.ndarray:
+    """The rows of the 1s in each atom's column of A, one atom per row (its
+    bits a column of ``bits``): one per context block, in increasing row
+    order, then the normalisation row."""
     rows = [_rows(bits, ctx, start) for ctx, start in table._start.items()]
-    rows.append(np.full(atoms.size, table.vector.size, dtype=np.int32))
-    return np.stack(rows, axis=1).ravel()
+    rows.append(np.full(bits.shape[1], table.vector.size, dtype=np.int32))
+    return np.stack(rows, axis=1)
 
 
 def _valuation(atom: int, n: int) -> Outcome:
     return tuple(atom >> j & 1 for j in range(n))
 
 
-def _lp_feasible(table: CorrelationTable) -> FeasibilityResult:
-    """The marginal problem as one linear program, whatever the table.
+def _exact_dot(values: np.ndarray, ints: np.ndarray) -> Fraction:
+    """values . ints, exact for float64 values: each value is an integer
+    mantissa times a power of two, summed in Python integers."""
+    mantissas, exponents = np.frexp(values)
+    digits = np.ldexp(mantissas, 53).astype(np.int64)
+    low = int(exponents.min(initial=0))
+    total = sum(d * k << e for d, k, e in zip(digits.tolist(), ints.tolist(), (exponents - low).tolist()) if k)
+    return Fraction(total) * Fraction(2) ** (low - 53)
 
-    One zero-cost LP over nonnegative weights w of the atoms (atom i sets
-    measurement m to bit m-1 of i): A w = b, with one row per context outcome
-    and a normalisation row.  An atom gets a column only when its outcome on
-    every present context has nonzero probability and it sets each measurement
-    that no present context names to 0 (``_allowed_atoms``): where b_r = 0,
-    every atom with a 1 in row r has weight 0 in every solution, and an
-    unnamed measurement's bit leaves a column unchanged.  Every row stays.  A
-    table whose zeros admit no atom is infeasible without a solve.  With one
-    atom left, the normalisation row forces its weight to 1: the table is
+
+def _lp_feasible(table: CorrelationTable) -> FeasibilityResult:
+    """The marginal problem over the allowed atoms, every infeasible verdict
+    past the shortcuts proved in exact arithmetic.
+
+    The unknowns are nonnegative weights w of the atoms (atom i sets
+    measurement m to bit m-1 of i), and the table asks A w = b, one row per
+    context outcome and a normalisation row.  Only the atoms whose outcome on
+    every present context has nonzero probability and that set each
+    measurement no present context names to 0 get a weight
+    (``_allowed_atoms``): where b_r = 0, every atom with a 1 in row r has
+    weight 0 in every solution, and an unnamed measurement's bit changes no
+    row.  A table whose zeros admit no atom is infeasible.  With one atom
+    left, the normalisation row forces its weight to 1: the table is
     feasible, with that atom alone, iff the atom's column matches every row to
-    NUM_TOL, again without a solve.  Otherwise HiGHS status 0 is feasible, and
-    the weights are re-checked against every row to NUM_TOL; status 2 is
-    infeasible.  Infeasible verdicts carry no certificate.  A scenario of more
-    than MAX_JOINT_MEASUREMENTS measurements raises ValueError.
+    NUM_TOL.  Neither shortcut solves anything or carries a certificate.
+
+    With two or more atoms:
+
+    1. Consistency.  Two present contexts that name a set S must agree on
+       P(every measurement of S reads 1).  Where the largest gap, in exact
+       ``Fraction`` sums, passes NUM_TOL, the table is infeasible: y is +1 on
+       the higher context's entries that read 1 on all of S and -1 on the
+       lower one's, so every atom scores exactly 0 and b.y is the gap.
+    2. Rows.  One row per distinct nonempty subset S of a present context,
+       "every measurement of S reads 1", valued from the first context naming
+       it, and the normalisation row, as a dense float64 0/1 matrix over the
+       allowed atoms.  A pair table gets (named measurements + contexts + 1)
+       rows instead of (4 contexts + 1).
+    3. Solve.  ``nnls`` (Lawson-Hanson) on those rows.  The table is feasible
+       iff the weights reproduce every row of A w = b to NUM_TOL; every atom of
+       positive weight is in the distribution.
+    4. Certificate.  Otherwise the NNLS residual r scores no allowed atom
+       above 0, to rounding, and b.r = |r|^2.  Each subset's residual goes
+       onto its source context's entries that read 1 on all of the subset;
+       the vector is scaled so that sum |y| fits an int64 and rounded, the
+       normalisation entry lowered by the largest score of an allowed atom,
+       and every entry where b is exactly 0 set to -sum |y|, which scores
+       every atom at most 0 in exact integers.  The table is infeasible, with
+       ("farkas", y), iff b.y > 0 exactly.  If not, the residual is too small
+       to tell from rounding and RuntimeError names it: the undecided band,
+       3e-9 to 3e-8 outside the boundary of mermin_table(3) and (5) and
+       klyachko_table(5) and (7) mixed with white noise.
+
+    A scenario of more than MAX_JOINT_MEASUREMENTS measurements raises
+    ValueError.
     """
     n = table.scenario.n_measurements
     if n > MAX_JOINT_MEASUREMENTS:
@@ -589,30 +730,88 @@ def _lp_feasible(table: CorrelationTable) -> FeasibilityResult:
     atoms = _allowed_atoms(table)
     if not atoms.size:
         return FeasibilityResult(False, None)
-    b_eq = np.append(table.vector, 1.0)
-    indices = _column_rows(table, atoms)
+    b = np.append(table.vector, 1.0)
+    bits = _bits(atoms, n)
+    codes = _column_rows(table, bits)
     if atoms.size == 1:
-        column = np.zeros(b_eq.size)
-        column[indices] = 1.0
-        if np.abs(column - b_eq).max() > NUM_TOL:
+        column = np.zeros(b.size)
+        column[codes] = 1.0
+        if np.abs(column - b).max() > NUM_TOL:
             return FeasibilityResult(False, None)
         return FeasibilityResult(True, JointDistribution(n, {_valuation(int(atoms[0]), n): 1.0}))
-    from scipy import sparse
-
-    indptr = np.arange(0, indices.size + 1, len(table._start) + 1, dtype=np.int32)
-    a_eq = sparse.csc_array((np.ones(indices.size), indices, indptr), shape=(b_eq.size, atoms.size))
-    # HiGHS presolve costs these LPs more time than it saves.
-    res = linprog(np.zeros(atoms.size), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
-                  options={"presolve": False})
-    if res.status == 0:
-        residual = float(np.max(np.abs(a_eq @ res.x - b_eq)))
-        if residual > NUM_TOL:
-            raise RuntimeError(
-                f"solver reported feasibility but marginals are off by {residual:.3e}"
-            )
-        support = np.flatnonzero(res.x > 1e-15)
-        dist = {_valuation(i, n): float(res.x[k]) for k, i in zip(support.tolist(), atoms[support].tolist())}
+    subsets = _subsets(table)
+    certificate = _consistency_certificate(table, subsets)
+    if certificate is not None:
+        return FeasibilityResult(False, None, certificate)
+    source = np.flatnonzero(subsets.first)
+    a, shared = _shared_rows(subsets, source, bits)
+    w, norm = nnls(a, shared)
+    fit = np.bincount(codes.ravel(), weights=np.repeat(w, codes.shape[1]), minlength=b.size)
+    off = float(np.abs(fit - b).max())
+    if off <= NUM_TOL:
+        support = np.flatnonzero(w > 0)
+        dist = {_valuation(i, n): float(w[k]) for k, i in zip(support.tolist(), atoms[support].tolist())}
         return FeasibilityResult(True, JointDistribution(n, dist))
-    if res.status != 2:
-        raise RuntimeError(f"linear program failed: {res.message}")
-    return FeasibilityResult(False, None)
+    certificate = _residual_certificate(table, subsets, source, shared - a @ w, codes)
+    if certificate is None:
+        raise RuntimeError(
+            f"marginal problem undecided: the least-squares weights miss the table by {off:.3e}, "
+            f"and their residual (norm {norm:.3e}) is no Farkas vector"
+        )
+    return FeasibilityResult(False, None, certificate)
+
+
+def _consistency_certificate(table: CorrelationTable, subsets: _Subsets) -> Optional[tuple]:
+    """Step 1 of ``_lp_feasible``: the certificate of the first shared set whose
+    exact marginals spread by more than NUM_TOL, or None."""
+    for _, at, exact in _disagreements(table, subsets, NUM_TOL / 2):
+        if max(exact) - min(exact) > NUM_TOL:
+            y = np.zeros(table.vector.size + 1, dtype=np.int64)
+            for extreme, sign in ((max, 1), (min, -1)):
+                j = at[exact.index(extreme(exact))]
+                y[_reading_ones(table, subsets.contexts[j], subsets.cells[j])] = sign
+            return "farkas", tuple(y.tolist())
+    return None
+
+
+def _shared_rows(subsets: _Subsets, source: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Step 2 of ``_lp_feasible``: A over the atoms whose bits are the columns
+    of ``bits``, and b, for the subsets whose first naming context sits at
+    ``source``."""
+    a = np.empty((source.size + 1, bits.shape[1]))
+    row: dict[int, int] = {}
+    for r, mask in enumerate(subsets.masks[source].tolist()):
+        top = mask.bit_length() - 1
+        rest = mask ^ (1 << top)
+        # S less its last measurement is a smaller subset of the same context, so an earlier row.
+        if rest:
+            np.multiply(a[row[rest]], bits[top], out=a[r])
+        else:
+            a[r] = bits[top]
+        row[mask] = r
+    a[-1] = 1.0
+    return a, np.append(subsets.values[source], 1.0)
+
+
+def _residual_certificate(table: CorrelationTable, subsets: _Subsets, source: np.ndarray,
+                          residual: np.ndarray, codes: np.ndarray) -> Optional[tuple]:
+    """Step 4 of ``_lp_feasible``: the certificate from the residual of the
+    shared rows, or None.  ``codes`` holds each allowed atom's table entries
+    and the normalisation entry, one atom per row."""
+    b = np.append(table.vector, 1.0)
+    # Each subset's residual at the entry reading 1 on it alone, spread by a
+    # subset-sum pass over every entry that reads 1 on all of it.
+    y = np.zeros(b.size)
+    y[subsets.cells[source]] = residual[:-1]
+    for _, entries in _blocks(table).values():
+        y[entries] = _bit_sums(y[entries], 1)
+    y[-1] = residual[-1]
+    top = np.abs(y).max()
+    # |y| <= 2^K after scaling, so sum |y| stays below 2^62 once the
+    # normalisation entry has moved by at most one atom's score.
+    y = np.rint(y * (math.ldexp(1.0, 61 - b.size.bit_length()) / top if top else 0.0)).astype(np.int64)
+    zero = b == 0.0
+    y[zero] = 0
+    y[-1] -= y[codes].sum(axis=1).max()
+    y[zero] = -np.abs(y).sum()
+    return ("farkas", tuple(y.tolist())) if _exact_dot(b, y) > 0 else None

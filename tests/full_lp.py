@@ -1,6 +1,7 @@
-"""The marginal LP over all 2^n atoms, kept as the reference for
-``scenario._lp_feasible``, which gives a column only to the atoms that the
-table's zero entries allow."""
+"""The marginal LP over all 2^n atoms, solved by HiGHS: the independent oracle
+for ``scenario._lp_feasible``, which runs nonnegative least squares on shared
+marginals over only the atoms that the table's zero entries allow, so the
+two-route check compares two solvers."""
 
 import numpy as np
 from scipy import optimize, sparse

@@ -1,8 +1,12 @@
 """Small functions only the tests call: the two-wing ring operator, whose top
 eigenvalue bounds the ring-game value, a unit-norm test for one ket, the
-anti-correlation cycle derived from its forced pair statistics, and the
-complex128 route of the Born tables that their real arithmetic must equal bit
-for bit."""
+anti-correlation cycle derived from its forced pair statistics, the complex128
+route of the Born tables that their real arithmetic must equal bit for bit,
+and brute-force checks of the marginal problem's Farkas vectors and context
+consistency."""
+
+import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -96,3 +100,44 @@ def complex_tables(n: int) -> dict[str, scenario.CorrelationTable]:
         "odd_cycle": complex_born_table(classical.odd_cycle_payoff(n), *quantum.odd_cycle_observables(n)),
         "klyachko": complex_klyachko_table(n),
     }
+
+
+# The marginal problem checked by brute force, in exact arithmetic.
+
+
+def assert_farkas(table: scenario.CorrelationTable, certificate) -> None:
+    """``certificate`` is ("farkas", y) with one int per table entry and one for
+    normalisation, every one of the 2^n atoms scores at most 0 on y (its
+    entry in each present context plus the normalisation entry), and the
+    table scores above 0 (b.y with b the table's floats and 1), all in exact
+    arithmetic: so no nonnegative weights of the atoms reproduce the table."""
+    kind, y = certificate
+    assert kind == "farkas" and len(y) == table.vector.size + 1 and all(type(v) is int for v in y)
+    n = table.scenario.n_measurements
+    assert n <= 12, "2^n atoms are scored one by one"
+    atoms = np.arange(1 << n)
+    entries = np.array(y, dtype=object)
+    scores = np.full(atoms.size, y[-1], dtype=object)
+    for ctx, start in table._start.items():
+        code = np.zeros_like(atoms)
+        for m in ctx:
+            code = (code << 1) | ((atoms >> (m - 1)) & 1)
+        scores = scores + entries[start + code]
+    assert max(scores) <= 0
+    assert sum(Fraction(p) * v for p, v in zip(table.vector.tolist(), y)) + y[-1] > 0
+
+
+def max_consistency_gap(table: scenario.CorrelationTable) -> Fraction:
+    """The largest |P(every measurement of S reads 1)| difference between two
+    present contexts over the nonempty sets S they share, as exact sums."""
+    def marginal(ctx, shared):
+        rows = itertools.product((0, 1), repeat=len(ctx))
+        return sum((Fraction(table.prob(ctx, o)) for o in rows if all(o[ctx.index(m)] for m in shared)), Fraction(0))
+
+    gap = Fraction(0)
+    for first, second in itertools.combinations(table.contexts, 2):
+        common = sorted(set(first) & set(second))
+        for size in range(1, len(common) + 1):
+            for shared in itertools.combinations(common, size):
+                gap = max(gap, abs(marginal(first, shared) - marginal(second, shared)))
+    return gap

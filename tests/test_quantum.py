@@ -456,6 +456,20 @@ def test_ring_certificate_equals_the_unshared_route_exactly(n):
     assert report.min_coefficient == min((lams.max() + lams).min(), (lams.max() - lams).min())
 
 
+@pytest.mark.parametrize("n", range(3, 52, 2))
+def test_ring_certificate_keeps_its_bits_with_one_shared_stack(n):
+    # The wings share one ring stack: it is coerced to complex once and its
+    # projectors are built once.  Two equal stacks, each coerced and projected
+    # on its own, give the same residual and extremum to the bit.
+    ops = ring_observables(n)
+    with mock.patch.object(classical, "_outcome_projectors", wraps=classical._outcome_projectors) as built:
+        report = sos_certificate_bell(n)
+    assert built.call_count == 1
+    residual, correlator = quantum._bell_residual(ops, ops.copy())
+    assert report.residual == residual
+    assert report.extremal_eigenvalue == numkit.eig_extrema(correlator).max_eigenvalue
+
+
 def test_ring_certificate_n3_bound_is_six():
     assert sos_certificate_bell(3).certified_bound == pytest.approx(6.0, abs=1e-12)
 

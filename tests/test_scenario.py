@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from full_lp import full_lp_feasible
-from helpers import solve_anticorrelation_constraints
+from helpers import assert_farkas, max_consistency_gap, solve_anticorrelation_constraints
 from loop_scenario import loop_contexts
 from seer_lab import classical, quantum, scenario, signet
 from seer_lab.scenario import (
@@ -146,6 +146,21 @@ def test_no_signaling_detects_maximal_signaling():
     assert report.offenders
 
 
+def test_no_signaling_lists_every_pair_of_contexts_that_disagree():
+    # Measurement 1 reads 1 with probability 0.2, 0.2 and 0.7 under remote
+    # settings 2, 3 and 4; measurement 2 agrees on one setting only.
+    scen = Scenario(4, ((1, 2), (1, 3), (1, 4)), wing_split=1)
+    table = CorrelationTable(scen, {
+        (1, 2): {(0, 0): 0.8, (1, 0): 0.2},
+        (1, 3): {(0, 1): 0.8, (1, 1): 0.2},
+        (1, 4): {(0, 0): 0.3, (1, 0): 0.7},
+    })
+    report = check_no_signaling(table)
+    assert report.max_violation == pytest.approx(0.5) and not report.passed()
+    assert [entry[:3] for entry in report.offenders] == [(1, (1, 2), (1, 4)), (1, (1, 3), (1, 4))]
+    assert [entry[3] for entry in report.offenders] == pytest.approx([0.5, 0.5])
+
+
 def test_no_signaling_requires_bipartite():
     with pytest.raises(ValueError):
         check_no_signaling(build_os_ncycle(3))
@@ -234,21 +249,34 @@ def test_signed_pair_route_matches_lp(table):
     pruned = scenario._lp_feasible(table)
     result = joint_distribution_feasible(table)
     assert result.feasible == pruned.feasible == reference.feasible
-    assert pruned.certificate is None
+    _assert_certified(table, pruned)
     if result.feasible:
         for ctx, dist in table.probs.items():
             recon = result.distribution.context_marginal(ctx)
             for outcome in itertools.product((0, 1), repeat=2):
                 assert abs(recon.get(outcome, 0.0) - dist.get(outcome, 0.0)) <= 1e-9
         assert result.certificate is None
-    elif result.certificate is not None:
+    elif result.certificate is not None and result.certificate[0] == "odd-parity cycle":
         # A simple cycle of the table's graph with an odd number of dashed edges.
         signs = {frozenset((u, v)): s for u, v, s in scenario.table_signed_graph(table).edges}
-        kind, cycle = result.certificate
-        assert kind == "odd-parity cycle" and len(set(cycle)) == len(cycle) >= 3
+        cycle = result.certificate[1]
+        assert len(set(cycle)) == len(cycle) >= 3
         steps = [signs[frozenset(e)] for e in zip(cycle, cycle[1:] + cycle[:1])]
         assert steps.count(signet.DASHED) % 2 == 1
+    else:
+        _assert_certified(table, result)
     _assert_pair_route_matches_signed_graph(table)
+
+
+def _assert_certified(table, result):
+    """A feasible verdict carries no certificate, nor does an infeasible one
+    decided on the table's zeros alone (at most one allowed atom); every other
+    infeasible verdict of the numeric route carries a Farkas vector that holds
+    on all 2^n atoms."""
+    if result.feasible or scenario._allowed_atoms(table).size < 2:
+        assert result.certificate is None
+    else:
+        assert_farkas(table, result.certificate)
 
 
 def _assert_pair_route_matches_signed_graph(table):
@@ -370,13 +398,15 @@ def _assert_enumerates(table, allowed):
 def test_pruned_lp_matches_full_lp_on_tables_with_zeros(table):
     allowed = _brute_force_allowed(table)
     _assert_enumerates(table, allowed)
-    with mock.patch.object(scenario, "linprog", wraps=scenario.linprog) as solve:
+    with mock.patch.object(scenario, "nnls", wraps=scenario.nnls) as solve:
         pruned = scenario._lp_feasible(table)
-    # HiGHS runs only when two or more atoms are allowed.
-    assert [call.args[0].size for call in solve.call_args_list] == ([len(allowed)] if len(allowed) > 1 else [])
+    # The solve runs, on a column per allowed atom, only when two or more atoms
+    # are allowed and the contexts agree on every set they share.
+    solved = len(allowed) > 1 and max_consistency_gap(table) <= NUM_TOL
+    assert [call.args[0].shape[1] for call in solve.call_args_list] == ([len(allowed)] if solved else [])
     reference = full_lp_feasible(table)
     assert pruned.feasible == reference.feasible, table.to_json()
-    assert pruned.certificate is None
+    _assert_certified(table, pruned)
     if pruned.feasible:
         assert set(pruned.distribution.atoms) <= allowed
         for ctx in table.contexts:
@@ -392,7 +422,12 @@ def test_pruned_lp_matches_full_lp_on_tables_with_zeros(table):
 ], ids=lambda t: f"{len(t.contexts)}-contexts-n{t.scenario.n_measurements}")
 def test_pruned_lp_matches_full_lp_on_quantum_tables(table):
     _assert_enumerates(table, _brute_force_allowed(table))
-    assert scenario._lp_feasible(table).feasible == full_lp_feasible(table).feasible
+    result = scenario._lp_feasible(table)
+    assert result.feasible == full_lp_feasible(table).feasible
+    if table.scenario.n_measurements <= 12:
+        _assert_certified(table, result)
+    else:
+        assert result.certificate[0] == "farkas"
 
 
 def test_point_tables_are_decided_without_a_solve():
@@ -400,7 +435,7 @@ def test_point_tables_are_decided_without_a_solve():
     for n in (4, 7, 12, scenario.MAX_JOINT_MEASUREMENTS):
         scen = Scenario(n, tuple((a, a % n + 1, (a + 1) % n + 1) for a in range(1, n + 1)))
         bits = tuple(rng.integers(0, 2, size=n).tolist())
-        with mock.patch.object(scenario, "linprog") as solve:
+        with mock.patch.object(scenario, "nnls") as solve:
             result = joint_distribution_feasible(deterministic_table(scen, bits))
         assert solve.call_count == 0
         assert result.feasible and result.certificate is None
@@ -416,7 +451,7 @@ def test_point_table_with_mass_moved_off_its_atom_is_infeasible(moved):
     vector[:2] += (-moved, moved)
     table = CorrelationTable.from_vector(scen, scen.contexts, vector)
     assert scenario._allowed_atoms(table).tolist() == [0]
-    with mock.patch.object(scenario, "linprog") as solve:
+    with mock.patch.object(scenario, "nnls") as solve:
         result = joint_distribution_feasible(table)
     assert solve.call_count == 0
     assert not result.feasible and result.distribution is None and result.certificate is None
@@ -435,9 +470,12 @@ def test_balanced_table_with_inconsistent_marginals_is_infeasible():
     scen = Scenario(3, ((1, 2), (2, 3)))
     table = CorrelationTable(scen, {(1, 2): {(0, 0): 0.7, (1, 1): 0.3}, (2, 3): {(0, 0): 0.4, (1, 1): 0.6}})
     assert not signet.is_frustrated(scenario.table_signed_graph(table))
-    result = joint_distribution_feasible(table)
+    with mock.patch.object(scenario, "nnls", side_effect=AssertionError("the solver ran")):
+        result = joint_distribution_feasible(table)
     assert not result.feasible
-    assert result.certificate is None
+    assert_farkas(table, result.certificate)
+    # +1 on the rows of (2, 3) where measurement 2 reads 1, -1 on those of (1, 2).
+    assert result.certificate[1] == (0, -1, 0, -1, 0, 0, 1, 1, 0)
 
 
 def test_point_distributions_always_feasible():
@@ -476,7 +514,7 @@ def test_point_table_with_an_unnamed_measurement_is_decided_without_a_solve(move
     vector[:2] += (-moved, moved)
     table = CorrelationTable.from_vector(scen, scen.contexts[:2], vector)
     assert scenario._allowed_atoms(table).tolist() == [0]
-    with mock.patch.object(scenario, "linprog", side_effect=AssertionError("HiGHS ran")):
+    with mock.patch.object(scenario, "nnls", side_effect=AssertionError("the solver ran")):
         result = joint_distribution_feasible(table)
     assert result.feasible == full_lp_feasible(table).feasible == (moved == 0.0)
     assert result.certificate is None
@@ -484,11 +522,85 @@ def test_point_table_with_an_unnamed_measurement_is_decided_without_a_solve(move
         assert result.distribution.atoms == {(0,) * 5: 1.0}
 
 
-def test_infeasible_table_without_signed_graph_has_no_certificate():
-    result = joint_distribution_feasible(quantum.mermin_table(3))
-    assert not result.feasible
-    assert result.certificate is None
+def test_infeasible_table_without_signed_graph_has_a_farkas_certificate():
+    table = quantum.mermin_table(3)
+    result = joint_distribution_feasible(table)
+    assert not result.feasible and result.distribution is None
+    assert_farkas(table, result.certificate)
     assert not hasattr(result, "objective")
+
+
+def _noisy(table, v):
+    """v of the table mixed with 1 - v of uniform noise on every present context."""
+    noise = np.concatenate([np.full(1 << len(ctx), 0.5 ** len(ctx)) for ctx in table.contexts])
+    return CorrelationTable.from_vector(table.scenario, table.contexts, v * table.vector + (1 - v) * noise)
+
+
+def _cycle_threshold(table) -> float:
+    """The largest v at which v of an n-cycle table whose correlators are all
+    negative, mixed with noise, is noncontextual: (n - 2) / sum |c_i|
+    (Araujo et al., PRA 88, 022118 (2013))."""
+    rows = table.vector.reshape(-1, 4)
+    return (len(table.contexts) - 2) / np.abs(rows[:, 0] + rows[:, 3] - rows[:, 1] - rows[:, 2]).sum()
+
+
+@pytest.mark.parametrize("kind, n, v", [("pr_box", None, 0.75), ("nonlocal_os_n", 3, 0.9), ("nonlocal_os_n", 5, 0.9)])
+def test_noisy_foil_tables_carry_farkas_certificates(kind, n, v):
+    # Past the local bound, so no joint distribution; the noise leaves no zero
+    # entry, so every atom is allowed and the table goes to the solve.
+    table = _noisy(build_bipartite_table(kind, n), v)
+    assert scenario._allowed_atoms(table).size == 1 << table.scenario.n_measurements
+    result = joint_distribution_feasible(table)
+    assert not result.feasible and not full_lp_feasible(table).feasible
+    assert_farkas(table, result.certificate)
+
+
+_BOUNDARY_STEPS = (1e-5, 3e-6, 1e-6, 3e-7, 1e-7, 3e-8, 1e-8, 3e-9, 1e-9, 0.0, -1e-9, -1e-8, -3e-8, -1e-7)
+
+
+@pytest.mark.parametrize("table, boundary", [
+    (quantum.mermin_table(3), 0.8),
+    *((quantum.klyachko_table(n), _cycle_threshold(quantum.klyachko_table(n))) for n in (5, 7)),
+], ids=["mermin3", "klyachko5", "klyachko7"])
+def test_noisy_tables_near_the_boundary_get_a_checked_verdict(table, boundary):
+    # Inside the boundary every table is feasible, its weights reproducing
+    # every row (mermin_table(3) at v = 0.7999999 once raised ValueError);
+    # 1e-6 or more outside, infeasible with a Farkas vector that holds (v =
+    # 0.80001).  Between, a verdict is checked the same way, and RuntimeError
+    # marks a residual too small to certify; ValueError never comes.
+    for step in _BOUNDARY_STEPS:
+        noisy = _noisy(table, boundary + step)
+        try:
+            result = joint_distribution_feasible(noisy)
+        except RuntimeError as exc:
+            assert 0 < step < 1e-6 and "undecided" in str(exc), step
+            continue
+        assert result.feasible == (step <= 0) or 0 < step < 1e-6, step
+        if result.feasible:
+            for ctx in noisy.contexts:
+                recon = result.distribution.context_marginal(ctx)
+                for outcome in itertools.product((0, 1), repeat=len(ctx)):
+                    assert abs(recon.get(outcome, 0.0) - noisy.prob(ctx, outcome)) <= NUM_TOL
+        else:
+            assert_farkas(noisy, result.certificate)
+
+
+@pytest.mark.parametrize("moved", [2e-9, 1e-8, 5e-8, 1e-7])
+def test_contexts_that_disagree_past_the_tolerance_are_inconsistent(moved):
+    # The half-and-half mixture of the all-0 and all-1 point tables on
+    # (1, 2, 3), (2, 3, 4), with mass moved from outcome 000 to 111 of the
+    # first context: atoms 0 and 15 are allowed, and the contexts disagree on
+    # P(2 and 3 read 1) by the moved mass, which passes NUM_TOL.
+    scen = Scenario(4, ((1, 2, 3), (2, 3, 4)))
+    vector = (deterministic_table(scen, (0,) * 4).vector + deterministic_table(scen, (1,) * 4).vector) / 2
+    vector[[0, 7]] += (-moved, moved)
+    table = CorrelationTable.from_vector(scen, scen.contexts, vector)
+    assert scenario._allowed_atoms(table).tolist() == [0, 15]
+    with mock.patch.object(scenario, "nnls", side_effect=AssertionError("the solver ran")):
+        result = joint_distribution_feasible(table)
+    assert not result.feasible and max_consistency_gap(table) > NUM_TOL
+    assert_farkas(table, result.certificate)
+    assert set(result.certificate[1]) == {-1, 0, 1}
 
 
 @st.composite

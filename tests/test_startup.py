@@ -1,7 +1,7 @@
 """Importing the package, running the CLI, deciding a table of perfectly
-(anti)correlated pairs and deciding a table whose zeros admit no atom must not
-load scipy; the first marginal-problem LP loads it, through the module
-attribute ``scenario.linprog``.  The package loads its submodules on first
+(anti)correlated pairs, one whose contexts disagree and one whose zeros admit
+no atom must not load scipy; the first marginal-problem solve loads it, through the module
+attribute ``scenario.nnls``.  The package loads its submodules on first
 access, and each CLI subcommand loads only the modules it runs: ``signet``
 only for ``network``, as a table imports it only to decide or build a signed
 graph.  The process
@@ -46,28 +46,34 @@ FIRST_LP = """
 import json, sys
 from seer_lab import quantum, scenario
 loaded_at_import = "scipy" in sys.modules
-statuses = []
-solve = scenario.linprog
+shapes = []
+solve = scenario.nnls
 
-def traced(*args, **kwargs):
-    res = solve(*args, **kwargs)
-    statuses.append(int(res.status))
-    return res
+def traced(a, b):
+    shapes.append(list(a.shape))
+    return solve(a, b)
 
-scenario.linprog = traced
+scenario.nnls = traced
 result = scenario.joint_distribution_feasible(quantum.mermin_table(3))
 print(json.dumps({
     "loaded_at_import": loaded_at_import,
     "feasible": result.feasible,
-    "certificate": result.certificate,
-    "statuses": statuses,
+    "certificate": result.certificate[0],
+    "shapes": shapes,
 }))
 """
 
 SIGNED_TABLES = """
 import json, sys
 from seer_lab import scenario
-tables = [scenario.build_os_ncycle(3), scenario.cycle_correlation_table([1, 1, 1])]
+# The third is a balanced path whose two rows give measurement 2 the
+# marginals 0.7 and 0.4: inconsistent, so decided before any solve.
+path = scenario.Scenario(3, ((1, 2), (2, 3)))
+tables = [
+    scenario.build_os_ncycle(3),
+    scenario.cycle_correlation_table([1, 1, 1]),
+    scenario.CorrelationTable(path, {(1, 2): {(0, 0): 0.7, (1, 1): 0.3}, (2, 3): {(0, 0): 0.4, (1, 1): 0.6}}),
+]
 verdicts = [scenario.joint_distribution_feasible(t).feasible for t in tables]
 print(json.dumps({"verdicts": verdicts, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
@@ -149,14 +155,16 @@ def test_first_lp_loads_scipy_through_module_attribute():
     report = run_fresh(FIRST_LP)
     assert report["loaded_at_import"] is False
     assert report["feasible"] is False
-    assert report["certificate"] is None
-    # The replaced attribute saw the solve: HiGHS status 2, infeasible.
-    assert report["statuses"] == [2]
+    assert report["certificate"] == "farkas"
+    # The replaced attribute saw the one solve: 6 measurements, 9 contexts and
+    # the normalisation give 16 rows, and the perfect correlations of equal
+    # settings leave 2^3 atoms.
+    assert report["shapes"] == [[16, 8]]
 
 
 def test_signed_pair_tables_are_decided_without_scipy():
     report = run_fresh(SIGNED_TABLES)
-    assert report["verdicts"] == [False, True]
+    assert report["verdicts"] == [False, True, False]
     assert report["scipy"] == []
 
 
