@@ -36,16 +36,24 @@ Outcome = tuple[int, ...]
 
 # Largest n for the 2^n-atom marginal problem, set from a 2 GB peak-RSS budget
 # when HiGHS solved it; tables decided on their signed graph are not capped.
+# It bounds the atoms, not the rows: _NNLS_BYTES bounds the matrix.
 # Measured on tables without zero entries, which keep every atom (2-core
 # host, scipy 1.17, one process each).  With HiGHS on the outcome rows:
 # odd_cycle_table(9), 18 measurements, 3.9 s and 0.77 GB; klyachko_table(19)
 # mixed with 10% white noise, 8.0 s and 1.54 GB.  With nnls on the
-# shared-marginal rows: 3.2 s and 0.29 GB (infeasible, Farkas vector
-# included), and 15-17 s and 0.48 GB (feasible).  An infeasible
+# shared-marginal rows: 2.4-3.2 s and 0.29 GB (infeasible, Farkas vector
+# included), and 13-17 s and 0.48 GB (feasible).  An infeasible
 # 20-measurement pair table took 27 s and 3.3 GB under HiGHS.  Enumerating
 # only the allowed atoms does not lift the cap: a table without zero entries,
 # like these, still gets a weight for every atom.
 MAX_JOINT_MEASUREMENTS = 19
+
+# Largest dense shared-marginal matrix, rows x allowed atoms in float64, that
+# the marginal problem builds.  nnls holds one copy of it besides, so a solve
+# at the limit needs about 2 GB.  Pair tables stay far below it:
+# klyachko_table(19), 39 rows by 2^19 atoms, needs 0.16 GB.  One fully
+# supported context of 14 measurements would need 2.1 GB.
+_NNLS_BYTES = 1 << 30
 
 # Context lists whose layout is kept, and cycle scenarios kept.  A sweep over
 # sign patterns builds hundreds of tables over a handful of context lists.
@@ -436,7 +444,7 @@ class _Subsets(NamedTuple):
     """Every nonempty subset S of every present context, once per context that
     names it, sorted by S and then by context."""
 
-    masks: np.ndarray  # S as bits, measurement m at bit m - 1
+    members: np.ndarray  # S's measurements in decreasing order, 0s after them, one row each
     contexts: np.ndarray  # the naming context's position in table.contexts
     cells: np.ndarray  # the table entry of that context's outcome reading 1 on S alone
     values: np.ndarray  # P(every measurement of S reads 1) in that context, in float64
@@ -467,21 +475,28 @@ def _bit_sums(rows: np.ndarray, into: int) -> np.ndarray:
 
 def _subsets(table: CorrelationTable) -> _Subsets:
     """The subsets of the present contexts and their marginals, one
-    superset-sum pass over the blocks of each size."""
-    parts = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),)]
+    superset-sum pass over the blocks of each size.  The rows of members sort
+    as the sets' bitmasks would (the largest measurement first, a missing one
+    below any present one), at any measurement label."""
+    width = max(map(len, table.contexts), default=0)
+    parts = [(np.zeros((0, width), dtype=np.int64),) + (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
     for size, (index, entries) in _blocks(table).items():
         sums = _bit_sums(table.vector[entries], 0)
+        # Bit j of an outcome index is measurement ctx[size - 1 - j], so the
+        # set bits of a local index, lowest first, list S in decreasing order.
         local = np.arange(1, 1 << size)
-        # Bit j of an outcome index is measurement ctx[size - 1 - j].
-        weights = 1 << (np.array([table.contexts[i] for i in index])[:, ::-1] - 1)
-        masks = weights @ ((local[:, None] >> np.arange(size)) & 1).T
-        parts.append((masks.ravel(), np.repeat(index, local.size), entries[:, 1:].ravel(), sums[:, 1:].ravel()))
-    masks, contexts, cells, values = map(np.concatenate, zip(*parts))
-    order = np.lexsort((contexts, masks))
-    masks = masks[order]
-    first = np.ones(masks.size, dtype=bool)
-    first[1:] = masks[1:] != masks[:-1]
-    return _Subsets(masks, contexts[order], cells[order], values[order], first)
+        picked = (local[:, None] >> np.arange(size)) & 1 == 1
+        order = np.argsort(~picked, axis=1, kind="stable")
+        chosen = np.array([table.contexts[i] for i in index], dtype=np.int64)[:, ::-1][:, order]
+        chosen[:, np.arange(size) >= picked.sum(axis=1, keepdims=True)] = 0
+        members = np.pad(chosen.reshape(-1, size), ((0, 0), (0, width - size)))
+        parts.append((members, np.repeat(index, local.size), entries[:, 1:].ravel(), sums[:, 1:].ravel()))
+    members, contexts, cells, values = map(np.concatenate, zip(*parts))
+    order = np.lexsort((contexts, *members.T[::-1]))
+    members = members[order]
+    first = np.ones(len(members), dtype=bool)
+    first[1:] = (members[1:] != members[:-1]).any(axis=1)
+    return _Subsets(members, contexts[order], cells[order], values[order], first)
 
 
 def _reading_ones(table: CorrelationTable, context: int, cell: int) -> np.ndarray:
@@ -492,19 +507,25 @@ def _reading_ones(table: CorrelationTable, context: int, cell: int) -> np.ndarra
     return start + index[(index & local) == local]
 
 
+def _spreads(subsets: _Subsets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each distinct set's run of naming contexts starts and ends in
+    ``subsets``, and how far its float marginals spread."""
+    starts = np.flatnonzero(subsets.first)
+    ends = np.append(starts[1:], subsets.contexts.size)
+    if not starts.size:
+        return starts, ends, np.zeros(0)
+    return starts, ends, np.maximum.reduceat(subsets.values, starts) - np.minimum.reduceat(subsets.values, starts)
+
+
 def _disagreements(table: CorrelationTable, subsets: _Subsets, screen: float):
     """Each set that two or more present contexts name and whose float
-    marginals spread by more than ``screen``: its mask, the positions in
-    ``subsets`` of the contexts naming it, and their marginals as exact
-    ``Fraction`` sums of the table's floats.  A float marginal sums at most
-    2^19 entries in [0, 1] along at most 19 additions, so it is within 1e-14 of
-    the exact one, and a screen of half a tolerance misses no exact gap above
-    the tolerance."""
-    starts = np.flatnonzero(subsets.first)
-    ends = np.append(starts[1:], subsets.masks.size)
-    if not starts.size:
-        return
-    spread = np.maximum.reduceat(subsets.values, starts) - np.minimum.reduceat(subsets.values, starts)
+    marginals spread by more than ``screen``: its measurements in decreasing
+    order, the positions in ``subsets`` of the contexts naming it, and their
+    marginals as exact ``Fraction`` sums of the table's floats.  A float
+    marginal sums at most 2^19 entries in [0, 1] along at most 19 additions, so
+    it is within 1e-14 of the exact one, and a screen of half a tolerance
+    misses no exact gap above the tolerance."""
+    starts, ends, spread = _spreads(subsets)
     for g in np.flatnonzero((ends - starts > 1) & (spread > screen)).tolist():
         at = range(starts[g], ends[g])
         exact = [
@@ -512,7 +533,7 @@ def _disagreements(table: CorrelationTable, subsets: _Subsets, screen: float):
                 Fraction(0))
             for j in at
         ]
-        yield int(subsets.masks[starts[g]]), at, exact
+        yield tuple(m for m in subsets.members[starts[g]].tolist() if m), at, exact
 
 
 # --------------------------------------------------------------------------
@@ -533,20 +554,20 @@ def check_no_signaling(table: CorrelationTable) -> NoSignalingReport:
 
     These are the consistency gaps of ``_lp_feasible``'s first step: two
     contexts of a bipartite table share at most one measurement m, and their
-    gap is P(m reads 1) in one minus the other, summed exactly.  The offenders
+    gap is P(m reads 1) in one minus the other.  ``max_violation`` is the
+    largest gap in float sums, within 1e-14 of the exact one.  The offenders
     are (m, context, context, gap) for each pair of contexts, in context
-    order, whose gap passes STRUCT_TOL."""
+    order, whose gap summed exactly passes STRUCT_TOL."""
     if not table.scenario.is_bipartite():
         raise ValueError("no-signaling check requires a bipartite table")
     subsets = _subsets(table)
-    worst, offenders = 0.0, []
-    for mask, at, exact in _disagreements(table, subsets, -1.0):
-        worst = max(worst, float(max(exact) - min(exact)))
+    offenders = []
+    for shared, at, exact in _disagreements(table, subsets, STRUCT_TOL / 2):
         named = [table.contexts[subsets.contexts[j]] for j in at]
         for (ctx, p), (other, q) in itertools.combinations(zip(named, exact), 2):
             if abs(p - q) > STRUCT_TOL:
-                offenders.append((mask.bit_length(), ctx, other, float(abs(p - q))))
-    return NoSignalingReport(worst, offenders)
+                offenders.append((*shared, ctx, other, float(abs(p - q))))
+    return NoSignalingReport(float(_spreads(subsets)[2].max(initial=0.0)), offenders)
 
 
 # --------------------------------------------------------------------------
@@ -668,16 +689,6 @@ def _valuation(atom: int, n: int) -> Outcome:
     return tuple(atom >> j & 1 for j in range(n))
 
 
-def _exact_dot(values: np.ndarray, ints: np.ndarray) -> Fraction:
-    """values . ints, exact for float64 values: each value is an integer
-    mantissa times a power of two, summed in Python integers."""
-    mantissas, exponents = np.frexp(values)
-    digits = np.ldexp(mantissas, 53).astype(np.int64)
-    low = int(exponents.min(initial=0))
-    total = sum(d * k << e for d, k, e in zip(digits.tolist(), ints.tolist(), (exponents - low).tolist()) if k)
-    return Fraction(total) * Fraction(2) ** (low - 53)
-
-
 def _lp_feasible(table: CorrelationTable) -> FeasibilityResult:
     """The marginal problem over the allowed atoms, every infeasible verdict
     past the shortcuts proved in exact arithmetic.
@@ -722,7 +733,10 @@ def _lp_feasible(table: CorrelationTable) -> FeasibilityResult:
        klyachko_table(5) and (7) mixed with white noise.
 
     A scenario of more than MAX_JOINT_MEASUREMENTS measurements raises
-    ValueError.
+    ValueError, and so does a consistent table whose matrix in step 2 would
+    pass _NNLS_BYTES.  The solve's time grows with the support: Lawson-Hanson
+    adds about one atom per iteration, so a fully supported context of 10
+    measurements takes about a second and one of 11 about ten (2-core host).
     """
     n = table.scenario.n_measurements
     if n > MAX_JOINT_MEASUREMENTS:
@@ -744,6 +758,9 @@ def _lp_feasible(table: CorrelationTable) -> FeasibilityResult:
     if certificate is not None:
         return FeasibilityResult(False, None, certificate)
     source = np.flatnonzero(subsets.first)
+    if (source.size + 1) * atoms.size * 8 > _NNLS_BYTES:
+        raise ValueError(f"the shared-marginal matrix, {source.size + 1} rows by {atoms.size} atoms, "
+                         f"exceeds the supported {_NNLS_BYTES >> 20} MB")
     a, shared = _shared_rows(subsets, source, bits)
     w, norm = nnls(a, shared)
     fit = np.bincount(codes.ravel(), weights=np.repeat(w, codes.shape[1]), minlength=b.size)
@@ -779,16 +796,15 @@ def _shared_rows(subsets: _Subsets, source: np.ndarray, bits: np.ndarray) -> tup
     of ``bits``, and b, for the subsets whose first naming context sits at
     ``source``."""
     a = np.empty((source.size + 1, bits.shape[1]))
-    row: dict[int, int] = {}
-    for r, mask in enumerate(subsets.masks[source].tolist()):
-        top = mask.bit_length() - 1
-        rest = mask ^ (1 << top)
-        # S less its last measurement is a smaller subset of the same context, so an earlier row.
-        if rest:
-            np.multiply(a[row[rest]], bits[top], out=a[r])
+    row: dict[tuple[int, ...], int] = {}
+    for r, members in enumerate(map(tuple, subsets.members[source].tolist())):
+        top, rest = members[0], members[1:] + (0,)
+        # S less its largest measurement is a smaller subset of the same context, so an earlier row.
+        if rest[0]:
+            np.multiply(a[row[rest]], bits[top - 1], out=a[r])
         else:
-            a[r] = bits[top]
-        row[mask] = r
+            a[r] = bits[top - 1]
+        row[members] = r
     a[-1] = 1.0
     return a, np.append(subsets.values[source], 1.0)
 
@@ -814,4 +830,5 @@ def _residual_certificate(table: CorrelationTable, subsets: _Subsets, source: np
     y[zero] = 0
     y[-1] -= y[codes].sum(axis=1).max()
     y[zero] = -np.abs(y).sum()
-    return ("farkas", tuple(y.tolist())) if _exact_dot(b, y) > 0 else None
+    score = sum((Fraction(p) * k for p, k in zip(b.tolist(), y.tolist()) if k), Fraction(0))
+    return ("farkas", tuple(y.tolist())) if score > 0 else None

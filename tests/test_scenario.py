@@ -161,6 +161,25 @@ def test_no_signaling_lists_every_pair_of_contexts_that_disagree():
     assert [entry[3] for entry in report.offenders] == pytest.approx([0.5, 0.5])
 
 
+@pytest.mark.parametrize("n", [33, 35])
+def test_no_signaling_reads_measurements_past_64(n):
+    # 2n measurements: wing B's labels run past 64, where a fixed-width
+    # bitmask of a measurement set would wrap.
+    for table in (quantum.mermin_table(n), quantum.odd_cycle_table(n), build_bipartite_table("nonlocal_os_n", n)):
+        report = check_no_signaling(table)
+        assert report.passed() and report.offenders == []
+    # Only measurement 2n signals: it reads 1 under remote setting 1 and 0 under 2.
+    scen = Scenario(2 * n, ((1, 2 * n - 1), (1, 2 * n), (2, 2 * n)), wing_split=n)
+    table = CorrelationTable(scen, {
+        (1, 2 * n - 1): {(0, 0): 1.0},
+        (1, 2 * n): {(0, 1): 1.0},
+        (2, 2 * n): {(0, 0): 0.5, (1, 0): 0.5},
+    })
+    report = check_no_signaling(table)
+    assert report.max_violation == 1.0
+    assert report.offenders == [(2 * n, (1, 2 * n), (2, 2 * n), 1.0)]
+
+
 def test_no_signaling_requires_bipartite():
     with pytest.raises(ValueError):
         check_no_signaling(build_os_ncycle(3))
@@ -502,6 +521,21 @@ def test_joint_feasibility_size_limit():
             with mock.patch.object(scenario, "_allowed_atoms", side_effect=AssertionError("atoms built")):
                 with pytest.raises(ValueError, match="exceeds the supported limit"):
                     joint_distribution_feasible(table)
+
+
+def test_marginal_problem_refuses_a_matrix_past_its_memory_budget():
+    # A fully supported context of 14 measurements and a consistent pair that
+    # shares measurement 14 with it: 2^14 + 1 subset rows and normalisation by
+    # 2^15 atoms, 4.3 GB in float64, refused before the matrix is built.
+    rng = np.random.default_rng(5)
+    big = tuple(range(1, 15))
+    block = rng.dirichlet(np.ones(1 << 14))
+    p = float(block[1::2].sum())  # measurement 14 is the last bit of an outcome
+    scen = Scenario(15, (big, (14, 15)))
+    table = CorrelationTable.from_vector(scen, scen.contexts, np.append(block, [(1 - p) / 2] * 2 + [p / 2] * 2))
+    with mock.patch.object(scenario, "_shared_rows", side_effect=AssertionError("matrix built")):
+        with pytest.raises(ValueError, match="16386 rows by 32768 atoms"):
+            joint_distribution_feasible(table)
 
 
 @pytest.mark.parametrize("moved", [0.0, 1e-3])
