@@ -8,7 +8,6 @@ two-time game (by best responses over a payoff's cells).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -134,37 +133,23 @@ class GamePayoff:
         units = self.weights[:, None] * self.wins * table.rows(self.contexts)
         return math.fsum(units.ravel().tolist()) / self.denom
 
-    def _win_units(self) -> np.ndarray:
-        """Units of 1/denom won at settings (a, b) on (x_a, x_b), as ``won[a - 1, x_a, b - 1, x_b]``."""
-        a, b = self.settings.T - 1
-        won = np.zeros((self.n_a, 2, self.n_b, 2), dtype=np.int64)
-        np.add.at(won, (a, slice(None), b), (self.weights[:, None] * self.wins).reshape(-1, 2, 2))
-        return won
-
     def operator(self, ops_a: Sequence[np.ndarray], ops_b: Sequence[np.ndarray]) -> np.ndarray:
         """Sum over cells of weight * sum over winning (x, y) of Pi_a^x (x) Pi_b^y,
         with Pi^x = (1 + (-1)^x O)/2 for the wing observable O at each setting
         (outcome 0 is eigenvalue +1); for +-1 observables its expectation in a
         state is the state's winning probability.  Wings that share one stack
-        share its projectors."""
+        share its projectors.  Two matmuls over the cells: B's projectors
+        weighted by each cell's won units, then paired with A's."""
         if len(ops_a) != self.n_a or len(ops_b) != self.n_b:
             raise ValueError(f"the payoff needs {self.n_a} and {self.n_b} wing observables")
         proj_a = _outcome_projectors(ops_a)
-        operands = self._win_units(), proj_a, proj_a if ops_b is ops_a else _outcome_projectors(ops_b)
-        path = _operator_path(*(op.shape for op in operands))
-        out = np.einsum(_OPERATOR_SUBSCRIPTS, *operands, optimize=path)
-        return out.reshape(out.shape[0] * out.shape[1], -1) / self.denom
-
-
-_OPERATOR_SUBSCRIPTS = "axby,axij,bykl->ikjl"
-
-
-@functools.lru_cache(maxsize=32)
-def _operator_path(*shapes: tuple[int, ...]) -> list:
-    """The contraction order that np.einsum(optimize=True) searches for
-    GamePayoff.operator's operands, which it picks from their shapes alone."""
-    return np.einsum_path(_OPERATOR_SUBSCRIPTS, *(np.broadcast_to(0.0, shape) for shape in shapes),
-                          optimize=True)[0]
+        proj_b = proj_a if ops_b is ops_a else _outcome_projectors(ops_b)
+        (a, b), da, db = self.settings.T - 1, proj_a.shape[-1], proj_b.shape[-1]
+        units = (self.weights[:, None] * self.wins).reshape(-1, 2, 2)
+        # half[cell, x]: the B operator won with A's outcome x at that cell.
+        half = units @ proj_b[b].reshape(-1, 2, db * db)
+        out = proj_a[a].reshape(-1, da * da).T @ half.reshape(-1, db * db)
+        return out.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, -1) / self.denom
 
 
 def _outcome_projectors(ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -373,14 +358,16 @@ def pnc_bound_diachronic() -> PncBoundResult:
     per-encoding optima are {2/3, 7/9, 7/9, 7/9}, so the overall bound is 7/9.
     """
     payoff = os_ring_payoff(3)
-    won, denom = payoff._win_units(), payoff.denom
+    t, y = payoff.settings.T
+    units = (payoff.weights[:, None] * payoff.wins).reshape(-1, 2, 2)  # [cell, b, x]
     per: dict[str, Fraction] = {}
     responses: dict[str, tuple[int, ...]] = {}
     for name, enc in _ENCODINGS.items():
         # score[s, y - 1, x]: units of 1/(2 denom) won by answering x to query
         # y in state s, the stored bit being uniform.
-        score = np.einsum("tbs,tbyx->syx", np.eye(2, dtype=np.int64)[enc], won)
-        per[name] = Fraction(int(score.max(axis=-1).sum()), 2 * denom)
+        score = np.zeros((2, 3, 2), dtype=np.int64)
+        np.add.at(score, (enc[t - 1], (y - 1)[:, None]), units)
+        per[name] = Fraction(int(score.max(axis=-1).sum()), 2 * payoff.denom)
         responses[name] = tuple(int(x) for x in (score[..., 1] > score[..., 0]).ravel())
     bound = max(per.values())
     return PncBoundResult(float(bound), bound, per, responses)

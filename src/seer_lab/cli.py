@@ -50,13 +50,6 @@ EXIT_VERIFICATION = 3
 MAX_SWEEP_ROWS = 10_000
 MAX_SWEEP_N = 201
 
-# Largest `bounds bell_ring`, set from a 0.5 GB peak-RSS budget: the ring
-# certificate's operator grows as n^2, and the whole process takes 0.63 s and
-# 404 MB at n = 2,001 and 1.00 s and 865 MB at n = 3,001 (2-core host, median
-# of seven).  `bounds odd_cycle` has no certificate and runs to
-# classical.MAX_N (0.62 s, 94 MB at n = 10,001).
-MAX_BELL_RING_N = 2_001
-
 # The `game` choices, in the order of games.GAME_KINDS and games.STRATEGIES
 # (a test keeps them equal), stated here so that parsing argv imports no games.
 GAME_KINDS = ("seer_ncycle", "bipartite_os", "odd_cycle", "diachronic")
@@ -151,7 +144,7 @@ def cmd_bounds(args) -> dict:
         cert = quantum.sos_certificate_klyachko(n)
         certificate = f"ok (residual {cert.residual:.3e})"
     elif family == "bell_ring":
-        n = _require_odd(args.n, 3, MAX_BELL_RING_N, "bell_ring")
+        n = _require_odd(args.n, 3, classical.MAX_N, "bell_ring")
         classical_bound = classical.local_bound("os_ring", n).value
         quantum_value = quantum.mermin_value(n)
         cert = quantum.sos_certificate_bell(n)

@@ -8,6 +8,9 @@ arithmetic, with the same bits as the complex route.  Complex is kept where a
 construction is complex or real arithmetic would move a reported bit:
 ``as_matrix`` (so ``eig_extrema`` and the hermiticity checks), ``pauli_dot``,
 the ring certificate's operands, Hardy's rays and the relative-state helpers.
+The ring certificate's operands also keep its margin: at n = 10,001 its
+residual is 8.6e-11 from complex operands and 5.9e-10 from real ones, against
+NUM_TOL = 1e-9.
 The helpers add the validation and conventions the rest of the package relies
 on: hermiticity checks before eigen-decompositions and projector construction.
 """

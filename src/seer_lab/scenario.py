@@ -196,13 +196,18 @@ class CorrelationTable:
             if unknown:
                 raise ValueError(f"context {min(unknown)} is not part of the scenario")
         vector = vector[layout.index]
+        top = vector.max(initial=0.0)
         # NaN fails both tests.
-        if not (vector.min(initial=0.0) >= PROB_FLOOR and vector.max(initial=0.0) < math.inf):
+        if not (vector.min(initial=0.0) >= PROB_FLOOR and top < math.inf):
             bad = np.flatnonzero(~((vector >= PROB_FLOOR) & (vector < math.inf)))[0]
             ctx = self.contexts[np.searchsorted(offsets, bad, side="right") - 1]
             raise ValueError(f"negative or non-finite probability {vector[bad]} in context {ctx}")
         vector[vector < 0.0] = 0.0
-        totals = np.add.reduceat(vector, offsets) if vector.size else vector
+        if top > 2.0:  # a total may overflow to inf, which is not normalized either
+            with np.errstate(over="ignore"):
+                totals = np.add.reduceat(vector, offsets)
+        else:
+            totals = np.add.reduceat(vector, offsets) if vector.size else vector
         off = np.flatnonzero(np.abs(totals - 1.0) > STRUCT_TOL)
         if off.size:
             raise ValueError(f"context {self.contexts[off[0]]} is not normalized (sum={totals[off[0]]})")
@@ -257,12 +262,17 @@ class CorrelationTable:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "CorrelationTable":
+        """A table from its JSON document; any malformed document raises ValueError."""
         from .signet import _json_int
 
-        wings = doc.get("wings")
+        if not isinstance(doc, Mapping) or not {"n", "contexts", "probs"} <= doc.keys():
+            raise ValueError('a table document is an object with "n", "contexts" and "probs"')
+        contexts, wings = doc["contexts"], doc.get("wings")
+        if not isinstance(contexts, list) or not all(isinstance(c, list) for c in contexts):
+            raise ValueError('"contexts" must be a list of lists of measurements')
         scenario = Scenario(
             _json_int(doc["n"], "n"),
-            tuple(tuple(_json_int(i, "context index") for i in c) for c in doc["contexts"]),
+            tuple(tuple(_json_int(i, "context index") for i in c) for c in contexts),
             None if wings is None else _json_int(wings, "wings"),
         )
         probs = doc["probs"]
@@ -271,6 +281,10 @@ class CorrelationTable:
         bad = [p for dist in probs.values() for p in dist.values() if type(p) not in (int, float)]
         if bad:
             raise ValueError(f"probabilities must be JSON numbers, got {bad[0]!r}")
+        # An integer probability is 0 or 1; any other would fail later, or overflow float().
+        bad = [p for dist in probs.values() for p in dist.values() if type(p) is int and p not in (0, 1)]
+        if bad:
+            raise ValueError(f"probability {bad[0]} is outside [0, 1]")
         table = {
             tuple(int(t) for t in key.split(",")): {tuple(map(int, xs)): p for xs, p in dist.items()}
             for key, dist in probs.items()
@@ -623,16 +637,16 @@ def joint_distribution_feasible(table: CorrelationTable) -> FeasibilityResult:
     if pairs is not None:
         from .signet import two_coloring
 
-        n = table.scenario.n_measurements
         solid, edges = pairs
-        report = two_coloring(n, edges)
+        report = two_coloring(edges)
         if report.frustrated:
             return FeasibilityResult(False, None, ("odd-parity cycle", report.witness))
         # x satisfies every edge, so 1/2 (x + not x) gives each pair half its
         # sign's two outcomes: (1/2, 0, 0, 1/2) solid, (0, 1/2, 1/2, 0) dashed.
         candidate = _CANDIDATE_ROWS.take(solid, axis=0)
         if np.abs(candidate - table.vector.reshape(-1, 4)).max(initial=0.0) <= NUM_TOL:
-            x = report.valuation
+            n = table.scenario.n_measurements
+            x = tuple(report.valuation.get(m, 0) for m in range(1, n + 1))
             atoms = {x: 0.5, tuple(1 - bit for bit in x): 0.5}
             return FeasibilityResult(True, JointDistribution(n, atoms))
     # No signed graph, or a balanced one: an infeasible verdict has no odd cycle.

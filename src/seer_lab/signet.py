@@ -100,12 +100,13 @@ def cycle_graph(signs: Sequence[int]) -> SignedGraph:
 @dataclass
 class FrustrationReport:
     """``witness`` is an odd cycle of a frustrated graph; ``valuation`` of an
-    unfrustrated one gives node v the bit ``valuation[v - 1]`` and satisfies
-    every edge, each component's root and each isolated node at 0."""
+    unfrustrated one maps each node that has an edge to its bit, each
+    component's root at 0, and satisfies every edge.  Isolated nodes are left
+    out, so the report costs memory per edge, not per node."""
 
     frustrated: bool
     witness: tuple[int, ...] = ()
-    valuation: tuple[int, ...] = ()
+    valuation: dict[int, int] = field(default_factory=dict)
 
     def __bool__(self) -> bool:  # allows `if is_frustrated(g):`
         return self.frustrated
@@ -121,12 +122,12 @@ def _adjacency(edges: Iterable[tuple[int, int, int]]) -> dict[int, list[tuple[in
 
 def is_frustrated(g: SignedGraph) -> FrustrationReport:
     """BFS two-coloring on the sign structure; the witness is one odd cycle."""
-    return two_coloring(g.n_nodes, g.edges)
+    return two_coloring(g.edges)
 
 
-def two_coloring(n_nodes: int, edges: Iterable[tuple[int, int, int]]) -> FrustrationReport:
-    """``is_frustrated`` on nodes 1..n_nodes and the edges (u, v, sign) of a
-    simple graph, u != v and sign SOLID or DASHED, which the caller has checked.
+def two_coloring(edges: Iterable[tuple[int, int, int]]) -> FrustrationReport:
+    """``is_frustrated`` on the edges (u, v, sign) of a simple graph, u != v and
+    sign SOLID or DASHED, which the caller has checked.
 
     Nodes get parity labels relative to their BFS root; a co-tree edge whose
     sign disagrees with the endpoint parities closes an odd cycle, recovered
@@ -153,7 +154,7 @@ def two_coloring(n_nodes: int, edges: Iterable[tuple[int, int, int]]) -> Frustra
                     queue.append(v)
                 elif parity[v] != parity[u] ^ flip:
                     return FrustrationReport(True, _tree_cycle(parent, u, v))
-    return FrustrationReport(False, valuation=tuple(parity.get(v, 0) for v in range(1, n_nodes + 1)))
+    return FrustrationReport(False, valuation=parity)
 
 
 def _tree_cycle(parent: Mapping[int, Optional[int]], u: int, v: int) -> tuple[int, ...]:

@@ -11,8 +11,11 @@ import numpy as np
 
 def enumerated_local_bound(payoff) -> tuple[Fraction, tuple[int, ...], tuple[int, ...]]:
     """(value, A witness, B witness) of a payoff with few A settings."""
-    n_a = payoff.n_a
-    won, denom = payoff._win_units(), payoff.denom
+    n_a, denom = payoff.n_a, payoff.denom
+    # won[a - 1, x_a, b - 1, x_b]: units of 1/denom won at settings (a, b) on (x_a, x_b).
+    a, b = payoff.settings.T - 1
+    won = np.zeros((n_a, 2, payoff.n_b, 2), dtype=np.int64)
+    np.add.at(won, (a, slice(None), b), (payoff.weights[:, None] * payoff.wins).reshape(-1, 2, 2))
     # score[x_b, x_a, a, b]: weight won at settings (a, b) on outcomes (x_a, x_b).
     score = won.transpose(3, 1, 0, 2)
     # Row k holds the bits of A strategy k, X_1 the most significant.

@@ -2,13 +2,14 @@
 eigenvalue bounds the ring-game value, a unit-norm test for one ket, the
 anti-correlation cycle derived from its forced pair statistics, the complex128
 route of the Born tables that their real arithmetic must equal bit for bit,
-and brute-force checks of the marginal problem's Farkas vectors and context
-consistency."""
+brute-force checks of the marginal problem's Farkas vectors and context
+consistency, and arbitrary JSON documents for the loaders."""
 
 import itertools
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from seer_lab import classical, quantum, scenario
 from seer_lab.numkit import as_ket, born_overlap
@@ -141,3 +142,20 @@ def max_consistency_gap(table: scenario.CorrelationTable) -> Fraction:
             for shared in itertools.combinations(common, size):
                 gap = max(gap, abs(marginal(first, shared) - marginal(second, shared)))
     return gap
+
+
+# Arbitrary JSON documents, for the loaders that must refuse malformed input
+# with ValueError (the CLI's usage error).
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["+", "-", "solid", "dashed", 0, 1, -1, 1.0])
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)

@@ -568,7 +568,8 @@ def test_payoff_operator_expectation_is_born_table_value(make, n, seed):
 
 
 @pytest.mark.parametrize("n_a,n_b", [(1, 4), (2, 5), (5, 2), (3, 3), (7, 6), (6, 7), (30, 29), (29, 30), (51, 51)])
-def test_payoff_operator_takes_the_searched_contraction_order(n_a, n_b):
+def test_payoff_operator_equals_the_per_cell_kron_sum(n_a, n_b):
+    # Every setting pair is a cell, some of weight 0, with arbitrary win masks.
     rng = np.random.default_rng(n_a * 100 + n_b)
     cells = np.array(list(itertools.product(range(1, n_a + 1), range(1, n_b + 1))))
     weights = rng.integers(0, 5, size=len(cells))
@@ -576,12 +577,15 @@ def test_payoff_operator_takes_the_searched_contraction_order(n_a, n_b):
     payoff = GamePayoff(n_a, n_b, cells, weights, int(weights.sum()), rng.integers(0, 2, size=(len(cells), 4)))
     ops_a, ops_b = (numkit.pauli_dot(v / np.linalg.norm(v, axis=1, keepdims=True)) for v in
                     (rng.normal(size=(n_a, 3)), rng.normal(size=(n_b, 3))))
-    operands = payoff._win_units(), classical._outcome_projectors(ops_a), classical._outcome_projectors(ops_b)
-    searched = np.einsum_path(classical._OPERATOR_SUBSCRIPTS, *operands, optimize=True)[0]
-    assert classical._operator_path(*(op.shape for op in operands)) == searched
-    out = np.einsum(classical._OPERATOR_SUBSCRIPTS, *operands, optimize=True)
-    expected = out.reshape(out.shape[0] * out.shape[1], -1) / payoff.denom
-    assert (payoff.operator(ops_a, ops_b) == expected).all()
+    expected = sum(
+        w / payoff.denom * np.kron(_outcome_effect(ops_a[a - 1], x), _outcome_effect(ops_b[b - 1], y))
+        for (a, b), w, won in zip(payoff.settings.tolist(), payoff.weights.tolist(), payoff.wins.tolist())
+        for x, y in itertools.product((0, 1), repeat=2)
+        if won[2 * x + y]
+    )
+    got = payoff.operator(ops_a, ops_b)
+    assert got.dtype == np.complex128
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_payoff_operator_needs_one_observable_per_setting():

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -19,6 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import seer_lab
+from helpers import JSON_SCALARS, JSON_VALUES
 from seer_lab import classical, cli, games, numkit, povm, quantum
 
 
@@ -92,17 +94,16 @@ def test_bounds_ks_ncycle_cap(capsys):
 
 @pytest.mark.parametrize("family", ["bell_ring", "odd_cycle"])
 def test_bounds_beyond_local_bound_cap(capsys, family):
-    # n = 21 was past the old 2^n local_bound's cap; each family now stops at
-    # its own cap, and cap + 1 is even, so cap + 2 is the first n refused.
+    # n = 21 was past the old 2^n local_bound's cap; both families now stop at
+    # classical.MAX_N, and cap + 1 is even, so cap + 2 is the first n refused.
     code, out, err = run_cli(capsys, "bounds", family, "--n", "21", "--json")
     assert (code, err) == (0, "")
     assert json.loads(out)["results"]["classical"] == pytest.approx(
         1 - 2 / 63 if family == "bell_ring" else 1 - 1 / 42, abs=1e-12)
-    cap = cli.MAX_BELL_RING_N if family == "bell_ring" else classical.MAX_N
-    for n in (cap + 2, 10**30 + 1):
+    for n in (classical.MAX_N + 2, 10**30 + 1):
         code, out, err = run_cli(capsys, "bounds", family, "--n", str(n))
         assert (code, out) == (2, "")
-        assert err == f"error: {family} is limited to n <= {cap}\n"
+        assert err == f"error: {family} is limited to n <= {classical.MAX_N}\n"
 
 
 def test_bounds_odd_cycle_at_its_cap(capsys):
@@ -111,6 +112,13 @@ def test_bounds_odd_cycle_at_its_cap(capsys):
     results = json.loads(out)["results"]
     assert results["n"] == classical.MAX_N
     assert results["classical"] == pytest.approx(1 - 1 / (2 * classical.MAX_N), abs=1e-12)
+    code, out, err = run_cli(capsys, "bounds", "bell_ring", "--n", str(classical.MAX_N), "--json")
+    assert (code, err) == (0, "")
+    results = json.loads(out)["results"]
+    assert results["n"] == classical.MAX_N
+    assert results["classical"] == pytest.approx(1 - 2 / (3 * classical.MAX_N), abs=1e-12)
+    certificate = re.fullmatch(r"ok \(residual (\S+)\)", results["certificate"])
+    assert certificate and float(certificate[1]) < 1e-10
 
 
 def test_game_n_cap(capsys):
@@ -239,6 +247,22 @@ def test_network_path_not_frustrated(tmp_path, capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc["results"]["frustrated"] is False
+
+
+@pytest.mark.parametrize("edges", [[], [[1, 2, "-"], [10**30, 2, "+"]]])
+def test_network_memory_follows_the_edges_not_the_nodes(tmp_path, edges):
+    # 10^30 nodes: a run that touched every node would exhaust the 256 MB of
+    # address space the child gets, or its time, rather than answer.
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({"nodes": 10**30, "edges": edges}))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    limit = 256 << 20
+    done = subprocess.run([sys.executable, "-m", "seer_lab.cli", "network", "--file", str(path), "--json"],
+                          env=env, capture_output=True, timeout=60,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert json.loads(done.stdout)["results"] == {"directed": False, "frustrated": False, "witness_cycle": []}
 
 
 def test_network_directed_pentagon_trace(tmp_path, capsys):
@@ -762,19 +786,6 @@ def test_sweep_json_envelope_validates(capsys):
 # --------------------------------------------------------------------------
 # Exit-code contract under arbitrary JSON inputs
 
-JSON_SCALARS = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.floats()
-    | st.text(max_size=6)
-    | st.sampled_from(["+", "-", "solid", "dashed", 0, 1, -1, 1.0])
-)
-JSON_VALUES = st.recursive(
-    JSON_SCALARS,
-    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
-    max_leaves=12,
-)
 NETWORK_DOCS = JSON_VALUES | st.fixed_dictionaries(
     {
         "nodes": JSON_VALUES,
@@ -897,7 +908,7 @@ GRAPHS = {
 @example(argv=["sweep", "hardy_p", "--start=1e300", "--stop=1e300"])
 @example(argv=["sweep", "klyachko_R", "--start=5.5", "--stop=9"])
 @example(argv=["game", "bipartite_os", f"--n={games.MAX_N + 2}", "--trials=10"])
-@example(argv=["bounds", "bell_ring", f"--n={cli.MAX_BELL_RING_N + 2}"])
+@example(argv=["bounds", "bell_ring", f"--n={classical.MAX_N + 2}"])
 @example(argv=["bounds", "ks_ncycle", "--n=27"])
 @example(argv=["bounds", "ks_ncycle", f"--n={cli.MAX_SWEEP_N + 2}"])
 @example(argv=["bounds", "ks_ncycle", f"--n={10**30 + 1}"])

@@ -435,7 +435,7 @@ def test_stacked_spins_equal_scalar_spins_bit_for_bit():
                 assert _same_bits(stacked[:, 0, 1].real, list(map(np.sin, angles))), n
 
 
-@pytest.mark.parametrize("n", range(3, 52, 2))
+@pytest.mark.parametrize("n", [*range(3, 52, 2), 2001, 10_001])
 def test_ring_certificate(n):
     report = sos_certificate_bell(n)
     assert report.residual < 1e-9

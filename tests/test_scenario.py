@@ -5,11 +5,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from full_lp import full_lp_feasible
-from helpers import assert_farkas, max_consistency_gap, solve_anticorrelation_constraints
+from helpers import JSON_SCALARS, JSON_VALUES, assert_farkas, max_consistency_gap, solve_anticorrelation_constraints
 from loop_scenario import loop_contexts
 from seer_lab import classical, quantum, scenario, signet
 from seer_lab.scenario import (
@@ -310,7 +310,7 @@ def _assert_pair_route_matches_signed_graph(table):
         assert (result.feasible, result.certificate) == (False, ("odd-parity cycle", report.witness))
         assert lp.call_count == 0
         return
-    x = report.valuation
+    x = [report.valuation.get(m, 0) for m in range(1, table.scenario.n_measurements + 1)]
     candidate = np.zeros((len(table.contexts), 4))
     for row, (a, b) in zip(candidate, table.contexts):
         row[[2 * x[a - 1] + x[b - 1], 3 - 2 * x[a - 1] - x[b - 1]]] = 0.5
@@ -320,7 +320,7 @@ def _assert_pair_route_matches_signed_graph(table):
         assert result.feasible == full_lp_feasible(table).feasible
     else:
         assert result.feasible and result.certificate is None
-        assert list(result.distribution.atoms.items()) == [(x, 0.5), (tuple(1 - bit for bit in x), 0.5)]
+        assert list(result.distribution.atoms.items()) == [(tuple(x), 0.5), (tuple(1 - bit for bit in x), 0.5)]
 
 
 def test_pair_route_matches_the_signed_graph_on_every_cycle_pattern():
@@ -762,6 +762,42 @@ def test_table_json_rejects_malformed_fields(field, value):
     assert CorrelationTable.from_json_dict(_JSON_TABLE).prob((1, 2), (0, 1)) == 0.5
     with pytest.raises(ValueError):
         CorrelationTable.from_json_dict({**_JSON_TABLE, field: value})
+
+
+# Table documents near the accepted shape: small measurement counts, context
+# keys and outcome keys that are often, but not always, well formed.
+_CONTEXT_KEYS = st.sampled_from(["1,2", "2,1", "1", "2", "1,2,3", "1,1", "", "1,", "x"]) | st.text(max_size=4)
+_OUTCOME_KEYS = st.sampled_from(["00", "01", "10", "11", "0", "1", "2", "", "-1"]) | st.text(max_size=3)
+_PROBABILITIES = st.sampled_from([0, 1, 0.5, 1.0, 1e308]) | JSON_SCALARS
+TABLE_DOCS = JSON_VALUES | st.fixed_dictionaries(
+    {
+        "n": st.integers(0, 4) | JSON_VALUES,
+        "contexts": JSON_VALUES | st.lists(st.lists(st.integers(0, 4) | JSON_SCALARS, max_size=3), max_size=3),
+        "probs": JSON_VALUES | st.dictionaries(
+            _CONTEXT_KEYS, JSON_VALUES | st.dictionaries(_OUTCOME_KEYS, _PROBABILITIES, max_size=4), max_size=3),
+    },
+    optional={"wings": st.integers(0, 3) | JSON_VALUES},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=TABLE_DOCS)
+@example(doc={"n": 2, "contexts": 5, "probs": {}})
+@example(doc={"n": 2, "contexts": [[1, 2]]})
+@example(doc=[1, 2])
+@example(doc={"n": 2, "contexts": [[1, 2]], "probs": {"1,2": {"00": 1e308, "11": 1e308}}})
+@example(doc={"n": 2, "contexts": [[1, 2]], "probs": {"1,2": {"00": 10**400}}})
+@example(doc={"n": 2, "contexts": [[1, 2]], "probs": {"1,2": {"01": 0.5, "10": 0.5}}})
+def test_table_json_refuses_every_malformed_document_with_value_error(doc):
+    # Any other exception, or a RuntimeWarning (an error under this suite's
+    # warning filters), fails the test.
+    doc = json.loads(json.dumps(doc))
+    try:
+        table = CorrelationTable.from_json_dict(doc)
+    except ValueError:
+        return
+    clone = CorrelationTable.from_json(table.to_json())
+    assert clone.contexts == table.contexts and (clone.vector == table.vector).all()
 
 
 def test_outcome_bits_outside_zero_one_are_rejected():
