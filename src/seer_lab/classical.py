@@ -3,7 +3,8 @@
 Covers the noncontextual bound for anti-correlation cycles (in closed form),
 Bell-local bounds for the two-wing prediction games (by max-plus elimination
 over one wing's settings) and the preparation-noncontextual bound for the
-two-time game (by best responses over a payoff's cells).
+two-time game (by best responses over a payoff's cells).  It imports no other
+module of the package: ``quantum`` and ``scenario`` build on it.
 """
 
 from __future__ import annotations
@@ -133,34 +134,6 @@ class GamePayoff:
         units = self.weights[:, None] * self.wins * table.rows(self.contexts)
         return math.fsum(units.ravel().tolist()) / self.denom
 
-    def operator(self, ops_a: Sequence[np.ndarray], ops_b: Sequence[np.ndarray]) -> np.ndarray:
-        """Sum over cells of weight * sum over winning (x, y) of Pi_a^x (x) Pi_b^y,
-        with Pi^x = (1 + (-1)^x O)/2 for the wing observable O at each setting
-        (outcome 0 is eigenvalue +1); for +-1 observables its expectation in a
-        state is the state's winning probability.  Wings that share one stack
-        share its projectors.  Two matmuls over the cells: B's projectors
-        weighted by each cell's won units, then paired with A's."""
-        if len(ops_a) != self.n_a or len(ops_b) != self.n_b:
-            raise ValueError(f"the payoff needs {self.n_a} and {self.n_b} wing observables")
-        proj_a = _outcome_projectors(ops_a)
-        proj_b = proj_a if ops_b is ops_a else _outcome_projectors(ops_b)
-        (a, b), da, db = self.settings.T - 1, proj_a.shape[-1], proj_b.shape[-1]
-        units = (self.weights[:, None] * self.wins).reshape(-1, 2, 2)
-        # half[cell, x]: the B operator won with A's outcome x at that cell.
-        half = units @ proj_b[b].reshape(-1, 2, db * db)
-        out = proj_a[a].reshape(-1, da * da).T @ half.reshape(-1, db * db)
-        return out.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, -1) / self.denom
-
-
-def _outcome_projectors(ops: Sequence[np.ndarray]) -> np.ndarray:
-    """(1 + O)/2 and (1 - O)/2 for each observable O, stacked as (settings, 2, d, d),
-    real for a float64 stack."""
-    from .numkit import as_operand  # only quantum operators need it
-
-    ops = as_operand(ops)
-    eye = np.eye(ops.shape[-1])
-    return np.stack([(eye + ops) / 2, (eye - ops) / 2], axis=1)
-
 
 # The cells (a, a), (a, a + 1), (a + 1, a) of one step of a ring, as offsets
 # from (a - 1, a - 1), and their win masks over the outcomes 00, 01, 10, 11.
@@ -213,17 +186,13 @@ def local_bound(game: Union[str, GamePayoff], n: Optional[int] = None) -> LocalB
     then prefer 0.  In the ring and odd-cycle games each function reads at
     most three settings, so the work grows linearly with n.
     """
+    payoff = game
     if isinstance(game, str):
-        if game == "os3":
-            payoff = os_ring_payoff(3)
-        elif game == "os_ring":
-            payoff = os_ring_payoff(_require_n(n))
-        elif game == "odd_cycle":
-            payoff = odd_cycle_payoff(_require_n(n))
-        else:
+        if game not in ("os3", "os_ring", "odd_cycle"):
             raise ValueError(f"unknown game {game!r}")
-    else:
-        payoff = game
+        if n is None and game != "os3":
+            raise ValueError("this game kind needs n")
+        payoff = odd_cycle_payoff(n) if game == "odd_cycle" else os_ring_payoff(3 if game == "os3" else n)
     n_a, n_b = payoff.n_a, payoff.n_b
     if n_a > MAX_N or n_b > MAX_N:
         raise ValueError(f"local bounds are limited to {MAX_N} settings per wing")
@@ -286,12 +255,6 @@ def local_bound(game: Union[str, GamePayoff], n: Optional[int] = None) -> LocalB
     return LocalBoundResult(float(value), value, tuple(bits_a), witness_b)
 
 
-def _require_n(n: Optional[int]) -> int:
-    if n is None:
-        raise ValueError("this game kind needs n")
-    return n
-
-
 def bell_s3(strategy_a: Sequence[int], strategy_b: Sequence[int]) -> int:
     """S_3 = sum_a <A_a B_a> - sum_{a != b} <A_a B_b> for deterministic strategies,
     which is 18 P - 9 for the n=3 ring game's payoff P: its nine cells cover
@@ -336,7 +299,7 @@ def c_function(y, t, b):
 _T, _B = np.arange(1, 4)[:, None], np.arange(2)
 # The trit-oblivious one-bit encodings e(t, b) of a preparation, as arrays
 # indexed [t - 1, b]: the stored bit itself, or the target output of query k.
-_ENCODINGS = {"b": np.broadcast_to(_B, (3, 2)), **{f"c{k}": c_function(k, _T, _B) for k in (1, 2, 3)}}
+ENCODINGS = {"b": np.broadcast_to(_B, (3, 2)), **{f"c{k}": c_function(k, _T, _B) for k in (1, 2, 3)}}
 
 
 @dataclass(frozen=True)
@@ -362,7 +325,7 @@ def pnc_bound_diachronic() -> PncBoundResult:
     units = (payoff.weights[:, None] * payoff.wins).reshape(-1, 2, 2)  # [cell, b, x]
     per: dict[str, Fraction] = {}
     responses: dict[str, tuple[int, ...]] = {}
-    for name, enc in _ENCODINGS.items():
+    for name, enc in ENCODINGS.items():
         # score[s, y - 1, x]: units of 1/(2 denom) won by answering x to query
         # y in state s, the stored bit being uniform.
         score = np.zeros((2, 3, 2), dtype=np.int64)
@@ -371,29 +334,3 @@ def pnc_bound_diachronic() -> PncBoundResult:
         responses[name] = tuple(int(x) for x in (score[..., 1] > score[..., 0]).ravel())
     bound = max(per.values())
     return PncBoundResult(float(bound), bound, per, responses)
-
-
-def pnc_response_table(encoding: str, response_probs: Sequence[float]):
-    """Two-time statistics p(b, X | t, y) = p(X | e(t, b), y) / 2 of an encoding
-    and a response map p(X = 1 | state, query) (index 3 state + query - 1), as
-    a table over the n = 3 ring payoff's cells."""
-    from .scenario import payoff_table  # scenario imports this module
-
-    p1 = np.asarray(response_probs, dtype=float).reshape(2, 3)
-    answers = np.stack([1 - p1, p1], axis=-1) / 2  # [state, y - 1, x]
-    # dist[t - 1, y - 1, b, x] = answers[e(t, b), y - 1, x]
-    dist = answers[_ENCODINGS[encoding][:, None, :], np.arange(3)[None, :, None]]
-    payoff = os_ring_payoff(3)
-    t, y = payoff.settings.T - 1
-    return payoff_table(payoff, dist[t, y])
-
-
-def pnc_stochastic_response_value(
-    encoding: str, response_probs: Sequence[float]
-) -> float:
-    """Success rate of a stochastic response map p(X=1 | state, query).
-
-    Used to spot-check that randomized responses never beat the deterministic
-    optimum (the payoff is linear in the response probabilities).
-    """
-    return os_ring_payoff(3).value(pnc_response_table(encoding, response_probs))

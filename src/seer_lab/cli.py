@@ -44,9 +44,9 @@ EXIT_VERIFICATION = 3
 
 # Largest sweeps, set from a 5 s budget (whole processes, median of seven,
 # 2-core host): a hardy_p row takes 0.3 ms (10,000 rows 3.0 s); a cycle row
-# costs O(n), and mermin_R over odd n = 3..201 takes 0.78 s (klyachko_R over
-# n = 5..201, 0.66 s).  MAX_SWEEP_N also caps `bounds ks_ncycle`, which takes
-# 0.38 s at n = 201 (certificate residual 3.0e-13).
+# costs O(n), and mermin_R over odd n = 3..201 takes 0.68 s, 0.26 s of it in
+# local_bound (klyachko_R over n = 5..201, 0.26 s).  MAX_SWEEP_N also caps
+# `bounds ks_ncycle`, which takes 0.38 s at n = 201 (certificate residual 3.0e-13).
 MAX_SWEEP_ROWS = 10_000
 MAX_SWEEP_N = 201
 
@@ -210,8 +210,13 @@ def cmd_povm(args) -> dict:
     pair_threshold = min(pair.eta for pair in pairs)
     results["pair"] = pair_threshold
     if len(axes) >= 3:
-        results["triple"] = sufficient
-        gap = pair_threshold > sufficient + STRUCT_TOL
+        # The triple is that of the axes distinct up to sign: a repeated or
+        # opposite axis copies, or flips, the outcome of its first occurrence.
+        distinct = [u for i, u in enumerate(axes)
+                    if all(min(abs(u - v).max(), abs(u + v).max()) > STRUCT_TOL for v in axes[:i])]
+        triple = sufficient if len(distinct) == len(axes) else povm.simulating_povm(distinct).eta
+        results["triple"] = triple
+        gap = pair_threshold > triple + STRUCT_TOL
         results["verdict"] = "pairwise beyond triplewise" if gap else "no pairwise/triplewise gap"
     results["povm_checks"] = "ok"
     results["anticorrelation"] = povm._anticorrelation(pairs)
@@ -267,7 +272,7 @@ def cmd_game(args) -> dict:
 
 
 def _sweep_values(args):
-    from . import quantum
+    from . import classical, quantum
 
     if not all(v is None or math.isfinite(v) for v in (args.start, args.stop, args.step)):
         raise ValueError("--start, --stop and --step must be finite")
@@ -287,9 +292,9 @@ def _sweep_values(args):
             raise ValueError(f"cycle sweeps are limited to n <= {MAX_SWEEP_N}")
         for n in ns:
             if args.quantity == "klyachko_R":
-                yield n, 1 - 1 / n, quantum.klyachko_value(n).r
+                yield n, classical.ks_bound_ncycle(n).r_nc, quantum.klyachko_value(n).r
             else:
-                yield n, 1 - 2 / (3 * n), quantum.mermin_value(n)
+                yield n, classical.local_bound("os_ring", n).value, quantum.mermin_value(n)
     elif args.quantity == "hardy_p":
         start = float(args.start if args.start is not None else 1.0)
         stop = float(args.stop if args.stop is not None else 3.0)

@@ -103,7 +103,7 @@ def _two_wing_model(kind: str, n: int, strategy: str) -> _SamplingModel:
         from . import quantum  # only the quantum strategy needs it
 
         ops = quantum.odd_cycle_observables(n) if odd else (quantum.ring_observables(n),) * 2
-        table = quantum._born_table(payoff, *ops)
+        table = quantum.born_table(payoff, *ops)
         expected = payoff.value(table)
     elif strategy == "foil":
         table = scenario.foil_table(payoff)
@@ -111,7 +111,7 @@ def _two_wing_model(kind: str, n: int, strategy: str) -> _SamplingModel:
     elif kind == "diachronic":
         pnc = classical.pnc_bound_diachronic()
         name = max(pnc.per_encoding, key=lambda k: (pnc.per_encoding[k], k))
-        table = classical.pnc_response_table(name, pnc.best_responses[name])
+        table = scenario.pnc_response_table(name, pnc.best_responses[name])
         expected = float(pnc.per_encoding[name])
     else:
         bound = classical.local_bound(payoff)

@@ -2,10 +2,12 @@
 
 Contents: the odd-n star-polygon (KCBS-style) construction and its
 sum-of-nonnegative-operators certificate; the transitivity-of-implication
-chain on the pentagram with the Clifton eight-ray coloring argument; the
-trine-observable two-wing construction with its sum-of-squares certificate;
-the Hardy-chain construction; relative-state inference chains; the rotated
-odd-cycle game observables; and the two-time (diachronic) protocol.
+chain on the pentagram with the Clifton eight-ray coloring argument; a game
+payoff as an operator (``payoff_operator``) and as a Born table
+(``born_table``); the trine-observable two-wing construction with its
+sum-of-squares certificate; the Hardy-chain construction; relative-state
+inference chains; the rotated odd-cycle game observables; and the two-time
+(diachronic) protocol.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numkit, scenario as scenario_mod
-from .classical import _outcome_projectors, odd_cycle_payoff, os_ring_payoff
+from .classical import GamePayoff, odd_cycle_payoff, os_ring_payoff
 from .numkit import as_operand, born_overlap, projector, spin_observable
 from .tolerances import CertificateError, CHAIN_TOL, NORM_TOL, NUM_TOL, ORTHO_TOL, RANK_TOL, STRUCT_TOL
 
@@ -303,9 +305,7 @@ def heptagon_chain_rank() -> int:
     """Rank of the stacked plane normals for the n=7 analogue (3 means no
     common ray, so the chain construction has no state there)."""
     k = star_polygon(7).kets
-    normals = np.vstack(
-        [np.cross(k[1], k[2]), np.cross(k[3], k[4]), np.cross(k[5], k[6])]
-    )
+    normals = np.cross(k[1::2], k[2::2])  # of span{l2,l3}, span{l4,l5} and span{l6,l7}
     return int(np.linalg.matrix_rank(normals, tol=RANK_TOL))
 
 
@@ -359,7 +359,8 @@ def clifton_check() -> CliftonReport:
 
 
 # --------------------------------------------------------------------------
-# Two-wing ring game: trine-style observables on a maximally entangled pair
+# Two-wing ring game: trine-style observables on a maximally entangled pair,
+# and the payoff operator and Born table of any two-wing game
 
 
 def _ring_angles(n: int) -> np.ndarray:
@@ -379,11 +380,42 @@ def mermin_value(n: int) -> float:
     """Born-rule value of the two-wing ring game with trine-style observables;
     equals 1/3 + (2/3) cos^2(pi/2n)."""
     payoff, ops = os_ring_payoff(n), ring_observables(n)
-    return payoff.value(_born_table(payoff, ops, ops))
+    return payoff.value(born_table(payoff, ops, ops))
 
 
 def mermin_closed_form(n: int) -> float:
     return 1 / 3 + 2 / 3 * math.cos(math.pi / (2 * n)) ** 2
+
+
+def _outcome_projectors(ops: Sequence[np.ndarray]) -> np.ndarray:
+    """(1 + O)/2 and (1 - O)/2 for each observable O, stacked as (settings, 2, d, d),
+    real for a float64 stack."""
+    ops = as_operand(ops)
+    eye = np.eye(ops.shape[-1])
+    return np.stack([(eye + ops) / 2, (eye - ops) / 2], axis=1)
+
+
+def _wing_projectors(ops_a, ops_b) -> tuple[np.ndarray, np.ndarray]:
+    """Both wings' outcome projectors, one stack when the wings share one."""
+    proj_a = _outcome_projectors(ops_a)
+    return proj_a, proj_a if ops_b is ops_a else _outcome_projectors(ops_b)
+
+
+def payoff_operator(payoff: GamePayoff, ops_a, ops_b) -> np.ndarray:
+    """Sum over cells of weight * sum over winning (x, y) of Pi_a^x (x) Pi_b^y,
+    with Pi^x = (1 + (-1)^x O)/2 for the wing observable O at each setting
+    (outcome 0 is eigenvalue +1); for +-1 observables its expectation in a
+    state is the state's winning probability.  Two matmuls over the cells:
+    B's projectors weighted by each cell's won units, then paired with A's."""
+    if len(ops_a) != payoff.n_a or len(ops_b) != payoff.n_b:
+        raise ValueError(f"the payoff needs {payoff.n_a} and {payoff.n_b} wing observables")
+    proj_a, proj_b = _wing_projectors(ops_a, ops_b)
+    (a, b), da, db = payoff.settings.T - 1, proj_a.shape[-1], proj_b.shape[-1]
+    units = (payoff.weights[:, None] * payoff.wins).reshape(-1, 2, 2)
+    # half[cell, x]: the B operator won with A's outcome x at that cell.
+    half = units @ proj_b[b].reshape(-1, 2, db * db)
+    out = proj_a[a].reshape(-1, da * da).T @ half.reshape(-1, db * db)
+    return out.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, -1) / payoff.denom
 
 
 def _wing_lift(ops_a, ops_b) -> tuple[np.ndarray, np.ndarray]:
@@ -396,11 +428,10 @@ def _wing_lift(ops_a, ops_b) -> tuple[np.ndarray, np.ndarray]:
     return abar.reshape(*abar.shape[:-4], da * db, -1), bbar.reshape(*bbar.shape[:-4], da * db, -1)
 
 
-def _born_table(payoff, ops_a, ops_b) -> scenario_mod.CorrelationTable:
+def born_table(payoff: GamePayoff, ops_a, ops_b) -> scenario_mod.CorrelationTable:
     """Table of a payoff's cells, the wings measuring on the maximally entangled
     pair (outcome 0 <-> +1 eigenvalue)."""
-    proj_a = _outcome_projectors(ops_a)
-    eff_a, eff_b = _wing_lift(proj_a, proj_a if ops_b is ops_a else _outcome_projectors(ops_b))
+    eff_a, eff_b = _wing_lift(*_wing_projectors(ops_a, ops_b))
     a, b = payoff.settings.T - 1
     dists = _joint_born(BELL_STATE, eff_a[a], eff_b[b])
     with _born_rows():
@@ -411,7 +442,7 @@ def mermin_table(n: int) -> scenario_mod.CorrelationTable:
     """Bipartite correlation table of the ring construction on the ring
     game's cells (the other setting pairs are unconstrained)."""
     ops = ring_observables(n)
-    return _born_table(os_ring_payoff(n), ops, ops)
+    return born_table(os_ring_payoff(n), ops, ops)
 
 
 def _complex_wings(ops_a, ops_b) -> tuple[np.ndarray, np.ndarray]:
@@ -425,7 +456,7 @@ def _ring_correlator(ops_a: Sequence[np.ndarray], ops_b: Sequence[np.ndarray]) -
     (1 +- A (x) B)/2 with weight 1/(3n), so this is 6n P - 3n for the payoff P.
     The certificate's operands are complex: real ones move its last bits."""
     n = len(ops_a)
-    payoff = os_ring_payoff(n).operator(*_complex_wings(ops_a, ops_b))
+    payoff = payoff_operator(os_ring_payoff(n), *_complex_wings(ops_a, ops_b))
     return 6 * n * payoff - 3 * n * np.eye(payoff.shape[0])
 
 
@@ -499,11 +530,11 @@ def odd_cycle_observables(n: int) -> tuple[np.ndarray, np.ndarray]:
 def odd_cycle_game_value(n: int) -> float:
     """Born-rule winning probability of the odd-cycle game; equals cos^2(pi/4n)."""
     payoff = odd_cycle_payoff(n)
-    return payoff.value(_born_table(payoff, *odd_cycle_observables(n)))
+    return payoff.value(born_table(payoff, *odd_cycle_observables(n)))
 
 
 def odd_cycle_table(n: int) -> scenario_mod.CorrelationTable:
-    return _born_table(odd_cycle_payoff(n), *odd_cycle_observables(n))
+    return born_table(odd_cycle_payoff(n), *odd_cycle_observables(n))
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,8 @@ shared marginals, and each infeasible verdict comes with an integer Farkas
 vector that scores every atom at most 0 and the table above 0 in exact
 arithmetic; a residual too small for one leaves the table undecided, and
 RuntimeError says so.  ``signet`` is imported where a signed graph is decided
-or built, so building tables does not load it.
+or built, so building tables does not load it.  Tables over a game payoff's
+cells, the two-time game's (``pnc_response_table``) among them, live here.
 """
 
 from __future__ import annotations
@@ -129,8 +130,7 @@ class _Layout(NamedTuple):
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _layout(contexts: tuple[Context, ...]) -> _Layout:
-    """The layout of contexts listed in this order; a list that names one context
-    twice gets a start map with fewer keys than contexts."""
+    """The layout of contexts listed in this order."""
     order = sorted(range(len(contexts)), key=contexts.__getitem__)
     in_order = tuple(contexts[i] for i in order)
     sizes = np.array([1 << len(ctx) for ctx in contexts], dtype=np.int64)
@@ -140,6 +140,18 @@ def _layout(contexts: tuple[Context, ...]) -> _Layout:
     index = np.repeat(ends[order] - sizes - offsets, sizes) + np.arange(sizes.sum())
     offsets.flags.writeable = index.flags.writeable = False
     return _Layout(in_order, dict(zip(in_order, offsets.tolist())), offsets, index)
+
+
+def _check_keys(scenario: Scenario, contexts: tuple[Context, ...]) -> None:
+    """ValueError unless the sorted contexts are distinct contexts of the scenario;
+    the scenario's own context tuple, which every builder passes, needs no check."""
+    if contexts is not scenario.contexts:
+        if len(dict.fromkeys(contexts)) < len(contexts):
+            raise ValueError("two keys name one context")
+        members = set(scenario.contexts)
+        unknown = [ctx for ctx in contexts if ctx not in members]
+        if unknown:
+            raise ValueError(f"context {min(unknown)} is not part of the scenario")
 
 
 def _index(outcome: Outcome) -> int:
@@ -163,38 +175,33 @@ class CorrelationTable:
 
     def __init__(self, scenario: Scenario, probs: Mapping[Context, Mapping[Outcome, float]]):
         """A table from {context: {outcome: p}}, outcome bits in the order the context lists them."""
-        contexts, rows = [], [np.zeros(0)]
+        contexts = tuple(tuple(sorted(given)) for given in probs)
+        big = [ctx for ctx in contexts if len(ctx) > MAX_JOINT_MEASUREMENTS]
+        if big:
+            raise ValueError(f"context {big[0]} exceeds {MAX_JOINT_MEASUREMENTS} measurements")
+        _check_keys(scenario, contexts)  # before any row is allocated
+        rows = [np.zeros(0)]
         for given, dist in probs.items():
-            contexts.append(tuple(sorted(given)))
-            if len(given) > MAX_JOINT_MEASUREMENTS:
-                raise ValueError(f"context {contexts[-1]} exceeds {MAX_JOINT_MEASUREMENTS} measurements")
             rows.append(np.zeros(1 << len(given)))
             for outcome, p in dist.items():
                 rows[-1][_index(_in_order(given, outcome)[1])] = float(p)
-        self._store(scenario, tuple(contexts), np.concatenate(rows))
+        self._store(scenario, contexts, np.concatenate(rows))
 
     @classmethod
     def from_vector(cls, scenario: Scenario, contexts: Sequence[Context], vector) -> "CorrelationTable":
         """A table from sorted contexts and their outcome rows, or the vector the rows ravel to."""
-        table = cls.__new__(cls)
-        table._store(scenario, tuple(contexts), np.asarray(vector, dtype=float).ravel())
+        table, contexts = cls.__new__(cls), tuple(contexts)
+        _check_keys(scenario, contexts)
+        table._store(scenario, contexts, np.asarray(vector, dtype=float).ravel())
         return table
 
     def _store(self, scenario: Scenario, contexts: tuple[Context, ...], vector: np.ndarray) -> None:
-        """Sort the contexts with their blocks, then check and clamp a copy of the vector."""
+        """Sort the checked contexts with their blocks, then check and clamp a copy of the vector."""
         self.scenario = scenario
         layout = _layout(contexts)
         self.contexts, self._start, offsets = layout.contexts, layout.start, layout.offsets
         if vector.size != layout.index.size:
             raise ValueError(f"the contexts need {layout.index.size} probabilities, got {vector.size}")
-        if len(self._start) < len(contexts):
-            raise ValueError("two keys name one context")
-        # The scenario's own context tuple, which every builder passes, holds
-        # only its contexts.
-        if contexts is not scenario.contexts:
-            unknown = self._start.keys() - set(scenario.contexts)
-            if unknown:
-                raise ValueError(f"context {min(unknown)} is not part of the scenario")
         vector = vector[layout.index]
         top = vector.max(initial=0.0)
         # NaN fails both tests.
@@ -424,6 +431,25 @@ def foil_table(payoff: classical.GamePayoff) -> CorrelationTable:
     """Each cell uniform over its winning outcomes, so the game is won with
     certainty."""
     return payoff_table(payoff, payoff.wins / payoff.wins.sum(axis=1, keepdims=True))
+
+
+def pnc_response_table(encoding: str, response_probs: Sequence[float]) -> CorrelationTable:
+    """Two-time statistics p(b, X | t, y) = p(X | e(t, b), y) / 2 of an encoding
+    ``classical.ENCODINGS[encoding]`` and a response map p(X = 1 | state, query)
+    (index 3 state + query - 1), as a table over the n = 3 ring payoff's cells."""
+    p1 = np.asarray(response_probs, dtype=float).reshape(2, 3)
+    answers = np.stack([1 - p1, p1], axis=-1) / 2  # [state, y - 1, x]
+    # dist[t - 1, y - 1, b, x] = answers[e(t, b), y - 1, x]
+    dist = answers[classical.ENCODINGS[encoding][:, None, :], np.arange(3)[None, :, None]]
+    payoff = classical.os_ring_payoff(3)
+    t, y = payoff.settings.T - 1
+    return payoff_table(payoff, dist[t, y])
+
+
+def pnc_stochastic_response_value(encoding: str, response_probs: Sequence[float]) -> float:
+    """Success rate of a stochastic response map p(X=1 | state, query), which is
+    linear in it: no such map beats the deterministic optimum."""
+    return classical.os_ring_payoff(3).value(pnc_response_table(encoding, response_probs))
 
 
 def build_bipartite_table(kind: str, n: Optional[int] = None) -> CorrelationTable:

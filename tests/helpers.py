@@ -52,7 +52,7 @@ def solve_anticorrelation_constraints(n: int = 3) -> scenario.CorrelationTable:
 
 
 def complex_outcome_projectors(ops) -> np.ndarray:
-    """classical._outcome_projectors on complex operands."""
+    """quantum._outcome_projectors on complex operands."""
     ops = np.asarray(ops, dtype=complex)
     eye = np.eye(ops.shape[-1])
     return np.stack([(eye + ops) / 2, (eye - ops) / 2], axis=1)
@@ -75,7 +75,7 @@ def complex_joint_born(state, first: np.ndarray, second: np.ndarray) -> np.ndarr
 
 
 def complex_born_table(payoff, ops_a, ops_b) -> scenario.CorrelationTable:
-    """quantum._born_table in complex128."""
+    """quantum.born_table in complex128."""
     eff_a, eff_b = complex_wing_lift(complex_outcome_projectors(ops_a), complex_outcome_projectors(ops_b))
     a, b = payoff.settings.T - 1
     return scenario.payoff_table(payoff, complex_joint_born(quantum.BELL_STATE, eff_a[a], eff_b[b]))

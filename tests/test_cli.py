@@ -199,6 +199,42 @@ def test_povm_axes_file(tmp_path, capsys):
     assert doc["results"]["threshold"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("axes", [[[0, 0, 1], [0, 0, 1], [1, 0, 0]], [[0, 0, 1], [0, 0, -1], [1, 0, 0]]],
+                         ids=["repeated", "opposite"])
+def test_povm_repeated_or_opposite_axis_opens_no_gap(tmp_path, capsys, axes):
+    # Measuring z and x jointly and reporting the z outcome twice, or once
+    # flipped, measures all three spins at the pair threshold 1/sqrt(2).
+    path = tmp_path / "axes.json"
+    path.write_text(json.dumps(axes))
+    code, out, err = run_cli(capsys, "povm", "--axes", str(path))
+    assert (code, err) == (0, "")
+    rows = dict(line.split(None, 1) for line in out.splitlines())
+    assert rows["pair"] == rows["triple"] == "0.707106781187"
+    assert rows["verdict"] == "no pairwise/triplewise gap"
+    assert rows["eta_necessary"] == rows["eta_sufficient"] == "0.61803398875"
+
+
+def _unit(v):
+    norm = math.hypot(*v)
+    return [x / norm for x in v] if norm > 1e-3 else [0.0, 0.0, 1.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=st.lists(st.lists(st.floats(-1, 1), min_size=3, max_size=3), min_size=2, max_size=2),
+       copied=st.integers(0, 1), sign=st.sampled_from([1, -1]), at=st.integers(0, 2))
+def test_povm_two_axes_and_one_repeated_or_negated_report_no_gap(pair, copied, sign, at):
+    axes = [_unit(v) for v in pair]
+    axes.insert(at, [sign * x for x in axes[copied]])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "axes.json"
+        path.write_text(json.dumps(axes))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["povm", "--axes", str(path), "--json"]) == cli.EXIT_OK
+    results = json.loads(out.getvalue())["results"]
+    assert results["verdict"] == "no pairwise/triplewise gap"
+    assert results["triple"] >= results["pair"]
+
+
 @pytest.mark.parametrize(
     "axes",
     [

@@ -462,7 +462,7 @@ def test_ring_certificate_keeps_its_bits_with_one_shared_stack(n):
     # projectors are built once.  Two equal stacks, each coerced and projected
     # on its own, give the same residual and extremum to the bit.
     ops = ring_observables(n)
-    with mock.patch.object(classical, "_outcome_projectors", wraps=classical._outcome_projectors) as built:
+    with mock.patch.object(quantum, "_outcome_projectors", wraps=quantum._outcome_projectors) as built:
         report = sos_certificate_bell(n)
     assert built.call_count == 1
     residual, correlator = quantum._bell_residual(ops, ops.copy())
@@ -502,7 +502,7 @@ def test_odd_cycle_game_value(n):
 
 def test_odd_cycle_payoff_operator_top_eigenvalue_is_game_value():
     for n in range(3, 52, 2):
-        op = classical.odd_cycle_payoff(n).operator(*quantum.odd_cycle_observables(n))
+        op = quantum.payoff_operator(classical.odd_cycle_payoff(n), *quantum.odd_cycle_observables(n))
         top = np.linalg.eigvalsh(op)[-1]
         assert abs(top - math.cos(math.pi / (4 * n)) ** 2) < 1e-12
 
@@ -602,7 +602,7 @@ def test_games_equal_the_complex_born_route(kind, monkeypatch):
     specs = [games.GameSpec(kind, strategy, trials=100_000, seed=5, n=n)
              for n in ((3,) if kind == "diachronic" else (3, 5, 7, 11, 101)) for strategy in games.STRATEGIES]
     real = [games.simulate(spec).to_dict() for spec in specs]
-    monkeypatch.setattr(quantum, "_born_table", complex_born_table)
+    monkeypatch.setattr(quantum, "born_table", complex_born_table)
     monkeypatch.setattr(quantum, "klyachko_table", complex_klyachko_table)
     assert [games.simulate(spec).to_dict() for spec in specs] == real
 
@@ -617,9 +617,9 @@ def _born_images(build):
 def test_ring_cycle_and_star_polygon_constructions_are_float64():
     ops = ring_observables(7)
     poly = star_polygon(7)
-    lifts = quantum._wing_lift(classical._outcome_projectors(ops), classical._outcome_projectors(ops))
+    lifts = quantum._wing_lift(quantum._outcome_projectors(ops), quantum._outcome_projectors(ops))
     arrays = [ops, *quantum.odd_cycle_observables(7), poly.kets, symmetry_axis_state(poly), BELL_STATE,
-              classical._outcome_projectors(ops), quantum._ray_effects(poly.kets), *lifts]
+              quantum._outcome_projectors(ops), quantum._ray_effects(poly.kets), *lifts]
     for build in (lambda: quantum.mermin_table(7), lambda: quantum.odd_cycle_table(7), lambda: klyachko_table(7),
                   transitivity_chain_klyachko):
         arrays += [array for args in _born_images(build) for array in args]
@@ -642,12 +642,28 @@ def test_pauli_dot_relative_states_hardy_and_the_ring_certificate_stay_complex()
 
 
 def test_born_table_builds_one_projector_stack_for_shared_wings():
-    with mock.patch.object(quantum, "_outcome_projectors", wraps=classical._outcome_projectors) as build:
+    with mock.patch.object(quantum, "_outcome_projectors", wraps=quantum._outcome_projectors) as build:
         quantum.mermin_table(5)
         games.simulate(games.GameSpec("diachronic", "quantum", trials=10, seed=0))
         assert build.call_count == 2
         quantum.odd_cycle_table(5)
         assert build.call_count == 4
+
+
+def test_payoff_operator_and_born_table_build_projectors_through_one_name(monkeypatch):
+    # One module attribute builds every outcome projector stack, so one patch
+    # reaches the operator and the table; shared wings build one stack.
+    built = []
+    build = quantum._outcome_projectors
+    monkeypatch.setattr(quantum, "_outcome_projectors", lambda ops: built.append(len(ops)) or build(ops))
+    ring, ops = classical.os_ring_payoff(5), ring_observables(5)
+    quantum.payoff_operator(ring, ops, ops)
+    quantum.born_table(ring, ops, ops)
+    assert built == [5, 5]
+    odd = classical.odd_cycle_payoff(7)
+    quantum.payoff_operator(odd, *quantum.odd_cycle_observables(7))
+    quantum.born_table(odd, *quantum.odd_cycle_observables(7))
+    assert built == [5, 5, 7, 7, 7, 7]
 
 
 def test_cycle_certificate_computes_its_coefficients_once():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -817,6 +818,28 @@ def test_mapping_tables_refuse_contexts_past_the_lp_cap():
     scen = Scenario(n, (tuple(range(1, n + 1)),))
     with pytest.raises(ValueError, match="exceeds"):
         CorrelationTable(scen, {scen.contexts[0]: {(0,) * n: 1.0}})
+
+
+@pytest.mark.parametrize("keys, refused", [
+    # 20 distinct 19-measurement contexts that the scenario lacks.
+    ([range(k, k + 19) for k in range(2, 22)], r"context \(2, 3, .*, 20\) is not part of the scenario"),
+    # 20 orders of one 19-measurement context that it has.
+    ([[*range(k, 20), *range(1, k)] for k in range(1, 21)], "two keys name one context"),
+], ids=["unknown", "repeated"])
+def test_table_keys_are_checked_before_their_rows_are_allocated(keys, refused):
+    # A document under 2 kB whose rows would take 20 x 2^19 float64 (84 MB),
+    # and over 300 MB at peak once placed, if they were built before the keys
+    # were checked.
+    doc = {"n": 40, "contexts": [list(range(1, 20))],
+           "probs": {",".join(map(str, key)): {"0" * 19: 1.0} for key in keys}}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{refused}$"):
+            CorrelationTable.from_json(json.dumps(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_vector_tables_check_their_length():

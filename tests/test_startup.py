@@ -6,8 +6,11 @@ access, and each CLI subcommand loads only the modules it runs: ``signet``
 only for ``network``, as a table imports it only to decide or build a signed
 graph.  The process
 entry ``cli.run`` prints and exits as ``cli.main`` does, with the collector
-off; ``cli.main`` leaves the collector alone."""
+off; ``cli.main`` leaves the collector alone.  ``classical`` imports no other
+module of the package, and ``quantum`` and ``games`` read no private name of
+another."""
 
+import ast
 import gc
 import json
 import math
@@ -19,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import seer_lab
-from seer_lab import cli, games, quantum, tolerances
+from seer_lab import classical, cli, games, quantum, tolerances
 
 SRC = str(Path(seer_lab.__file__).resolve().parent.parent)
 
@@ -314,6 +317,27 @@ def test_package_loads_each_name_in_all_on_first_access():
 def test_cli_game_choices_are_the_games_tuples():
     assert cli.GAME_KINDS == games.GAME_KINDS
     assert cli.STRATEGIES == games.STRATEGIES
+
+
+def _syntax(module) -> list[ast.AST]:
+    return list(ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))))
+
+
+def test_classical_imports_no_seer_lab_module():
+    # Neither at top level nor inside a function: quantum and scenario build on
+    # classical, not the other way round.
+    imported = [("." * node.level) + (node.module or "") if isinstance(node, ast.ImportFrom) else alias.name
+                for node in _syntax(classical) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    assert imported and not [name for name in imported if name.startswith((".", "seer_lab"))]
+
+
+def test_quantum_and_games_reach_no_private_name_of_another_module():
+    imported = [alias.name for node in _syntax(quantum) if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert not [name for name in imported if name.startswith("_")]
+    read = [node.attr for node in _syntax(games) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in ("quantum", "classical", "scenario")]
+    assert read and not [name for name in read if name.startswith("_")]
 
 
 def test_quantum_raises_the_tolerances_certificate_error():
