@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,8 +38,7 @@ MAX_LOCAL_TABLE = 1 << 25
 _BLOCK = 7
 
 
-@dataclass(frozen=True)
-class KsBoundResult:
+class KsBoundResult(NamedTuple):
     n: int
     max_anticorrelated: int
     r_nc: float
@@ -159,8 +158,7 @@ def odd_cycle_payoff(n: int) -> GamePayoff:
     return GamePayoff(n, n, cells, np.ones(2 * n, int), 2 * n, np.tile(_RING_WINS[:2], (n, 1)))
 
 
-@dataclass(frozen=True)
-class LocalBoundResult:
+class LocalBoundResult(NamedTuple):
     value: float
     value_exact: Fraction
     witness_a: tuple[int, ...]
@@ -302,8 +300,7 @@ _T, _B = np.arange(1, 4)[:, None], np.arange(2)
 ENCODINGS = {"b": np.broadcast_to(_B, (3, 2)), **{f"c{k}": c_function(k, _T, _B) for k in (1, 2, 3)}}
 
 
-@dataclass(frozen=True)
-class PncBoundResult:
+class PncBoundResult(NamedTuple):
     bound: float
     bound_exact: Fraction
     per_encoding: dict[str, Fraction]

@@ -14,9 +14,13 @@ loads only what its subcommand needs: ``network`` runs without numpy, and
 
 ``run`` is the process entry of the ``seer-lab`` console script
 (``seer_lab.cli:run``) and of ``python -m seer_lab.cli``: it runs ``main`` once
-with the cyclic garbage collector off and freezes what is left, so the process
-ends without the collector's passes.  ``main`` leaves the collector alone for
-callers that run it in their own process.
+with the cyclic garbage collector off, flushes stdout and stderr and ends the
+process with ``os._exit``, so it skips the collector's passes and the
+interpreter's teardown; argparse's exits (usage errors, ``--help``,
+``--version``) end the same way, and an uncaught exception keeps Python's
+traceback and exit 1.  Since no ``atexit`` hook or profiler dump runs after
+``os._exit``, profile ``main`` in-process instead.  ``main`` leaves the
+collector alone for callers that run it in their own process.
 
 Exit codes: 0 success, 2 usage or input error, 3 certificate or invariant
 failure.  A reader that closes the output early (``| head``) ends the run
@@ -33,7 +37,7 @@ import math
 import os
 import sys
 import time
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from . import __version__
 from .tolerances import STRUCT_TOL, CertificateError
@@ -268,7 +272,7 @@ def cmd_game(args) -> dict:
         seed=args.seed,
         n=args.n,
     )
-    return games.simulate(spec).to_dict()
+    return games.simulate(spec)._asdict()
 
 
 def _sweep_values(args):
@@ -415,15 +419,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return EXIT_OK
 
 
-def run() -> None:
-    """Run ``main`` on ``sys.argv`` and exit with its code; only for a process
-    that ends here, since the collector stays off and what is left is frozen."""
+def run() -> NoReturn:
+    """Run ``main`` on ``sys.argv`` and end the process with its code; only for
+    a process that ends here, since the collector stays off and nothing is torn
+    down."""
     gc.disable()
     try:
         code = main()
-    finally:
-        gc.freeze()
-    sys.exit(code)
+    except SystemExit as exc:  # argparse: usage errors, --help and --version
+        code = exc.code
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        pass  # the reader closed the pipe; what is still buffered is dropped
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

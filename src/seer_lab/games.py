@@ -16,8 +16,8 @@ Philox stream keyed by the seed).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -60,8 +60,7 @@ class GameSpec:
                 raise ValueError(f"games are limited to n <= {MAX_N}")
 
 
-@dataclass
-class GameResult:
+class GameResult(NamedTuple):
     kind: str
     strategy: str
     n: int
@@ -73,12 +72,8 @@ class GameResult:
     std_error: float
     sigma_distance: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-
-@dataclass
-class _SamplingModel:
+class _SamplingModel(NamedTuple):
     """Context weights, per-context outcome distribution, win mask."""
 
     weights: np.ndarray  # (contexts,)
@@ -183,8 +178,7 @@ def simulate(spec: GameSpec) -> GameResult:
     )
 
 
-@dataclass
-class EnsembleResult:
+class EnsembleResult(NamedTuple):
     n: int
     suitors: int
     strategy: str

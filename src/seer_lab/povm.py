@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -87,8 +86,7 @@ def m_vectors(axes: Union[str, Iterable[Sequence[float]]]) -> tuple[np.ndarray, 
     return signs, m
 
 
-@dataclass
-class JointPOVM:
+class JointPOVM(NamedTuple):
     """Joint POVM whose outcome signs[i] (a row of +-1, one per axis) has the
     rank-one or zero effect effects[i], of trace 2 lengths[i] / sum(lengths)."""
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,8 +32,7 @@ BELL_STATE[0] = BELL_STATE[3] = 1 / math.sqrt(2)
 # Star polygons and the cycle contextuality values
 
 
-@dataclass(frozen=True)
-class StarPolygon:
+class StarPolygon(NamedTuple):
     """Cyclically ordered unit vectors in R^3 with adjacent members orthogonal.
 
     The a-th ray has polar angle theta with cos^2(theta) =
@@ -107,8 +105,7 @@ def _born_rows():
         raise CertificateError(f"Born table: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class KlyachkoValue:
+class KlyachkoValue(NamedTuple):
     n: int
     r: float
     s: float
@@ -161,8 +158,7 @@ def seer_game_win_probability(n: int) -> float:
 # Certificate for the cycle (KCBS-style) inequality
 
 
-@dataclass(frozen=True)
-class SosCertificateReport:
+class SosCertificateReport(NamedTuple):
     n: int
     residual: float
     certified_bound: float
@@ -258,8 +254,7 @@ def sos_certificate_klyachko(n: int) -> SosCertificateReport:
 # Transitivity of implication on the pentagram; Clifton's eight rays
 
 
-@dataclass(frozen=True)
-class TransitivityChainResult:
+class TransitivityChainResult(NamedTuple):
     psi2: np.ndarray
     p_start: float
     implications_hold: bool
@@ -309,8 +304,7 @@ def heptagon_chain_rank() -> int:
     return int(np.linalg.matrix_rank(normals, tol=RANK_TOL))
 
 
-@dataclass(frozen=True)
-class CliftonReport:
+class CliftonReport(NamedTuple):
     ray_names: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     triples: tuple[tuple[str, str, str], ...]
@@ -546,8 +540,7 @@ def odd_cycle_table(n: int) -> scenario_mod.CorrelationTable:
 HARDY_ETA_MAX = 1e61
 
 
-@dataclass(frozen=True)
-class HardyConfig:
+class HardyConfig(NamedTuple):
     eta: float
     kappas: tuple[float, float, float]
     state: np.ndarray
@@ -646,8 +639,7 @@ def hardy_optimize():
 # Relative-state inference chains
 
 
-@dataclass(frozen=True)
-class RelativeStateChainResult:
+class RelativeStateChainResult(NamedTuple):
     overlap: float
     chain: tuple[np.ndarray, ...]
     p_initial: float
@@ -720,8 +712,7 @@ def purification_state(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
 # Two-time (diachronic) protocol
 
 
-@dataclass(frozen=True)
-class DiachronicResult:
+class DiachronicResult(NamedTuple):
     r: float
     obliviousness_defect: float
 

@@ -35,8 +35,9 @@ from .tolerances import NUM_TOL, PROB_FLOOR, STRUCT_TOL
 Context = tuple[int, ...]
 Outcome = tuple[int, ...]
 
-# Largest n for the 2^n-atom marginal problem, set from a 2 GB peak-RSS budget
-# when HiGHS solved it; tables decided on their signed graph are not capped.
+# Most measurements that the present contexts of a table on the marginal
+# problem's route may name (2^n atoms for n of them), set from a 2 GB peak-RSS
+# budget when HiGHS solved it; tables decided on their signed graph are not capped.
 # It bounds the atoms, not the rows: _NNLS_BYTES bounds the matrix.
 # Measured on tables without zero entries, which keep every atom (2-core
 # host, scipy 1.17, one process each).  With HiGHS on the outcome rows:
@@ -55,6 +56,13 @@ MAX_JOINT_MEASUREMENTS = 19
 # klyachko_table(19), 39 rows by 2^19 atoms, needs 0.16 GB.  One fully
 # supported context of 14 measurements would need 2.1 GB.
 _NNLS_BYTES = 1 << 30
+
+# Largest scenario of which a feasible verdict lists its atoms: each atom is
+# a tuple of one bit per measurement, 8 bytes each.  A balanced pair at
+# 65,536 measurements takes 6.0 ms (1.9 ms at 20,002, 0.15 s at 2^20; one
+# process, 2-core host); the largest support of a pair table, at most its
+# 19 + 171 + 1 shared-marginal rows, then lists 100 MB.
+MAX_DISTRIBUTION_MEASUREMENTS = 1 << 16
 
 # Context lists whose layout is kept, and cycle scenarios kept.  A sweep over
 # sign patterns builds hundreds of tables over a handful of context lists.
@@ -622,8 +630,7 @@ def nnls(*args, **kwargs):
     return optimize.nnls(*args, **kwargs)
 
 
-@dataclass
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     """A verdict on the marginal problem.  ``certificate`` is None for a
     feasible table.  An infeasible one carries ("odd-parity cycle", cycle) from
     its signed graph, or ("farkas", y) from ``_lp_feasible``: integers y, one
@@ -655,9 +662,13 @@ def joint_distribution_feasible(table: CorrelationTable) -> FeasibilityResult:
     exact consistency check, then nonnegative least squares on the shared
     marginals, whose infeasible verdicts carry an exact Farkas vector and
     which raises RuntimeError where the residual is too small to certify, and
-    ValueError past MAX_JOINT_MEASUREMENTS.  It loads scipy on its first
-    solve; a table that is inconsistent, or whose zeros admit no atom or only
-    one, is decided without one.
+    ValueError where the present contexts name more than
+    MAX_JOINT_MEASUREMENTS measurements.  It loads scipy on its first solve; a
+    table that is inconsistent, or whose zeros admit no atom or only one, is
+    decided without one.  A feasible verdict lists each atom of its
+    distribution as one bit per measurement of the scenario, so on both routes
+    a scenario past MAX_DISTRIBUTION_MEASUREMENTS raises ValueError before any
+    valuation is built.
     """
     pairs = _signed_pairs(table)
     if pairs is not None:
@@ -672,6 +683,7 @@ def joint_distribution_feasible(table: CorrelationTable) -> FeasibilityResult:
         candidate = _CANDIDATE_ROWS.take(solid, axis=0)
         if np.abs(candidate - table.vector.reshape(-1, 4)).max(initial=0.0) <= NUM_TOL:
             n = table.scenario.n_measurements
+            _check_listable(n)
             x = tuple(report.valuation.get(m, 0) for m in range(1, n + 1))
             atoms = {x: 0.5, tuple(1 - bit for bit in x): 0.5}
             return FeasibilityResult(True, JointDistribution(n, atoms))
@@ -725,25 +737,37 @@ def _column_rows(table: CorrelationTable, bits: np.ndarray) -> np.ndarray:
     return np.stack(rows, axis=1)
 
 
-def _valuation(atom: int, n: int) -> Outcome:
-    return tuple(atom >> j & 1 for j in range(n))
+def _check_listable(n: int) -> None:
+    """ValueError past MAX_DISTRIBUTION_MEASUREMENTS, before a valuation of n
+    measurements is built."""
+    if n > MAX_DISTRIBUTION_MEASUREMENTS:
+        raise ValueError(f"a joint distribution over {n} measurements exceeds the supported "
+                         f"{MAX_DISTRIBUTION_MEASUREMENTS}")
+
+
+def _valuations(atoms: np.ndarray, named: Sequence[int], n: int) -> list[Outcome]:
+    """Each atom as a valuation of measurements 1..n: bit j of an atom is
+    measurement named[j], and every other measurement reads 0."""
+    values = np.zeros((atoms.size, n), dtype=np.int64)
+    values[:, np.asarray(named) - 1] = _bits(atoms, len(named)).T
+    return list(map(tuple, values.tolist()))
 
 
 def _lp_feasible(table: CorrelationTable) -> FeasibilityResult:
     """The marginal problem over the allowed atoms, every infeasible verdict
     past the shortcuts proved in exact arithmetic.
 
-    The unknowns are nonnegative weights w of the atoms (atom i sets
-    measurement m to bit m-1 of i), and the table asks A w = b, one row per
-    context outcome and a normalisation row.  Only the atoms whose outcome on
-    every present context has nonzero probability and that set each
-    measurement no present context names to 0 get a weight
-    (``_allowed_atoms``): where b_r = 0, every atom with a 1 in row r has
-    weight 0 in every solution, and an unnamed measurement's bit changes no
-    row.  A table whose zeros admit no atom is infeasible.  With one atom
-    left, the normalisation row forces its weight to 1: the table is
-    feasible, with that atom alone, iff the atom's column matches every row to
-    NUM_TOL.  Neither shortcut solves anything or carries a certificate.
+    The unknowns are nonnegative weights w of the atoms over the k
+    measurements that the present contexts name (atom i sets the j-th of
+    them, in increasing order, to bit j-1 of i; an unnamed measurement's bit
+    changes no row, and a distribution sets it to 0), and the table asks
+    A w = b, one row per context outcome and a normalisation row.  Only the
+    atoms whose outcome on every present context has nonzero probability get
+    a weight (``_allowed_atoms``): where b_r = 0, every atom with a 1 in row r
+    has weight 0 in every solution.  A table whose zeros admit no atom is
+    infeasible.  With one atom left, the normalisation row forces its weight
+    to 1: the table is feasible, with that atom alone, iff the atom's column
+    matches every row to NUM_TOL.  Neither shortcut solves anything or carries a certificate.
 
     With two or more atoms:
 
@@ -772,27 +796,34 @@ def _lp_feasible(table: CorrelationTable) -> FeasibilityResult:
        3e-9 to 3e-8 outside the boundary of mermin_table(3) and (5) and
        klyachko_table(5) and (7) mixed with white noise.
 
-    A scenario of more than MAX_JOINT_MEASUREMENTS measurements raises
-    ValueError, and so does a consistent table whose matrix in step 2 would
-    pass _NNLS_BYTES.  The solve's time grows with the support: Lawson-Hanson
-    adds about one atom per iteration, so a fully supported context of 10
-    measurements takes about a second and one of 11 about ten (2-core host).
+    Past MAX_JOINT_MEASUREMENTS named measurements it raises ValueError, and
+    so does a consistent table whose matrix in step 2 would pass _NNLS_BYTES,
+    or a feasible one whose scenario passes MAX_DISTRIBUTION_MEASUREMENTS.
+    The solve's time grows with the support: Lawson-Hanson adds about one
+    atom per iteration, so a fully supported context of 10 measurements
+    takes about a second and one of 11 about ten (2-core host).
     """
-    n = table.scenario.n_measurements
-    if n > MAX_JOINT_MEASUREMENTS:
-        raise ValueError(f"atom count 2^{n} exceeds the supported limit 2^{MAX_JOINT_MEASUREMENTS}")
+    n, named = table.scenario.n_measurements, sorted({m for ctx in table.contexts for m in ctx})
+    if len(named) > MAX_JOINT_MEASUREMENTS:
+        raise ValueError(f"atom count 2^{len(named)} exceeds the supported limit 2^{MAX_JOINT_MEASUREMENTS}")
+    if named and named[-1] != len(named):
+        # Relabelling 1..k keeps the contexts, and so the vector, in order.
+        label = {m: i for i, m in enumerate(named, 1)}
+        contexts = tuple(tuple(label[m] for m in ctx) for ctx in table.contexts)
+        table = CorrelationTable.from_vector(Scenario(len(named), contexts), contexts, table.vector)
     atoms = _allowed_atoms(table)
     if not atoms.size:
         return FeasibilityResult(False, None)
     b = np.append(table.vector, 1.0)
-    bits = _bits(atoms, n)
+    bits = _bits(atoms, len(named))
     codes = _column_rows(table, bits)
     if atoms.size == 1:
         column = np.zeros(b.size)
         column[codes] = 1.0
         if np.abs(column - b).max() > NUM_TOL:
             return FeasibilityResult(False, None)
-        return FeasibilityResult(True, JointDistribution(n, {_valuation(int(atoms[0]), n): 1.0}))
+        _check_listable(n)
+        return FeasibilityResult(True, JointDistribution(n, {_valuations(atoms, named, n)[0]: 1.0}))
     subsets = _subsets(table)
     certificate = _consistency_certificate(table, subsets)
     if certificate is not None:
@@ -807,7 +838,8 @@ def _lp_feasible(table: CorrelationTable) -> FeasibilityResult:
     off = float(np.abs(fit - b).max())
     if off <= NUM_TOL:
         support = np.flatnonzero(w > 0)
-        dist = {_valuation(i, n): float(w[k]) for k, i in zip(support.tolist(), atoms[support].tolist())}
+        _check_listable(n)
+        dist = dict(zip(_valuations(atoms[support], named, n), w[support].tolist()))
         return FeasibilityResult(True, JointDistribution(n, dist))
     certificate = _residual_certificate(table, subsets, source, shared - a @ w, codes)
     if certificate is None:

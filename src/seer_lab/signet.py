@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 SOLID = 1
 DASHED = -1
@@ -184,8 +184,7 @@ def gauge_transform(g: SignedGraph, flip_set: Iterable[int]) -> SignedGraph:
     return SignedGraph(g.n_nodes, edges)
 
 
-@dataclass
-class CycleClassReport:
+class CycleClassReport(NamedTuple):
     n_nodes: int
     frustrated_patterns: int
     unfrustrated_patterns: int

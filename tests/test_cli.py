@@ -325,21 +325,26 @@ def test_network_start_node_outside_the_graph_is_usage_error(tmp_path, capsys):
 
 
 def test_reader_closing_after_one_line_exits_zero_quietly(tmp_path):
-    # 6,000 trace lines (about 330 kB) outgrow the pipe, so the writer is still
-    # writing when the reader closes.
+    # 6,000 trace lines (about 330 kB) and 6,001 sweep rows (157 kB) outgrow a
+    # 64 KiB pipe, so the writer is still writing when the reader closes; the
+    # help text fits, and is flushed as the process ends (| head).
     n = 6000
     path = tmp_path / "chain.json"
     path.write_text(json.dumps({"nodes": n, "edges": [[i, i + 1, 1, "+"] for i in range(1, n)]}))
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = [sys.executable, "-m", "seer_lab.cli", "network", "--file", str(path), "--directed",
-            "--start", "1", "--value", "1"]
-    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        assert proc.stdout.readline().startswith(b"contradiction")
-        proc.stdout.close()
-        err = proc.stderr.read()
-        code = proc.wait(timeout=120)
-    assert (code, err) == (0, b"")
+    for argv, first in [
+        (["network", "--file", str(path), "--directed", "--start", "1", "--value", "1"], b"contradiction"),
+        (["sweep", "hardy_p", "--start", "1", "--stop", "1501", "--step", "0.25"], b"parameter,"),
+        (["--help"], b"usage: seer-lab"),
+    ]:
+        with subprocess.Popen([sys.executable, "-m", "seer_lab.cli", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline().startswith(first)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert (code, err) == (0, b""), argv
 
 
 def test_network_bad_json(tmp_path, capsys):

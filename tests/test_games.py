@@ -153,7 +153,7 @@ def test_trial_count_up_to_int64_costs_nothing_per_trial():
 
 def test_result_dict_round_trip():
     result = simulate(GameSpec("diachronic", "foil", trials=10, seed=1))
-    doc = result.to_dict()
+    doc = result._asdict()
     assert doc["wins"] == 10
     assert doc["kind"] == "diachronic"
     assert isinstance(result, GameResult)

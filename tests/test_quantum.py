@@ -601,10 +601,10 @@ def test_real_born_tables_equal_the_complex_route_bit_for_bit(n):
 def test_games_equal_the_complex_born_route(kind, monkeypatch):
     specs = [games.GameSpec(kind, strategy, trials=100_000, seed=5, n=n)
              for n in ((3,) if kind == "diachronic" else (3, 5, 7, 11, 101)) for strategy in games.STRATEGIES]
-    real = [games.simulate(spec).to_dict() for spec in specs]
+    real = [games.simulate(spec)._asdict() for spec in specs]
     monkeypatch.setattr(quantum, "born_table", complex_born_table)
     monkeypatch.setattr(quantum, "klyachko_table", complex_klyachko_table)
-    assert [games.simulate(spec).to_dict() for spec in specs] == real
+    assert [games.simulate(spec)._asdict() for spec in specs] == real
 
 
 def _born_images(build):

@@ -1,7 +1,11 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -511,17 +515,84 @@ def test_point_distributions_always_feasible():
 
 
 def test_joint_feasibility_size_limit():
-    # 20 is one past the measured cap: a table that reaches the LP is refused
-    # before any atom is enumerated.  A balanced path of solid pairs whose rows
-    # are not uniform misses the two-atom candidate; a triple has no signed graph.
+    # 20 named measurements are one past the measured cap: a table that
+    # reaches the LP is refused before any atom is enumerated.  A balanced path
+    # of solid pairs whose rows are not uniform misses the two-atom candidate;
+    # a triple followed by a path of pairs has no signed graph.
     for n in (20, 21):
         path = Scenario(n, tuple((a, a + 1) for a in range(1, n)))
         skewed = CorrelationTable(path, {ctx: {(0, 0): 0.3, (1, 1): 0.7} for ctx in path.contexts})
-        triple = CorrelationTable(Scenario(n, ((1, 2, 3),)), {(1, 2, 3): {(0, 1, 1): 1.0}})
+        tail = Scenario(n, ((1, 2, 3), *((a, a + 1) for a in range(3, n))))
+        triple = CorrelationTable(tail, {(1, 2, 3): {(0, 1, 1): 1.0},
+                                         **{ctx: {(1, 1): 1.0} for ctx in tail.contexts[1:]}})
         for table in (skewed, triple):
             with mock.patch.object(scenario, "_allowed_atoms", side_effect=AssertionError("atoms built")):
                 with pytest.raises(ValueError, match="exceeds the supported limit"):
                     joint_distribution_feasible(table)
+
+
+def _shifted(table: CorrelationTable, n: int, by: int) -> CorrelationTable:
+    """The same table with every measurement m relabelled m + by, in a scenario of n."""
+    contexts = tuple(tuple(m + by for m in ctx) for ctx in table.contexts)
+    return CorrelationTable.from_vector(Scenario(n, contexts), contexts, table.vector)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lp_caps_on_the_measurements_its_contexts_name(seed):
+    # A triple on measurements 38..40 of 40 has 2^3 atoms, not 2^40: it gets
+    # the verdict of the same triple on Scenario(3), and its atoms list 40 bits.
+    rng = np.random.default_rng(seed)
+    block = rng.dirichlet(np.full(8, 0.5))
+    block[rng.random(8) < 0.3] = 0.0
+    probs = {tuple(int(b) for b in np.binary_repr(i, 3)): float(p) for i, p in enumerate(block / block.sum())}
+    small = CorrelationTable(Scenario(3, ((1, 2, 3),)), {(1, 2, 3): probs})
+    big = CorrelationTable(Scenario(40, ((38, 39, 40),)), {(38, 39, 40): probs})
+    result = joint_distribution_feasible(big)
+    assert result.feasible == full_lp_feasible(small).feasible
+    assert {len(atom) for atom in result.distribution.atoms} == {40}
+    assert not any(any(atom[:37]) for atom in result.distribution.atoms)
+    marginal = result.distribution.context_marginal((38, 39, 40))
+    assert max(abs(marginal.get(o, 0.0) - p) for o, p in probs.items()) <= NUM_TOL
+
+
+def test_lp_relabelling_keeps_the_verdict_and_the_farkas_vector():
+    # mermin_table(3) on measurements 35..40 of 40: the certificate indexes the
+    # table's entries, which the relabelling leaves in place.
+    table = quantum.mermin_table(3)
+    shifted = _shifted(table, 40, 34)
+    result = joint_distribution_feasible(shifted)
+    assert result.feasible is full_lp_feasible(table).feasible is False
+    assert result.certificate == joint_distribution_feasible(table).certificate
+    assert_farkas(table, result.certificate)
+
+
+@pytest.mark.parametrize("context, entries", [
+    ((1, 2), {(0, 0): 0.5, (1, 1): 0.5}),  # a balanced pair: the signed-graph route
+    ((1, 2, 3), {(0, 1, 1): 1.0}),  # a point triple: the LP route's one-atom shortcut
+], ids=["pair", "triple"])
+def test_distribution_past_its_cap_is_refused_before_any_valuation(context, entries):
+    # Ten million measurements: two valuations of them would take 160 MB, more
+    # than the 192 MB of address space the child gets leaves beside numpy
+    # (about 100 MB).
+    code = f"""
+import resource
+from seer_lab import scenario
+limit = 192 << 20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+table = scenario.CorrelationTable(scenario.Scenario(10**7, ({context!r},)), {{{context!r}: {entries!r}}})
+try:
+    scenario.joint_distribution_feasible(table)
+except ValueError as exc:
+    print(exc)
+"""
+    src = str(Path(scenario.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (f"a joint distribution over 10000000 measurements exceeds the supported "
+                           f"{scenario.MAX_DISTRIBUTION_MEASUREMENTS}\n")
+    assert scenario.MAX_DISTRIBUTION_MEASUREMENTS >= 2 * classical.MAX_N  # the largest two-wing table
 
 
 def test_marginal_problem_refuses_a_matrix_past_its_memory_budget():

@@ -6,7 +6,9 @@ access, and each CLI subcommand loads only the modules it runs: ``signet``
 only for ``network``, as a table imports it only to decide or build a signed
 graph.  The process
 entry ``cli.run`` prints and exits as ``cli.main`` does, with the collector
-off; ``cli.main`` leaves the collector alone.  ``classical`` imports no other
+off, and ends through ``os._exit``; ``cli.main`` leaves the collector alone.
+Records without validation or mutable defaults are ``typing.NamedTuple``s,
+which generate no code at import.  ``classical`` imports no other
 module of the package, and ``quantum`` and ``games`` read no private name of
 another."""
 
@@ -114,15 +116,15 @@ print(json.dumps({"codes": codes, "modules": modules}))
 """
 
 RUN_ENTRY = """
-import contextlib, gc, io, json, sys
+import contextlib, gc, io, json, os, sys
 from seer_lab import cli
-sys.argv = ["seer-lab", "bounds", "ks_ncycle", "--n", "5"]
-with contextlib.redirect_stdout(io.StringIO()):
-    try:
-        cli.run()
-    except SystemExit as exc:
-        code = exc.code
-print(json.dumps({"code": code, "enabled": gc.isenabled(), "frozen": gc.get_freeze_count()}))
+codes = []
+os._exit = codes.append  # record the code instead of ending the process
+sys.argv = ["seer-lab", *json.loads(sys.argv[1])]
+with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+    cli.run()
+print(json.dumps({"codes": codes, "enabled": gc.isenabled(), "frozen": gc.get_freeze_count(),
+                  "out": out.getvalue(), "err": err.getvalue()}))
 """
 
 IMPORT_ALL = """
@@ -268,18 +270,31 @@ def test_game_loads_quantum_and_numkit_only_for_the_quantum_strategy(kind):
 
 
 def test_main_leaves_the_collector_alone_and_run_turns_it_off(capsys):
-    assert cli.main(["bounds", "ks_ncycle", "--n", "5"]) == 0
-    assert gc.isenabled()
-    assert gc.get_freeze_count() == 0
-    # The process entry runs the same command with the collector off and
-    # freezes what is left before exiting with main's code.
-    report = run_fresh(RUN_ENTRY)
-    assert report["code"] == 0
-    assert report["enabled"] is False
-    assert report["frozen"] > 0
+    for argv, code in [
+        (["bounds", "ks_ncycle", "--n", "5"], 0),
+        (["bounds", "ks_ncycle", "--n", "4"], 2),  # a bad value
+        (["game", "no_such_kind"], 2),  # an argparse usage error
+        (["--version"], 0),
+    ]:
+        try:
+            assert cli.main(argv) == code
+        except SystemExit as exc:  # argparse's exits
+            assert exc.code == code
+        out, err = capsys.readouterr()
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == 0
+        # The process entry runs the same command with the collector off,
+        # freezes nothing, and hands main's code, or argparse's, to os._exit.
+        report = run_fresh(RUN_ENTRY, json.dumps(argv))
+        assert report["codes"] == [code], argv
+        assert report["enabled"] is False
+        assert report["frozen"] == 0
+        assert (report["out"], report["err"]) == (out, err), argv
 
 
-def test_module_entry_prints_and_exits_as_main(tmp_path, capsys):
+def test_module_entry_prints_and_exits_as_main(tmp_path, capsys, monkeypatch):
+    # argparse wraps help text to the terminal width, which COLUMNS sets.
+    monkeypatch.setenv("COLUMNS", "80")
     graph = tmp_path / "triangle.json"
     graph.write_text(json.dumps({"nodes": 3, "edges": [[1, 2, "-"], [2, 3, "-"], [3, 1, "-"]]}))
     argvs = [
@@ -291,19 +306,38 @@ def test_module_entry_prints_and_exits_as_main(tmp_path, capsys):
         ["--version"],
         ["bounds", "ks_ncycle", "--n", "4"],  # a bad value: exit 2
         ["game", "no_such_kind"],  # an argparse usage error: exit 2
+        ["sweep", "hardy_p", "--start", "1", "--stop", "1501", "--step", "0.25"],  # 157 kB, past a 64 KiB pipe
+        ["bounds", "--help"],
     ]
     codes = []
     for argv in argvs:
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse's exits: --version and usage errors
+        except SystemExit as exc:  # argparse's exits: --version, --help and usage errors
             code = exc.code
         out, err = capsys.readouterr()
-        proc = subprocess.run([sys.executable, "-m", "seer_lab.cli", *argv], env=FRESH_ENV,
+        proc = subprocess.run([sys.executable, "-m", "seer_lab.cli", *argv], env=dict(FRESH_ENV, COLUMNS="80"),
                               capture_output=True, text=True, timeout=120)
         assert (proc.stdout, proc.stderr, proc.returncode) == (out, err, code), argv
         codes.append(code)
-    assert codes == [0, 0, 0, 0, 0, 0, 2, 2]
+    assert codes == [0, 0, 0, 0, 0, 0, 2, 2, 0, 0]
+    assert out.startswith("usage: seer-lab bounds")
+
+
+def test_every_dataclass_validates_or_has_a_mutable_default():
+    # A record with neither is a typing.NamedTuple: a dataclass generates and
+    # compiles its methods at import, about 0.7 ms a class.
+    kept, plain = [], []
+    for path in sorted(Path(seer_lab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                    for d in node.decorator_list):
+                methods = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+                factory = any(isinstance(k, ast.keyword) and k.arg == "default_factory" for k in ast.walk(node))
+                (kept if "__post_init__" in methods or factory else plain).append(f"{path.stem}.{node.name}")
+    assert {"scenario.Scenario", "signet.ChainReport"} <= set(kept)
+    assert plain == []
 
 
 def test_package_loads_each_name_in_all_on_first_access():
