@@ -1,15 +1,17 @@
 """Classical bounds: optima over deterministic strategies.
 
 Covers the noncontextual bound for anti-correlation cycles (in closed form),
-Bell-local bounds for the two-wing prediction games (by max-plus elimination
-over one wing's settings) and the preparation-noncontextual bound for the
-two-time game (by best responses over a payoff's cells).  It imports no other
-module of the package: ``quantum`` and ``scenario`` build on it.
+the game payoffs, their Bell-local bounds (by ``max_sum``, one max-sum
+elimination over deterministic valuations) and the preparation-noncontextual
+bound for the two-time game (by best responses over a payoff's cells).  It
+imports no other module of the package: ``quantum`` and ``scenario`` build on it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
@@ -17,25 +19,17 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 # Largest n of the cycle bound and the games, set from a 5 s budget: the
-# quantum tables cost O(n), and the slowest kind, bipartite_os, takes 0.88 s
-# (120 MB peak RSS) at n = 10,001 for the whole `seer-lab game` process on a
-# 2-core host (odd_cycle 0.73 s, seer_ncycle 0.59 s; median of seven).
+# quantum tables cost O(n), and the slowest kind, bipartite_os, takes 0.34 s
+# (77 MB peak RSS) at n = 10,001 for the whole `seer-lab game` process on a
+# 2-core host (odd_cycle 0.32 s, seer_ncycle 0.26 s; median of seven).
 MAX_N = 10_001
 
-# Largest local_bound elimination table, in int64 entries: 2^width scope
-# assignments x (2 answers per B setting + 1), about 11.4 bytes each.  Set
-# from a 0.5 GB budget: a one-block payoff of 19 x 31 settings whose B
-# settings each read all of A (2^19 x 63 entries) took 0.25 s and 411 MB
-# peak RSS, 2^24 x 3 entries 0.79 s and 547 MB (in-process, 2-core host).
+# Most int64 entries that max_sum's scope tables, kept for the decode, may hold
+# in all (the messages between them add at most half as much).  Set from a
+# 0.5 GB budget, in-process on a 2-core host, at the cap with every B setting
+# reading every A setting: 0.42-0.46 s and 304 MB peak RSS for 23 x 1 settings,
+# 0.64-0.70 s and 430 MB for 18 x 63, 1.0-1.3 s and 460 MB for 12 x 4,095.
 MAX_LOCAL_TABLE = 1 << 25
-
-# Wing-A settings per local_bound elimination block.  The ring and odd-cycle
-# games at n <= 7, the sizes the game sampler plays, are one block.  A ring
-# block also reads four settings of earlier blocks, so its table has
-# 2^(_BLOCK + 4) rows: in-process on a 2-core host the ring at n = 10,001 took
-# 0.25 s with blocks of 5 settings, 0.33 s with 7, 0.39-0.48 s with 8 and
-# 0.79 s with 9, and the twelve games at n = 3..13 took 2-3 ms with any of them.
-_BLOCK = 7
 
 
 class KsBoundResult(NamedTuple):
@@ -72,32 +66,89 @@ def ks_bound_ncycle(n: int) -> KsBoundResult:
 
 
 # --------------------------------------------------------------------------
-# Two-wing games
+# Max-sum over deterministic valuations
+
+
+def max_sum(k: int, contexts: Sequence[tuple[int, ...]], units: Sequence[np.ndarray]) -> tuple[int, tuple[int, ...]]:
+    """Maximum over x in {0,1}^k of sum_c units_c[x restricted to c], with the
+    lexicographically first optimal x.
+
+    Each context is a nonempty increasing tuple of labels 0..k-1, its units an
+    integer array of shape (2,) * |c| over its bits in order; sums run in int64.
+    Max-sum bucket elimination (Dechter, Artif. Intell. 113, 41 (1999)), last
+    label first: a bucket's functions add into one table over their labels
+    (its scope), whose best over the bucket's label goes to the bucket of the
+    scope's next label.  Decoding first to last, a label takes 1 only where
+    that scores strictly more; a label no context names is 0.  ValueError
+    before the scope tables, which the decode keeps, pass ``MAX_LOCAL_TABLE``
+    entries in all.
+    """
+    buckets: list[list] = [[] for _ in range(k)]
+    for c, u in zip(contexts, units, strict=True):
+        c, u = tuple(c), np.asarray(u, dtype=np.int64)
+        if not c or u.shape != (2,) * len(c) or not all(map(operator.lt, (-1,) + c, c + (k,))):
+            raise ValueError(f"context {c} needs increasing labels 0..{k - 1} and units of shape {(2,) * len(c)}")
+        buckets[c[-1]].append((c, u))
+    # Each bucket's scope, found before any table is built.
+    scopes: list = [{x for c, _ in bucket for x in c} for bucket in buckets]
+    kept = 0
+    for v in reversed(range(k)):
+        if scopes[v]:
+            scopes[v] = scope = sorted(scopes[v])
+            kept += 1 << len(scope)
+            if kept > MAX_LOCAL_TABLE:
+                raise ValueError(f"max-sum tables are limited to {MAX_LOCAL_TABLE} entries in all; "
+                                 f"the tables down to label {v} (2^{len(scope)} of its own) need {kept}")
+            if len(scope) > 1:
+                scopes[scope[-2]].update(scope[:-1])
+    value, tables = 0, [None] * k
+    for v in reversed(range(k)):
+        bucket, scope = buckets.pop(), scopes[v]  # bucket v, freed once summed
+        if scope:
+            tables[v] = table = functools.reduce(operator.add, [u.reshape([2 if x in c else 1 for x in scope])
+                                                                 for c, u in bucket])
+            best = np.maximum(table[..., 0], table[..., 1])
+            if len(scope) > 1:
+                buckets[scope[-2]].append((scope[:-1], best))
+            else:
+                value += int(best)
+    bits = [0] * k
+    for v, table in enumerate(tables):
+        if table is not None:
+            low, high = table[tuple([bits[x] for x in scopes[v][:-1]])].tolist()
+            bits[v] = int(high > low)
+    return value, tuple(bits)
+
+
+# --------------------------------------------------------------------------
+# Game payoffs
 
 
 @dataclass(frozen=True, eq=False)
 class GamePayoff:
-    """Weighted per-context success predicates for a two-wing game, one row per cell.
+    """Weighted per-context success predicates over measurements 1..n, one row per cell.
 
-    Cell i sits at settings ``settings[i] = (a, b)``, counted from 1, has weight
-    ``weights[i] / denom`` and wins on outcome (x_a, x_b) where
-    ``wins[i, 2 x_a + x_b]``.  The arrays are read-only copies, and a payoff
-    compares and hashes by identity, since arrays have no single-valued ==.
+    Cell i reads measurements ``contexts[i] = (m, m')``, m < m', has weight
+    ``weights[i] / denom`` and wins on outcome (x_m, x_m') where ``wins[i, 2 x_m
+    + x_m']``.  A two-wing payoff carries its ``wing_split``: wing A's settings
+    are measurements 1..wing_split, each cell reads one of each wing, and
+    ``n_a``, ``n_b`` and ``settings`` read it (ValueError without).  Arrays are
+    read-only copies; a payoff compares and hashes by identity.
     """
 
-    n_a: int
-    n_b: int
-    settings: np.ndarray  # (cells, 2) int
+    n_measurements: int
+    contexts: np.ndarray  # (cells, 2) int
     weights: np.ndarray  # (cells,) int64, nonnegative units of 1/denom
     denom: int
     wins: np.ndarray  # (cells, 4) bool
+    wing_split: Optional[int] = None
 
     def __post_init__(self):
-        settings, weights, wins = map(np.asarray, (self.settings, self.weights, self.wins))
-        integral = {settings.dtype.kind, weights.dtype.kind} <= {"i", "u"}
-        if not (integral and settings.ndim == 2 and settings.shape[1] == 2
-                and weights.shape == settings.shape[:1] and wins.shape == (len(weights), 4)):
-            raise ValueError("a payoff needs (cells, 2) integer settings, (cells,) integer weights and "
+        contexts, weights, wins = map(np.asarray, (self.contexts, self.weights, self.wins))
+        integral = {contexts.dtype.kind, weights.dtype.kind} <= {"i", "u"}
+        if not (integral and contexts.ndim == 2 and contexts.shape[1] == 2
+                and weights.shape == contexts.shape[:1] and wins.shape == (len(weights), 4)):
+            raise ValueError("a payoff needs (cells, 2) integer contexts, (cells,) integer weights and "
                              "(cells, 4) win masks")
         if not isinstance(self.denom, (int, np.integer)) or self.denom < 1:
             raise ValueError("the cell weights need an integer denominator of at least 1")
@@ -108,24 +159,37 @@ class GamePayoff:
             raise ValueError(f"cell weights sum to {Fraction(total, self.denom)}, not 1")
         if weights.min() < 0:
             raise ValueError("cell weights must be nonnegative")
-        in_range = (settings >= 1).all() and (settings <= (self.n_a, self.n_b)).all()
+        first, second = contexts.T
+        in_range = (1 <= first).all() and (first < second).all() and (second <= self.n_measurements).all()
         if not (in_range and (wins.dtype == bool or ((wins == 0) | (wins == 1)).all())):
-            raise ValueError("cells need settings 1..n_a, 1..n_b and win pairs of bits")
-        # Frozen copies; int64 settings keep the context arithmetic in range.
-        frozen = settings.astype(np.int64), weights.astype(np.int64), wins != 0
-        for name, array in zip(("settings", "weights", "wins"), frozen):
+            raise ValueError("cells need increasing pairs of measurements 1..n and win pairs of bits")
+        split = self.wing_split
+        if split is not None and not ((first <= split) & (split < second)).all():
+            raise ValueError("a wing split needs one setting of each wing in every cell")
+        # Frozen copies; int64 contexts keep the index arithmetic in range.
+        frozen = contexts.astype(np.int64), weights.astype(np.int64), wins != 0
+        for name, array in zip(("contexts", "weights", "wins"), frozen):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
         object.__setattr__(self, "denom", int(self.denom))
 
     @property
-    def contexts(self) -> np.ndarray:
-        """The measurements each cell names in a two-wing table, one row per cell:
-        wing A's settings are measurements 1..n_a and wing B's setting b is n_a + b."""
-        return self.settings + (0, self.n_a)
+    def n_a(self) -> int:
+        if self.wing_split is None:
+            raise ValueError("this payoff has no wing split")
+        return self.wing_split
+
+    @property
+    def n_b(self) -> int:
+        return self.n_measurements - self.n_a
+
+    @property
+    def settings(self) -> np.ndarray:
+        """The setting pair (a, b) of each cell, both counted from 1."""
+        return self.contexts - (0, self.n_a)
 
     def value(self, table) -> float:
-        """Winning probability of a two-wing correlation table under this payoff.
+        """Winning probability of a correlation table under this payoff.
 
         The sum runs over integer multiples of the winning masses, one exactly
         rounded ``math.fsum``, so a table that wins every cell scores exactly 1.
@@ -140,22 +204,34 @@ _RING_STEP = np.array([[0, 0], [0, 1], [1, 0]])
 _RING_WINS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0]], dtype=bool)
 
 
+def _ring_payoff(n: int, steps: int, game: str) -> GamePayoff:
+    """The first ``steps`` cells of each ring step, a = 1..n in turn, at equal weights."""
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"the {game} needs odd n >= 3")
+    cells = ((np.arange(n)[:, None, None] + _RING_STEP[:steps]) % n + (1, n + 1)).reshape(-1, 2)
+    return GamePayoff(2 * n, cells, np.ones(steps * n, int), steps * n, np.tile(_RING_WINS[:steps], (n, 1)), n)
+
+
 def os_ring_payoff(n: int) -> GamePayoff:
     """Match on equal settings, anti-match on adjacent ones; other cells weight 0.
     The cells are (a, a), (a, a + 1), (a + 1, a) for a = 1..n in turn."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError("the ring game needs odd n >= 3")
-    cells = ((np.arange(n)[:, None, None] + _RING_STEP) % n + 1).reshape(-1, 2)
-    return GamePayoff(n, n, cells, np.ones(3 * n, int), 3 * n, np.tile(_RING_WINS, (n, 1)))
+    return _ring_payoff(n, 3, "ring game")
 
 
 def odd_cycle_payoff(n: int) -> GamePayoff:
     """One-sided variant: Bob's setting is either equal or one step ahead,
     the cells (a, a), (a, a + 1) for a = 1..n in turn."""
+    return _ring_payoff(n, 2, "odd-cycle game")
+
+
+def seer_payoff(n: int) -> GamePayoff:
+    """The seer's game: the suitor opens one of the n adjacent pairs of boxes
+    (the contexts of ``scenario.cycle_scenario(n)``, sorted: (1, 2), (1, n),
+    (2, 3), ..., (n - 1, n)) at weight 1/n and wins if both are empty (00)."""
     if n < 3 or n % 2 == 0:
-        raise ValueError("the odd-cycle game needs odd n >= 3")
-    cells = ((np.arange(n)[:, None, None] + _RING_STEP[:2]) % n + 1).reshape(-1, 2)
-    return GamePayoff(n, n, cells, np.ones(2 * n, int), 2 * n, np.tile(_RING_WINS[:2], (n, 1)))
+        raise ValueError("the seer's game needs odd n >= 3")
+    cells = [(1, 2), (1, n), *((a, a + 1) for a in range(2, n))]
+    return GamePayoff(n, cells, np.ones(n, int), n, np.tile([True, False, False, False], (n, 1)))
 
 
 class LocalBoundResult(NamedTuple):
@@ -166,23 +242,16 @@ class LocalBoundResult(NamedTuple):
 
 
 def local_bound(game: Union[str, GamePayoff], n: Optional[int] = None) -> LocalBoundResult:
-    """Maximum payoff over all pairs of deterministic wing strategies.
+    """Maximum payoff of a two-wing game over all pairs of deterministic wing strategies.
 
-    For a fixed A strategy the payoff splits over B's settings: setting b adds
-    the better of its two answers, a function of the A settings that share a
-    cell with b.  The sum of those functions is maximised by max-plus (bucket)
-    elimination over A's settings (Dechter, Artif. Intell. 113, 41 (1999)),
-    in blocks of ``_BLOCK`` settings, the last block first.  A block scores
-    every assignment of its own settings and of the earlier ones that its
-    functions and incoming messages read (its separator), in integer units of
-    the weights' common denominator, and passes the best score for each
-    separator assignment to the block of the separator's last setting.  A
-    wing of at most ``_BLOCK`` settings is one block, which scores all 2^n_a
-    strategies at once.  Fixing the blocks first to last, each to its first
-    best assignment given the settings already fixed, gives the
-    lexicographically first optimal A strategy (X_1 most significant); B bits
-    then prefer 0.  In the ring and odd-cycle games each function reads at
-    most three settings, so the work grows linearly with n.
+    ``max_sum`` over the n_a + n_b measurements on the cells' win units of
+    1/denom (a cell that wins nothing reads nothing; cells that share a
+    context add into one table), split at the wing boundary: the first optimal
+    A strategy in lexicographic order with B's best response, bits preferring
+    0.  Each B setting leaves the better of its answers as a function of the A
+    settings it shares cells with, at most three in the ring and odd-cycle
+    games, so the work grows linearly with n.  Wings of more than ``MAX_N``
+    settings and payoffs past ``max_sum``'s cap raise ValueError.
     """
     payoff = game
     if isinstance(game, str):
@@ -194,63 +263,11 @@ def local_bound(game: Union[str, GamePayoff], n: Optional[int] = None) -> LocalB
     n_a, n_b = payoff.n_a, payoff.n_b
     if n_a > MAX_N or n_b > MAX_N:
         raise ValueError(f"local bounds are limited to {MAX_N} settings per wing")
-    # units[cell, x_a, x_b]: units of 1/denom won on (x_a, x_b); a cell that
-    # wins nothing reads nothing.
     units = (payoff.weights[:, None] * payoff.wins).reshape(-1, 2, 2)
     live = units.any(axis=(1, 2))
-    units, (a, b) = units[live], payoff.settings[live].T - 1
-    # B setting b's function belongs to the block of the last A setting it
-    # reads.  The cells go block by block, each block's B settings in turn.
-    last = np.full(n_b, -1, dtype=np.int64)
-    np.maximum.at(last, b, a)
-    home = last[b] // _BLOCK
-    order = np.lexsort((b, home))
-    units, a, b, home = units[order], a[order], b[order], home[order]
-    column = np.zeros(len(b), dtype=np.int64)  # the cell's B setting, counted over the blocks in turn
-    np.cumsum(b[1:] != b[:-1], out=column[1:])
-    n_blocks = -(-n_a // _BLOCK)
-    ends = np.searchsorted(home, np.arange(n_blocks + 1)).tolist()
-    # Per block: the messages (separator, best score per separator assignment)
-    # sent to it, and (separator, own settings, best own assignment per
-    # separator assignment) for fixing its settings.
-    inbox: list[list] = [[] for _ in range(n_blocks)]
-    choices: list = [None] * n_blocks
-    for k in reversed(range(n_blocks)):
-        own = range(k * _BLOCK, min(n_a, (k + 1) * _BLOCK))
-        cells = slice(ends[k], ends[k + 1])
-        sep = sorted(set(a[cells].tolist()).union(*(s for s, _ in inbox[k])).difference(own))
-        scope = sep + list(own)  # increasing: the first setting is the most significant bit
-        cols = column[cells] - column[cells][:1]
-        width, n_cols = len(scope), int(cols.max(initial=-1)) + 1
-        if (1 << width) * (2 * n_cols + 1) > MAX_LOCAL_TABLE:
-            raise ValueError(f"local bounds are limited to elimination tables of {MAX_LOCAL_TABLE} entries; "
-                             f"this payoff needs 2^{width} x {2 * n_cols + 1}")
-        # won[i, x_a, j, x_b]: units won at scope setting i and the block's B setting j.
-        won = np.zeros((width, 2, n_cols, 2), dtype=np.int64)
-        np.add.at(won, (np.searchsorted(scope, a[cells]), slice(None), cols), units[cells])
-        # score[r, j, y]: units won by answer y at B setting j under scope
-        # assignment r, built by doubling from the last scope setting (bit 0).
-        score = np.empty((1 << width, n_cols, 2), dtype=np.int64)
-        score[0] = won[:, 0].sum(axis=0)
-        for i, step in enumerate(won[::-1, 1] - won[::-1, 0]):
-            np.add(score[:1 << i], step, out=score[1 << i:2 << i])
-        table = np.maximum(score[..., 0], score[..., 1]).sum(axis=1)
-        grid = table.reshape((2,) * width)
-        for s, message in inbox[k]:
-            grid += message.reshape([2 if x in s else 1 for x in scope])
-        table = table.reshape(1 << len(sep), -1)
-        choices[k] = sep, own, table.argmax(axis=1)
-        if sep:
-            inbox[sep[-1] // _BLOCK].append((sep, table.max(axis=1)))
-    bits_a = [0] * n_a
-    for sep, own, choice in choices:
-        best = int(choice[sum(bits_a[x] << i for i, x in enumerate(reversed(sep)))])
-        bits_a[own.start:own.stop] = map(int, format(best, f"0{len(own)}b"))
-    won_b = np.zeros((n_b, 2), dtype=np.int64)
-    np.add.at(won_b, b, units[np.arange(len(b)), np.array(bits_a, dtype=np.int64)[a]])
-    value = Fraction(int(np.maximum(won_b[:, 0], won_b[:, 1]).sum()), payoff.denom)
-    witness_b = tuple((won_b[:, 1] > won_b[:, 0]).astype(int).tolist())
-    return LocalBoundResult(float(value), value, tuple(bits_a), witness_b)
+    won, bits = max_sum(n_a + n_b, (payoff.contexts[live] - 1).tolist(), units[live])
+    value = Fraction(won, payoff.denom)
+    return LocalBoundResult(float(value), value, bits[:n_a], bits[n_a:])
 
 
 def bell_s3(strategy_a: Sequence[int], strategy_b: Sequence[int]) -> int:

@@ -22,9 +22,9 @@ traceback and exit 1.  Since no ``atexit`` hook or profiler dump runs after
 ``os._exit``, profile ``main`` in-process instead.  ``main`` leaves the
 collector alone for callers that run it in their own process.
 
-Exit codes: 0 success, 2 usage or input error, 3 certificate or invariant
-failure.  A reader that closes the output early (``| head``) ends the run
-quietly with 0.
+Exit codes: 0 success, 2 usage or input error or output that cannot be
+written (one ``error:`` line), 3 certificate or invariant failure.  A reader
+that closes the output early (``| head``) ends the run quietly with 0.
 """
 
 from __future__ import annotations
@@ -413,9 +413,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _emit(args, results, [str(c) for c in command], getattr(args, "seed", None), started)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader wants no more; what is still buffered goes to devnull.
+    except OSError as exc:  # a closed pipe ends the run quietly; what is still buffered is dropped
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            sys.stderr.write(f"error: cannot write the output: {exc}\n")
+            return EXIT_USAGE
     return EXIT_OK
 
 
@@ -432,6 +434,9 @@ def run() -> NoReturn:
         sys.stdout.flush()
     except BrokenPipeError:
         pass  # the reader closed the pipe; what is still buffered is dropped
+    except OSError as exc:  # what argparse printed (--help, --version) fails to flush, to a full disk say
+        sys.stderr.write(f"error: cannot write the output: {exc}\n")
+        code = EXIT_USAGE
     sys.stderr.flush()
     os._exit(code)
 

@@ -1,16 +1,14 @@
 """Seeded Monte Carlo simulation of the prediction games.
 
-Each game is a set of contexts with a weight each, the outcome distribution
-the chosen strategy gives every context (Born rule for quantum strategies,
-the foil tables, or an optimal deterministic strategy), and the outcomes that
-win there.  The two-wing games take all three from their ``GamePayoff``; the
-two-time (diachronic) game is the n = 3 ring payoff with the preparation as
-wing A and the query as wing B.  The reported win count is drawn exactly in
-two levels: context counts from a multinomial over the context weights, then
-each context's outcome counts from a multinomial over its outcome
-distribution.  That has the law of playing the trials one by one, costs
-nothing per trial, and is bit-identical for a fixed seed (one counter-based
-Philox stream keyed by the seed).
+Each game is a ``GamePayoff``, contexts with a weight each and the outcomes
+that win there (the two-time game is the n = 3 ring payoff with the
+preparation as wing A), and the strategy gives every context its outcome
+distribution (Born rule, the foil tables, or an optimal classical strategy).
+The reported win count is drawn exactly in two levels: context counts from a
+multinomial over the context weights, then each context's outcome counts
+from a multinomial over its outcome distribution.  That has the law of
+playing the trials one by one, costs nothing per trial, and is bit-identical
+for a fixed seed (one counter-based Philox stream keyed by the seed).
 """
 
 from __future__ import annotations
@@ -53,11 +51,10 @@ class GameSpec:
             if self.n not in (None, 3):
                 raise ValueError("the diachronic game is defined for n=3 only")
             object.__setattr__(self, "n", 3)
-        else:
-            if self.n is None or self.n < 3 or self.n % 2 == 0:
-                raise ValueError(f"{self.kind} needs odd n >= 3")
-            if self.n > MAX_N:
-                raise ValueError(f"games are limited to n <= {MAX_N}")
+        elif self.n is None or self.n < 3 or self.n % 2 == 0:
+            raise ValueError(f"{self.kind} needs odd n >= 3")
+        elif self.n > MAX_N:
+            raise ValueError(f"games are limited to n <= {MAX_N}")
 
 
 class GameResult(NamedTuple):
@@ -83,26 +80,36 @@ class _SamplingModel(NamedTuple):
 
 
 def _build_model(spec: GameSpec) -> _SamplingModel:
-    if spec.kind == "seer_ncycle":
-        return _seer_model(spec.n, spec.strategy)
-    return _two_wing_model(spec.kind, spec.n, spec.strategy)
+    """The context weights, rows and win masks of the kind's payoff, under the
+    strategy's table.
 
-
-def _two_wing_model(kind: str, n: int, strategy: str) -> _SamplingModel:
-    """Model of a two-wing game.  The diachronic game's quantum table is the
-    n = 3 ring table (``quantum.diachronic_quantum``); its classical strategy
-    is the best trit-oblivious encoding with its best response."""
-    odd = kind == "odd_cycle"
-    payoff = classical.odd_cycle_payoff(n) if odd else classical.os_ring_payoff(n)
+    In the seer's game the quantum seer measures the opened pair on the
+    star-polygon state (a both-0 Born probability of order 1/n^2); the
+    classical seer prepares the one-correlated-pair valuation at a random
+    position and filling, so the suitor wins with probability 1/(2n); the
+    foil's anti-correlation never shows two empty boxes.  The diachronic
+    game's quantum table is the n = 3 ring's (``quantum.diachronic_quantum``)
+    and its classical strategy the best trit-oblivious encoding.
+    """
+    kind, n, strategy = spec.kind, spec.n, spec.strategy
+    seer = kind == "seer_ncycle"
+    payoff = {"seer_ncycle": classical.seer_payoff, "odd_cycle": classical.odd_cycle_payoff}.get(
+        kind, classical.os_ring_payoff)(n)
     if strategy == "quantum":
         from . import quantum  # only the quantum strategy needs it
 
-        ops = quantum.odd_cycle_observables(n) if odd else (quantum.ring_observables(n),) * 2
-        table = quantum.born_table(payoff, *ops)
-        expected = payoff.value(table)
+        if seer:
+            table = quantum.klyachko_table(n)  # its (1, 2) row gives quantum.seer_game_win_probability(n)
+        else:
+            ops = quantum.odd_cycle_observables(n) if kind == "odd_cycle" else (quantum.ring_observables(n),) * 2
+            table = quantum.born_table(payoff, *ops)
+        expected = table.prob((1, 2), (0, 0)) if seer else payoff.value(table)
     elif strategy == "foil":
-        table = scenario.foil_table(payoff)
-        expected = 1.0
+        table = scenario.build_os_ncycle(n) if seer else scenario.foil_table(payoff)
+        expected = table.prob((1, 2), (0, 0)) if seer else 1.0
+    elif seer:
+        table = scenario.payoff_table(payoff, np.tile([1, n - 1, n - 1, 1], (n, 1)) / (2 * n))
+        expected = 1 / (2 * n)
     elif kind == "diachronic":
         pnc = classical.pnc_bound_diachronic()
         name = max(pnc.per_encoding, key=lambda k: (pnc.per_encoding[k], k))
@@ -110,40 +117,9 @@ def _two_wing_model(kind: str, n: int, strategy: str) -> _SamplingModel:
         expected = float(pnc.per_encoding[name])
     else:
         bound = classical.local_bound(payoff)
-        table = scenario.deterministic_table(
-            scenario.payoff_scenario(payoff), bound.witness_a + bound.witness_b
-        )
+        table = scenario.deterministic_table(scenario.payoff_scenario(payoff), bound.witness_a + bound.witness_b)
         expected = bound.value
-    weights = payoff.weights / payoff.denom
-    return _SamplingModel(weights, table.rows(payoff.contexts), payoff.wins, expected)
-
-
-def _seer_model(n: int, strategy: str) -> _SamplingModel:
-    """Suitor picks an adjacent pair and predicts both boxes empty.
-
-    quantum: the seer measures the pair on the star-polygon state; the win
-    probability is the both-0 Born probability (order 1/n^2).  classical_best:
-    the seer prepares the adversarial one-correlated-pair valuation with
-    random position and filling, so the suitor wins with probability 1/(2n).
-    foil: the perfect anti-correlation table never shows two empty boxes.
-    """
-    win = np.zeros((n, 4), dtype=bool)
-    win[:, 0] = True  # (0, 0): the both-empty prediction comes true
-    if strategy == "classical_best":
-        # Marginal law of the opened pair under the adversarial preparation:
-        # the correlated pair sits under the pick with probability 1/n.
-        probs = np.tile([1, n - 1, n - 1, 1], (n, 1)) / (2 * n)
-        expected = 1 / (2 * n)
-    else:
-        if strategy == "quantum":
-            from . import quantum  # only the quantum strategy needs it
-
-            table = quantum.klyachko_table(n)
-        else:
-            table = scenario.build_os_ncycle(n)
-        probs = table.rows(table.contexts)
-        expected = table.prob((1, 2), (0, 0))  # = quantum.seer_game_win_probability(n) for quantum
-    return _SamplingModel(np.full(n, 1 / n), probs, win, expected)
+    return _SamplingModel(payoff.weights / payoff.denom, table.rows(payoff.contexts), payoff.wins, expected)
 
 
 def _draw_counts(model: _SamplingModel, trials: int, seed: int) -> np.ndarray:

@@ -419,15 +419,15 @@ def deterministic_table(scenario: Scenario, assignment: Sequence[int]) -> Correl
 
 
 def payoff_scenario(payoff: classical.GamePayoff) -> Scenario:
-    """Two-wing scenario whose contexts are the cells of a game payoff, in cell
-    order (one context for cells that share their settings)."""
+    """Scenario of a game payoff's cells, one context per measurement pair in
+    cell order, with the payoff's wing split."""
     contexts = dict.fromkeys(map(tuple, payoff.contexts.tolist()))
-    return Scenario(payoff.n_a + payoff.n_b, tuple(contexts), wing_split=payoff.n_a)
+    return Scenario(payoff.n_measurements, tuple(contexts), wing_split=payoff.wing_split)
 
 
 def payoff_table(payoff: classical.GamePayoff, rows) -> CorrelationTable:
     """Table over a payoff's cells, row i of ``rows`` (cells x 4, or cells x
-    2 x 2) being cell i's distribution over outcomes (x_A, x_B)."""
+    2 x 2) being cell i's distribution over its outcomes (x_m, x_m')."""
     scenario = payoff_scenario(payoff)
     if len(scenario.contexts) < len(payoff.wins):
         raise ValueError("a payoff table needs one cell per pair of settings")

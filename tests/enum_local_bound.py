@@ -1,5 +1,5 @@
-"""The 2^n_a enumeration ``classical.local_bound`` used before max-plus
-elimination, kept as its reference: every A strategy is scored at once in
+"""The 2^n_a enumeration that ``classical.local_bound``'s max-sum
+elimination is checked against: every A strategy is scored at once in
 integer units of the weights' common denominator, B's best response is
 chosen bit by bit, and ties break toward the lexicographically first
 strategies (X_1 most significant, B bits prefer 0)."""

@@ -3,7 +3,8 @@ eigenvalue bounds the ring-game value, a unit-norm test for one ket, the
 anti-correlation cycle derived from its forced pair statistics, the complex128
 route of the Born tables that their real arithmetic must equal bit for bit,
 brute-force checks of the marginal problem's Farkas vectors and context
-consistency, and arbitrary JSON documents for the loaders."""
+consistency, arbitrary JSON documents for the loaders, and a two-wing payoff
+stated by its setting pairs."""
 
 import itertools
 from fractions import Fraction
@@ -20,6 +21,13 @@ def bell_ring_operator(n: int) -> np.ndarray:
     """The two-wing operator whose spectrum bounds the ring-game value."""
     ops = quantum.ring_observables(n)
     return quantum._ring_correlator(ops, ops)
+
+
+def two_wing_payoff(n_a, n_b, settings, weights, denom, wins) -> classical.GamePayoff:
+    """The payoff whose cells sit at the setting pairs (a, b), both counted
+    from 1: measurements a and n_a + b of a split scenario."""
+    contexts = np.asarray(settings, dtype=np.int64).reshape(-1, 2) + (0, n_a)
+    return classical.GamePayoff(n_a + n_b, contexts, weights, denom, wins, n_a)
 
 
 def is_normalized(ket) -> bool:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enum_local_bound import enumerated_local_bound
+from helpers import two_wing_payoff
 from seer_lab import classical, games, numkit, quantum, scenario, signet
 from seer_lab.classical import (
     MAX_N,
@@ -128,7 +129,7 @@ def test_local_bound_witness_scores_the_bound_at_large_n(payoff_of):
 def _readers(n_a, n_b):
     """n_b B settings that each share a cell with every one of n_a A settings."""
     cells = [(a, b) for b in range(1, n_b + 1) for a in range(1, n_a + 1)]
-    return GamePayoff(n_a, n_b, cells, [1] * len(cells), len(cells), [(True, False, False, False)] * len(cells))
+    return two_wing_payoff(n_a, n_b, cells, [1] * len(cells), len(cells), [(True, False, False, False)] * len(cells))
 
 
 def test_local_bound_oversize_rejected():
@@ -139,11 +140,13 @@ def test_local_bound_oversize_rejected():
         local_bound("os_ring", MAX_N + 2)
     for n_a, n_b in ((MAX_N + 1, 1), (1, MAX_N + 1)):
         with pytest.raises(ValueError, match=message):
-            local_bound(GamePayoff(n_a, n_b, [(1, 1)], [1], 1, [(True, False, False, False)]))
-    # 16 B settings that read 20 A settings need 2^20 x 33 entries, one reader
-    # of 24 A settings 2^24 x 3, both past 2^25; neither is allocated.
-    for n_a, n_b, need in ((20, 16, "2^20 x 33"), (24, 1, "2^24 x 3")):
-        message = f"elimination tables of {classical.MAX_LOCAL_TABLE} entries; this payoff needs {need}"
+            local_bound(two_wing_payoff(n_a, n_b, [(1, 1)], [1], 1, [(True, False, False, False)]))
+    # 16 B settings that each read 20 A settings need 16 tables of 2^21 entries,
+    # then 2^20 for A's last setting: past 2^25.  One reader of 24 A settings
+    # needs 2^25, then 2^24.  Both are refused before any table is built.
+    for n_a, n_b, label, width, need in ((20, 16, 19, 20, 2**25 + 2**20), (24, 1, 23, 24, 2**25 + 2**24)):
+        message = (f"max-sum tables are limited to {classical.MAX_LOCAL_TABLE} entries in all; "
+                   f"the tables down to label {label} (2^{width} of its own) need {need}")
         with pytest.raises(ValueError, match=re.escape(message)):
             local_bound(_readers(n_a, n_b))
 
@@ -154,18 +157,18 @@ def test_local_bound_cells_that_win_nothing_read_nothing():
     cells = [(a, 1) for a in range(1, 25)]
     weights = [0] * 12 + [1] * 12
     wins = [(True, False, False, False)] * 12 + [(False,) * 4] * 11 + [(True, False, False, False)]
-    bound = local_bound(GamePayoff(24, 1, cells, weights, 12, wins))
+    bound = local_bound(two_wing_payoff(24, 1, cells, weights, 12, wins))
     assert (bound.value_exact, bound.witness_a, bound.witness_b) == (Fraction(1, 12), (0,) * 24, (0,))
 
 
 def test_local_bound_table_cap_is_inclusive(monkeypatch):
-    # One reader of 12 A settings needs 2^12 x 3 entries: a cap of exactly
-    # that admits it, one entry fewer refuses it.
+    # One reader of 12 A settings keeps 2^13 + 2^12 + ... + 2^1 = 2^14 - 2
+    # entries: a cap of exactly that admits it, one entry fewer refuses it.
     payoff = _readers(12, 1)
-    monkeypatch.setattr(classical, "MAX_LOCAL_TABLE", 3 << 12)
+    monkeypatch.setattr(classical, "MAX_LOCAL_TABLE", (1 << 14) - 2)
     assert local_bound(payoff).value_exact == 1
-    monkeypatch.setattr(classical, "MAX_LOCAL_TABLE", (3 << 12) - 1)
-    with pytest.raises(ValueError, match=re.escape("needs 2^12 x 3")):
+    monkeypatch.setattr(classical, "MAX_LOCAL_TABLE", (1 << 14) - 3)
+    with pytest.raises(ValueError, match=re.escape("down to label 0 (2^1 of its own) need 16382")):
         local_bound(payoff)
 
 
@@ -177,7 +180,7 @@ def test_local_bound_gauge_invariance():
         wins = base.wins.copy()
         at = base.settings[:, 0] == flip_a
         wins[at] = wins[at][:, [2, 3, 0, 1]]
-        flipped = GamePayoff(base.n_a, base.n_b, base.settings, base.weights, base.denom, wins)
+        flipped = GamePayoff(base.n_measurements, base.contexts, base.weights, base.denom, wins, base.wing_split)
         assert local_bound(flipped).value_exact == local_bound(base).value_exact
 
 
@@ -314,7 +317,7 @@ def test_algebraic_contradiction_matches_brute_force():
 
 def test_payoff_weight_validation():
     with pytest.raises(ValueError, match="sum to 1/2, not 1"):
-        GamePayoff(1, 1, [(1, 1)], [1], 2, [(True, False, False, False)])
+        GamePayoff(2, [(1, 2)], [1], 2, [(True, False, False, False)], 1)
 
 
 @pytest.mark.parametrize(
@@ -323,17 +326,17 @@ def test_payoff_weight_validation():
 )
 def test_payoff_cell_range_validation(cell):
     settings, wins = cell
-    with pytest.raises(ValueError, match="cells need settings"):
-        GamePayoff(2, 2, [settings], [1], 1, [wins])
+    with pytest.raises(ValueError, match="cells need increasing pairs"):
+        two_wing_payoff(2, 2, [settings], [1], 1, [wins])
 
 
-_GOOD = {"settings": [(1, 1), (2, 1)], "weights": [1, 2], "denom": 3, "wins": [(1, 0, 0, 1), (0, 1, 1, 0)]}
+_GOOD = {"contexts": [(1, 3), (2, 3)], "weights": [1, 2], "denom": 3, "wins": [(1, 0, 0, 1), (0, 1, 1, 0)]}
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("settings", [(1, 1, 1), (2, 1, 1)], "needs \\(cells, 2\\)"),
-    ("settings", [1, 2], "needs \\(cells, 2\\)"),
-    ("settings", [(1.0, 1.0), (2.0, 1.0)], "integer settings"),
+    ("contexts", [(1, 3, 3), (2, 3, 3)], "needs \\(cells, 2\\)"),
+    ("contexts", [1, 2], "needs \\(cells, 2\\)"),
+    ("contexts", [(1.0, 3.0), (2.0, 3.0)], "integer contexts"),
     ("weights", [3], "needs \\(cells, 2\\)"),
     ("weights", [1.0, 2.0], "integer weights"),
     ("wins", [(1, 0, 0, 1)], "\\(cells, 4\\) win masks"),
@@ -343,25 +346,29 @@ _GOOD = {"settings": [(1, 1), (2, 1)], "weights": [1, 2], "denom": 3, "wins": [(
     ("denom", 0, "denominator of at least 1"),
     ("denom", 3.0, "integer denominator"),
     ("denom", 2**62, "below 2\\*\\*62"),
-    ("settings", [(1, 1), (0, 1)], "cells need settings"),
-    ("settings", [(1, 1), (1, 0)], "cells need settings"),
-    ("settings", [(1, 1), (3, 1)], "cells need settings"),
-    ("settings", [(1, 1), (1, 2)], "cells need settings"),
+    ("contexts", [(1, 3), (0, 3)], "cells need increasing pairs"),
+    ("contexts", [(1, 3), (2, 2)], "cells need increasing pairs"),
+    ("contexts", [(1, 3), (3, 4)], "cells need increasing pairs"),
+    ("contexts", [(1, 3), (3, 2)], "cells need increasing pairs"),
     ("wins", [(1, 0, 0, 1), (0, 1, -1, 0)], "win pairs of bits"),
+    ("contexts", [(1, 3), (1, 2)], "one setting of each wing"),
+    ("wing_split", 3, "one setting of each wing"),
+    ("wing_split", 0, "one setting of each wing"),
 ])
 def test_payoff_rejects_malformed_arrays(field, value, message):
-    GamePayoff(2, 1, **_GOOD)
+    good = {**_GOOD, "wing_split": 2}
+    GamePayoff(3, **good)
     with pytest.raises(ValueError, match=message):
-        GamePayoff(2, 1, **{**_GOOD, field: value})
+        GamePayoff(3, **{**good, field: value})
 
 
 def test_payoff_arrays_are_frozen_copies():
-    settings = np.array(_GOOD["settings"])
-    payoff = GamePayoff(2, 1, settings, _GOOD["weights"], 3, _GOOD["wins"])
-    settings[0] = (2, 1)
-    assert payoff.settings.tolist() == [[1, 1], [2, 1]] and payoff.contexts.tolist() == [[1, 3], [2, 3]]
+    contexts = np.array(_GOOD["contexts"])
+    payoff = GamePayoff(3, contexts, _GOOD["weights"], 3, _GOOD["wins"], 2)
+    contexts[0] = (2, 3)
+    assert payoff.contexts.tolist() == [[1, 3], [2, 3]] and payoff.settings.tolist() == [[1, 1], [2, 1]]
     assert payoff.weights.dtype == np.int64 and payoff.wins.dtype == bool
-    for array in (payoff.settings, payoff.weights, payoff.wins):
+    for array in (payoff.contexts, payoff.weights, payoff.wins):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
 
@@ -371,8 +378,8 @@ def test_local_bound_rejects_denominators_beyond_int64():
     # denominator, so the payoff refuses one of 2**62 when it is built.
     wins = [(True, False, False, False), (False,) * 4]
     with pytest.raises(ValueError, match="below 2\\*\\*62"):
-        GamePayoff(1, 1, [(1, 1), (1, 1)], [1, 2**62 - 1], 2**62, wins)
-    payoff = GamePayoff(1, 1, [(1, 1), (1, 1)], [1, 2**61 - 1], 2**61, wins)
+        GamePayoff(2, [(1, 2), (1, 2)], [1, 2**62 - 1], 2**62, wins, 1)
+    payoff = GamePayoff(2, [(1, 2), (1, 2)], [1, 2**61 - 1], 2**61, wins, 1)
     assert local_bound(payoff).value_exact == Fraction(1, 2**61)
 
 
@@ -380,7 +387,7 @@ def test_custom_payoff_local_bound():
     # Two settings per wing, all four cells weight 1/4, win on equal outcomes:
     # trivially winnable with constant strategies.
     settings = [(a, b) for a in (1, 2) for b in (1, 2)]
-    payoff = GamePayoff(2, 2, settings, [1] * 4, 4, [(True, False, False, True)] * 4)
+    payoff = two_wing_payoff(2, 2, settings, [1] * 4, 4, [(True, False, False, True)] * 4)
     assert local_bound(payoff).value == 1.0
 
 
@@ -454,7 +461,7 @@ def payoffs(draw):
     weights = draw(st.lists(st.integers(0, 24), min_size=size, max_size=size).filter(lambda ws: sum(ws) > 0))
     settings = [(draw(st.integers(1, n_a)), draw(st.integers(1, n_b))) for _ in weights]
     wins = [draw(st.lists(st.booleans(), min_size=4, max_size=4)) for _ in weights]
-    return GamePayoff(n_a, n_b, settings, weights, sum(weights), wins)
+    return two_wing_payoff(n_a, n_b, settings, weights, sum(weights), wins)
 
 
 def strategy_value(payoff, bits_a, bits_b):
@@ -493,14 +500,14 @@ def test_local_bound_matches_brute_force(payoff):
 
 @st.composite
 def wide_payoffs(draw):
-    """Payoffs over more A settings than one elimination block, whose random
-    cells tie settings of different blocks together."""
-    n_a, n_b = draw(st.integers(classical._BLOCK + 1, 16)), draw(st.integers(1, 12))
+    """Payoffs over 8 to 16 A settings, whose random cells tie far-apart
+    settings together, so that the elimination carries wide scopes."""
+    n_a, n_b = draw(st.integers(8, 16)), draw(st.integers(1, 12))
     size = draw(st.integers(1, 24))
     weights = draw(st.lists(st.integers(0, 24), min_size=size, max_size=size).filter(lambda ws: sum(ws) > 0))
     settings = [(draw(st.integers(1, n_a)), draw(st.integers(1, n_b))) for _ in weights]
     wins = [draw(st.lists(st.booleans(), min_size=4, max_size=4)) for _ in weights]
-    return GamePayoff(n_a, n_b, settings, weights, sum(weights), wins)
+    return two_wing_payoff(n_a, n_b, settings, weights, sum(weights), wins)
 
 
 @settings(max_examples=60, deadline=None)
@@ -574,7 +581,7 @@ def test_payoff_operator_equals_the_per_cell_kron_sum(n_a, n_b):
     cells = np.array(list(itertools.product(range(1, n_a + 1), range(1, n_b + 1))))
     weights = rng.integers(0, 5, size=len(cells))
     weights[0] += 1
-    payoff = GamePayoff(n_a, n_b, cells, weights, int(weights.sum()), rng.integers(0, 2, size=(len(cells), 4)))
+    payoff = two_wing_payoff(n_a, n_b, cells, weights, int(weights.sum()), rng.integers(0, 2, size=(len(cells), 4)))
     ops_a, ops_b = (numkit.pauli_dot(v / np.linalg.norm(v, axis=1, keepdims=True)) for v in
                     (rng.normal(size=(n_a, 3)), rng.normal(size=(n_b, 3))))
     expected = sum(
@@ -595,3 +602,99 @@ def test_payoff_operator_needs_one_observable_per_setting():
         quantum.payoff_operator(payoff, ops[:2], ops)
     with pytest.raises(ValueError):
         quantum.payoff_operator(payoff, ops, ops + [numkit.PAULI_X])
+
+
+# --------------------------------------------------------------------------
+# max_sum against brute force, and against the closed forms
+
+
+@st.composite
+def max_sum_problems(draw):
+    """Up to 12 labels, 0-8 contexts of 1-3 labels each (some labels named by
+    none), and random integer units."""
+    k = draw(st.integers(1, 12))
+    contexts = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=3, unique=True).map(
+        lambda c: tuple(sorted(c))), max_size=8))
+    units = [np.array(draw(st.lists(st.integers(-9, 9), min_size=1 << len(c), max_size=1 << len(c))),
+                      dtype=np.int64).reshape((2,) * len(c)) for c in contexts]
+    return k, contexts, units
+
+
+def brute_force_max_sum(k, contexts, units):
+    """All 2^k valuations in lexicographic order (label 0 most significant),
+    keeping the first best."""
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    total = np.zeros(1 << k, dtype=np.int64)
+    for c, u in zip(contexts, units):
+        total += u.ravel()[sum(bits[:, x] << (len(c) - 1 - i) for i, x in enumerate(c))]
+    best = int(np.argmax(total))
+    return int(total[best]), tuple(bits[best].tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(max_sum_problems())
+def test_max_sum_matches_brute_force(problem):
+    k, contexts, units = problem
+    value, bits = classical.max_sum(k, contexts, units)
+    assert (value, bits) == brute_force_max_sum(k, contexts, units)
+    named = {x for c in contexts for x in c}
+    assert all(bits[x] == 0 for x in range(k) if x not in named)
+
+
+def test_max_sum_labels_no_context_names_decode_to_zero():
+    # Labels 0, 2 and 4 are free; the optimum asks label 1 for 1 and label 3 for 0.
+    value, bits = classical.max_sum(5, [(1,), (1, 3)], [np.array([0, 2]), np.array([[0, 0], [3, 1]])])
+    assert (value, bits) == (5, (0, 1, 0, 0, 0))
+
+
+@pytest.mark.parametrize("contexts, units", [
+    ([(1, 0)], [np.zeros((2, 2), dtype=np.int64)]),
+    ([(0, 0)], [np.zeros((2, 2), dtype=np.int64)]),
+    ([(0, 3)], [np.zeros((2, 2), dtype=np.int64)]),
+    ([(-1, 1)], [np.zeros((2, 2), dtype=np.int64)]),
+    ([(0, 1)], [np.zeros((2,), dtype=np.int64)]),
+    ([(0, 1)], []),
+    ([()], [np.zeros((), dtype=np.int64)]),
+])
+def test_max_sum_rejects_malformed_contexts(contexts, units):
+    with pytest.raises(ValueError):
+        classical.max_sum(3, contexts, units)
+
+
+@pytest.mark.parametrize("n", [*range(3, 26, 2), 201])
+def test_max_sum_on_the_anticorrelation_cycle_is_the_ks_bound(n):
+    # One unit per anti-correlated adjacent pair of the odd n-cycle.
+    contexts = [(a - 1, b - 1) for a, b in scenario.cycle_scenario(n).contexts]
+    won, bits = classical.max_sum(n, contexts, [np.array([[0, 1], [1, 0]])] * n)
+    bound = ks_bound_ncycle(n)
+    assert (Fraction(won, n), bits) == (bound.r_nc_exact, bound.witness)
+
+
+# --------------------------------------------------------------------------
+# The seer's game as a payoff
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 101])
+def test_seer_payoff_cells_are_the_cycle_contexts_in_sorted_order(n):
+    payoff = classical.seer_payoff(n)
+    assert payoff.n_measurements == n and payoff.wing_split is None
+    assert list(map(tuple, payoff.contexts.tolist())) == sorted(scenario.cycle_scenario(n).contexts)
+    assert payoff.weights.tolist() == [1] * n and payoff.denom == n
+    assert payoff.wins.tolist() == [[True, False, False, False]] * n
+    assert payoff.value(scenario.build_os_ncycle(n)) == 0.0
+    assert payoff.value(quantum.klyachko_table(n)) == pytest.approx(quantum.seer_game_win_probability(n), abs=1e-15)
+
+
+def test_seer_payoff_rejects_even_or_small_n():
+    for n in (1, 2, 4, 100):
+        with pytest.raises(ValueError, match="odd n >= 3"):
+            classical.seer_payoff(n)
+
+
+def test_payoff_without_wing_split_has_no_wings():
+    payoff = classical.seer_payoff(5)
+    ops = [numkit.PAULI_Z] * 5
+    for read in (lambda: payoff.n_a, lambda: payoff.settings, lambda: local_bound(payoff),
+                 lambda: quantum.payoff_operator(payoff, ops, ops), lambda: quantum.born_table(payoff, ops, ops)):
+        with pytest.raises(ValueError, match="no wing split"):
+            read()

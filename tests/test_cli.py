@@ -347,6 +347,37 @@ def test_reader_closing_after_one_line_exits_zero_quietly(tmp_path):
         assert (code, err) == (0, b""), argv
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [["bounds", "pnc"], ["sweep", "hardy_p", "--start", "1", "--stop", "1501", "--step", "0.25"]])
+def test_output_that_cannot_be_written_exits_2_with_one_error_line(argv):
+    # Every write to /dev/full fails with ENOSPC: the short table on its
+    # first write, the 157 kB sweep whichever write comes first.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run([sys.executable, "-m", "seer_lab.cli", *argv], env=env, stdout=full,
+                              stderr=subprocess.PIPE, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.decode().splitlines() == ["error: cannot write the output: [Errno 28] No space left on device"]
+
+
+def test_run_reports_a_failed_final_flush_with_exit_2(monkeypatch, capsys):
+    # A file on a full disk takes argparse's --version text into its buffer
+    # and fails only when run flushes it.
+    class FullDisk(io.StringIO):
+        def flush(self):
+            raise OSError(28, "No space left on device")
+
+    codes = []
+    monkeypatch.setattr(sys, "argv", ["seer-lab", "--version"])
+    monkeypatch.setattr(sys, "stdout", FullDisk())
+    monkeypatch.setattr(os, "_exit", codes.append)
+    monkeypatch.setattr(cli.gc, "disable", lambda: None)  # keep this process's collector on
+    cli.run()
+    assert codes == [2]
+    assert capsys.readouterr().err == "error: cannot write the output: [Errno 28] No space left on device\n"
+
+
 def test_network_bad_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

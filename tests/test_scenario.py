@@ -101,7 +101,7 @@ def test_no_signaling_passes_for_foil_tables():
 def test_cells_sharing_settings_have_one_context_and_no_payoff_table():
     # Two cells at settings (1, 1) that win on different outcomes: one
     # context, but no single distribution can stand for both cells.
-    payoff = classical.GamePayoff(1, 1, [(1, 1), (1, 1)], [1, 1], 2, [(1, 0, 0, 0), (0, 0, 0, 1)])
+    payoff = classical.GamePayoff(2, [(1, 2), (1, 2)], [1, 1], 2, [(1, 0, 0, 0), (0, 0, 0, 1)], 1)
     assert scenario.payoff_scenario(payoff).contexts == ((1, 2),)
     assert payoff.value(scenario.deterministic_table(scenario.payoff_scenario(payoff), (1, 1))) == 0.5
     with pytest.raises(ValueError, match="one cell per pair of settings"):
