@@ -1,10 +1,11 @@
 """Classical bounds: optima over deterministic strategies.
 
-Covers the noncontextual bound for anti-correlation cycles (in closed form),
-the game payoffs, their Bell-local bounds (by ``max_sum``, one max-sum
-elimination over deterministic valuations) and the preparation-noncontextual
-bound for the two-time game (by best responses over a payoff's cells).  It
-imports no other module of the package: ``quantum`` and ``scenario`` build on it.
+Covers the game payoffs with their noncontextual and Bell-local bounds (each
+one ``max_sum`` call, a max-sum elimination over deterministic valuations, on
+the payoff's win units: the anti-correlation cycle's ``ks_bound_ncycle``, the
+two-wing games' ``local_bound``) and the preparation-noncontextual bound for
+the two-time game (by best responses over a payoff's cells).  It imports no
+other module of the package: ``quantum`` and ``scenario`` build on it.
 """
 
 from __future__ import annotations
@@ -44,25 +45,17 @@ class KsBoundResult(NamedTuple):
 def ks_bound_ncycle(n: int) -> KsBoundResult:
     """Best anti-correlated adjacent-pair count over the 2^n valuations of an odd cycle.
 
-    An odd cycle cannot alternate all the way round, so at most n-1 adjacent
-    pairs differ: R = 1 - 1/n and S = -(n-2), the gamma = (-1, ..., -1) case
-    of the n-cycle inequalities (Araujo et al., PRA 88, 022118 (2013)).  The
-    witness 0, 0, 1, 0, 1, ..., 0, 1 is the lexicographically first optimum:
-    an optimum has one equal adjacent pair, and X_1 = X_2 = 0 puts it first.
+    ``max_sum`` on ``anticorrelation_payoff(n)``, whose local bound is R, with
+    the lexicographically first optimal valuation as witness; S = n - 2 * (the
+    count), the gamma = (-1, ..., -1) case of the n-cycle inequalities (Araujo
+    et al., PRA 88, 022118 (2013)).
     """
     if n % 2 == 0:
         raise ValueError("the cycle bound is only nontrivial for odd n")
     if not 3 <= n <= MAX_N:
         raise ValueError(f"supported cycle sizes are odd 3..{MAX_N}")
-    r_exact = Fraction(n - 1, n)
-    return KsBoundResult(
-        n=n,
-        max_anticorrelated=n - 1,
-        r_nc=float(r_exact),
-        s_nc=float(2 - n),
-        r_nc_exact=r_exact,
-        witness=(0,) + (0, 1) * ((n - 1) // 2),
-    )
+    won, witness = _max_win(anticorrelation_payoff(n))
+    return KsBoundResult(n, won, won / n, float(n - 2 * won), Fraction(won, n), witness)
 
 
 # --------------------------------------------------------------------------
@@ -224,14 +217,23 @@ def odd_cycle_payoff(n: int) -> GamePayoff:
     return _ring_payoff(n, 2, "odd-cycle game")
 
 
-def seer_payoff(n: int) -> GamePayoff:
-    """The seer's game: the suitor opens one of the n adjacent pairs of boxes
-    (the contexts of ``scenario.cycle_scenario(n)``, sorted: (1, 2), (1, n),
-    (2, 3), ..., (n - 1, n)) at weight 1/n and wins if both are empty (00)."""
+def _cycle_payoff(n: int, wins: list[bool], game: str) -> GamePayoff:
+    """The adjacent pairs of boxes, the contexts of ``scenario.cycle_scenario(n)``
+    sorted ((1, 2), (1, n), (2, 3), ..., (n - 1, n)), each at weight 1/n, won on ``wins``."""
     if n < 3 or n % 2 == 0:
-        raise ValueError("the seer's game needs odd n >= 3")
+        raise ValueError(f"the {game} needs odd n >= 3")
     cells = [(1, 2), (1, n), *((a, a + 1) for a in range(2, n))]
-    return GamePayoff(n, cells, np.ones(n, int), n, np.tile([True, False, False, False], (n, 1)))
+    return GamePayoff(n, cells, np.ones(n, int), n, np.tile(wins, (n, 1)))
+
+
+def seer_payoff(n: int) -> GamePayoff:
+    """The seer's game: the suitor opens one adjacent pair and wins if both boxes are empty (00)."""
+    return _cycle_payoff(n, [True, False, False, False], "seer's game")
+
+
+def anticorrelation_payoff(n: int) -> GamePayoff:
+    """The n-cycle anti-correlation game, won when the pair's outcomes differ (01 or 10)."""
+    return _cycle_payoff(n, [False, True, True, False], "anti-correlation game")
 
 
 class LocalBoundResult(NamedTuple):
@@ -244,14 +246,13 @@ class LocalBoundResult(NamedTuple):
 def local_bound(game: Union[str, GamePayoff], n: Optional[int] = None) -> LocalBoundResult:
     """Maximum payoff of a two-wing game over all pairs of deterministic wing strategies.
 
-    ``max_sum`` over the n_a + n_b measurements on the cells' win units of
-    1/denom (a cell that wins nothing reads nothing; cells that share a
-    context add into one table), split at the wing boundary: the first optimal
-    A strategy in lexicographic order with B's best response, bits preferring
-    0.  Each B setting leaves the better of its answers as a function of the A
-    settings it shares cells with, at most three in the ring and odd-cycle
-    games, so the work grows linearly with n.  Wings of more than ``MAX_N``
-    settings and payoffs past ``max_sum``'s cap raise ValueError.
+    ``max_sum`` over the n_a + n_b measurements on the cells' win units,
+    split at the wing boundary: the first optimal A strategy in lexicographic
+    order with B's best response, bits preferring 0.  Each B setting leaves
+    the better of its answers as a function of the A settings it shares cells
+    with, at most three in the ring and odd-cycle games, so the work grows
+    linearly with n.  Wings of more than ``MAX_N`` settings and payoffs past
+    ``max_sum``'s cap raise ValueError.
     """
     payoff = game
     if isinstance(game, str):
@@ -263,11 +264,16 @@ def local_bound(game: Union[str, GamePayoff], n: Optional[int] = None) -> LocalB
     n_a, n_b = payoff.n_a, payoff.n_b
     if n_a > MAX_N or n_b > MAX_N:
         raise ValueError(f"local bounds are limited to {MAX_N} settings per wing")
-    units = (payoff.weights[:, None] * payoff.wins).reshape(-1, 2, 2)
-    live = units.any(axis=(1, 2))
-    won, bits = max_sum(n_a + n_b, (payoff.contexts[live] - 1).tolist(), units[live])
+    won, bits = _max_win(payoff)
     value = Fraction(won, payoff.denom)
     return LocalBoundResult(float(value), value, bits[:n_a], bits[n_a:])
+
+
+def _max_win(payoff: GamePayoff) -> tuple[int, tuple[int, ...]]:
+    """``max_sum`` on a payoff's win units of 1/denom; a cell that wins nothing reads nothing."""
+    units = (payoff.weights[:, None] * payoff.wins).reshape(-1, 2, 2)
+    live = units.any(axis=(1, 2))
+    return max_sum(payoff.n_measurements, (payoff.contexts[live] - 1).tolist(), units[live])
 
 
 def bell_s3(strategy_a: Sequence[int], strategy_b: Sequence[int]) -> int:

@@ -23,8 +23,9 @@ traceback and exit 1.  Since no ``atexit`` hook or profiler dump runs after
 collector alone for callers that run it in their own process.
 
 Exit codes: 0 success, 2 usage or input error or output that cannot be
-written (one ``error:`` line), 3 certificate or invariant failure.  A reader
-that closes the output early (``| head``) ends the run quietly with 0.
+written, ``--help`` and ``--version`` text included (one ``error:`` line), 3
+certificate or invariant failure.  A reader that closes the output early
+(``| head``) ends the run quietly with 0.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ EXIT_VERIFICATION = 3
 
 # Largest sweeps, set from a 5 s budget (whole processes, median of seven,
 # 2-core host): a hardy_p row takes 0.3 ms (10,000 rows 3.0 s); a cycle row
-# costs O(n), and mermin_R over odd n = 3..201 takes 0.68 s, 0.26 s of it in
-# local_bound (klyachko_R over n = 5..201, 0.26 s).  MAX_SWEEP_N also caps
-# `bounds ks_ncycle`, which takes 0.38 s at n = 201 (certificate residual 3.0e-13).
+# costs O(n): mermin_R over odd n = 3..201 takes 0.68 s, 0.26 s of it in
+# local_bound, and klyachko_R over n = 5..201 0.33 s, 0.1 s in ks_bound_ncycle.
+# MAX_SWEEP_N also caps `bounds ks_ncycle`: 0.38 s at n = 201 (certificate residual 3.0e-13).
 MAX_SWEEP_ROWS = 10_000
 MAX_SWEEP_N = 201
 
@@ -137,21 +138,24 @@ def _require_odd(n: Optional[int], minimum: int, maximum: int, what: str) -> int
     return n
 
 
+def _cycle_values(family: str, n: int) -> tuple[float, float]:
+    """The classical bound and quantum value of a cycle family at n, for ``bounds`` and its sweep."""
+    from . import classical, quantum
+
+    if family == "ks_ncycle":
+        return classical.ks_bound_ncycle(n).r_nc, quantum.klyachko_value(n).r
+    return classical.local_bound("os_ring", n).value, quantum.mermin_value(n)
+
+
 def cmd_bounds(args) -> dict:
     from . import classical, quantum
 
     family = args.family
-    if family == "ks_ncycle":
-        n = _require_odd(args.n, 5, MAX_SWEEP_N, "ks_ncycle")
-        classical_bound = classical.ks_bound_ncycle(n).r_nc
-        quantum_value = quantum.klyachko_value(n).r
-        cert = quantum.sos_certificate_klyachko(n)
-        certificate = f"ok (residual {cert.residual:.3e})"
-    elif family == "bell_ring":
-        n = _require_odd(args.n, 3, classical.MAX_N, "bell_ring")
-        classical_bound = classical.local_bound("os_ring", n).value
-        quantum_value = quantum.mermin_value(n)
-        cert = quantum.sos_certificate_bell(n)
+    if family in ("ks_ncycle", "bell_ring"):
+        ks = family == "ks_ncycle"
+        n = _require_odd(args.n, 5 if ks else 3, MAX_SWEEP_N if ks else classical.MAX_N, family)
+        classical_bound, quantum_value = _cycle_values(family, n)
+        cert = quantum.sos_certificate_klyachko(n) if ks else quantum.sos_certificate_bell(n)
         certificate = f"ok (residual {cert.residual:.3e})"
     elif family == "odd_cycle":
         n = _require_odd(args.n, 3, classical.MAX_N, "odd_cycle")
@@ -255,28 +259,18 @@ def cmd_network(args) -> dict:
         }
     graph = signet.SignedGraph.from_json_dict(doc)
     report = signet.is_frustrated(graph)
-    return {
-        "directed": False,
-        "frustrated": report.frustrated,
-        "witness_cycle": list(report.witness),
-    }
+    return {"directed": False, "frustrated": report.frustrated, "witness_cycle": list(report.witness)}
 
 
 def cmd_game(args) -> dict:
     from . import games
 
-    spec = games.GameSpec(
-        kind=args.kind,
-        strategy=args.strategy,
-        trials=args.trials,
-        seed=args.seed,
-        n=args.n,
-    )
+    spec = games.GameSpec(kind=args.kind, strategy=args.strategy, trials=args.trials, seed=args.seed, n=args.n)
     return games.simulate(spec)._asdict()
 
 
 def _sweep_values(args):
-    from . import classical, quantum
+    from . import quantum
 
     if not all(v is None or math.isfinite(v) for v in (args.start, args.stop, args.step)):
         raise ValueError("--start, --stop and --step must be finite")
@@ -295,10 +289,7 @@ def _sweep_values(args):
         if ns and ns[-1] > MAX_SWEEP_N:
             raise ValueError(f"cycle sweeps are limited to n <= {MAX_SWEEP_N}")
         for n in ns:
-            if args.quantity == "klyachko_R":
-                yield n, classical.ks_bound_ncycle(n).r_nc, quantum.klyachko_value(n).r
-            else:
-                yield n, classical.local_bound("os_ring", n).value, quantum.mermin_value(n)
+            yield (n, *_cycle_values("ks_ncycle" if args.quantity == "klyachko_R" else "bell_ring", n))
     elif args.quantity == "hardy_p":
         start = float(args.start if args.start is not None else 1.0)
         stop = float(args.stop if args.stop is not None else 3.0)
@@ -371,11 +362,20 @@ _SUBCOMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises the OSError of a failed --help or --version write to stdout, which argparse drops."""
+
+    def _print_message(self, message, file=None):
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        file.write(message)
+
+
 def build_parser(subcommand: Optional[str] = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or one whose subcommands all exist but only
     `subcommand` has its arguments: the others' help lines, names and errors
     need none of theirs."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seer-lab",
         description="Bounds, certificates, networks and game simulations "
         "for the box-opening prediction scenarios.",
@@ -399,7 +399,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # first token that does not start with "-": only that subcommand needs its
     # arguments.
     parser = build_parser(next((str(c) for c in command if not str(c).startswith("-")), ""))
-    args = parser.parse_args(command)
+    try:
+        args = parser.parse_args(command)
+    except OSError as exc:  # --help or --version could not be written
+        return _output_failed(exc)
     if getattr(args, "subcommand", None) == "sweep" and not args.json:
         args.csv = True  # sweeps default to CSV series
     try:
@@ -413,12 +416,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _emit(args, results, [str(c) for c in command], getattr(args, "seed", None), started)
         sys.stdout.flush()
-    except OSError as exc:  # a closed pipe ends the run quietly; what is still buffered is dropped
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if not isinstance(exc, BrokenPipeError):
-            sys.stderr.write(f"error: cannot write the output: {exc}\n")
-            return EXIT_USAGE
+    except OSError as exc:
+        return _output_failed(exc)
     return EXIT_OK
+
+
+def _output_failed(exc: OSError) -> int:
+    """0 for a closed pipe, else 2 and one error line; what is still buffered is dropped."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if isinstance(exc, BrokenPipeError):
+        return EXIT_OK
+    sys.stderr.write(f"error: cannot write the output: {exc}\n")
+    return EXIT_USAGE
 
 
 def run() -> NoReturn:

@@ -156,9 +156,7 @@ def simulating_povm(axes: Union[str, Iterable[Sequence[float]]]) -> JointPOVM:
     live = lengths >= 1e-14
     direction = m[live] / lengths[live, None]
     effects = np.zeros((len(signs), 2, 2), dtype=complex)
-    effects[live] = (2 * lengths[live] / total)[:, None, None] * (
-        numkit.ID2 + pauli_dot(direction)
-    ) / 2
+    effects[live] = (2 * lengths[live] / total)[:, None, None] * (numkit.ID2 + pauli_dot(direction)) / 2
     povm = JointPOVM(axes, signs, lengths, effects)
     if povm.completeness_defect() > POVM_TOL:
         raise AssertionError("simulating POVM is not complete")

@@ -260,13 +260,9 @@ class TransitivityChainResult(NamedTuple):
     implications_hold: bool
 
 
-def intersection_ray(
-    plane_a: tuple[np.ndarray, np.ndarray], plane_b: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
+def intersection_ray(plane_a: tuple[np.ndarray, np.ndarray], plane_b: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Unit vector spanning the intersection of two 2-planes in R^3."""
-    n1 = np.cross(plane_a[0], plane_a[1])
-    n2 = np.cross(plane_b[0], plane_b[1])
-    ray = np.cross(n1, n2)
+    ray = np.cross(np.cross(*plane_a), np.cross(*plane_b))
     norm = np.linalg.norm(ray)
     if norm < 1e-12:
         raise ValueError("planes are degenerate; no unique intersection ray")
@@ -600,9 +596,7 @@ def hardy_value(eta: float) -> float:
     value = events.pop("p(A1=1,B3=0)")
     worst = max(abs(v) for v in events.values())
     if worst > CHAIN_TOL:
-        raise ValueError(
-            f"chain constraints fail at eta={eta!r} (worst residual {worst:.3e})"
-        )
+        raise ValueError(f"chain constraints fail at eta={eta!r} (worst residual {worst:.3e})")
     return value
 
 
@@ -679,9 +673,7 @@ def relative_state_chain(
         chain.append(nxt / norm)
     overlap = 0.0 if collapsed else float(abs(np.vdot(chain[0], chain[-1])) ** 2)
     if overlap < 1e-12 and p_initial > CHAIN_TOL:
-        raise AssertionError(
-            "chain denied its antecedent although the antecedent has support"
-        )
+        raise AssertionError("chain denied its antecedent although the antecedent has support")
     return RelativeStateChainResult(overlap, tuple(chain), p_initial)
 
 

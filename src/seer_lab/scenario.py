@@ -97,12 +97,8 @@ class Scenario:
             raise ValueError("wing split must cut the measurement range in two")
 
     def is_bipartite(self) -> bool:
-        if self.wing_split is None:
-            return False
         k = self.wing_split
-        return all(
-            len(ctx) == 2 and ctx[0] <= k < ctx[1] for ctx in self.contexts
-        )
+        return k is not None and all(len(ctx) == 2 and ctx[0] <= k < ctx[1] for ctx in self.contexts)
 
 
 def _context_error(canon: tuple[Context, ...], first: dict[Context, int], faulty: int) -> str:

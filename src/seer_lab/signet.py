@@ -168,8 +168,7 @@ def _tree_cycle(parent: Mapping[int, Optional[int]], u: int, v: int) -> tuple[in
     pu, pv = path_to_root(u), path_to_root(v)
     su = set(pu)
     meet = next(x for x in pv if x in su)
-    cycle = pu[: pu.index(meet) + 1] + pv[: pv.index(meet)][::-1]
-    return tuple(cycle)
+    return tuple(pu[: pu.index(meet) + 1] + pv[: pv.index(meet)][::-1])
 
 
 def gauge_transform(g: SignedGraph, flip_set: Iterable[int]) -> SignedGraph:
@@ -178,9 +177,7 @@ def gauge_transform(g: SignedGraph, flip_set: Iterable[int]) -> SignedGraph:
     unknown = flips - set(range(1, g.n_nodes + 1))
     if unknown:
         raise ValueError(f"flip set contains unknown nodes {sorted(unknown)}")
-    edges = tuple(
-        (u, v, -s if (u in flips) ^ (v in flips) else s) for u, v, s in g.edges
-    )
+    edges = tuple((u, v, -s if (u in flips) ^ (v in flips) else s) for u, v, s in g.edges)
     return SignedGraph(g.n_nodes, edges)
 
 
@@ -330,9 +327,7 @@ def check_implication_chain(
             full.setdefault((a.source, a.base), []).append((a.target, a.consequent))
     start = (start_node, start_value)
     if start not in full:
-        raise ValueError(
-            f"start value X_{start_node}={start_value} is incompatible with every outgoing arc"
-        )
+        raise ValueError(f"start value X_{start_node}={start_value} is incompatible with every outgoing arc")
     report = _propagate(forward, start)
     if report.contradiction:
         return report

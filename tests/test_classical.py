@@ -44,6 +44,16 @@ def test_ks_bound_witness_is_lexicographic_optimum():
     assert anti == 4
 
 
+def _ks_closed_form(n):
+    """Oracle: the cycle bound in closed form.  An odd cycle cannot alternate
+    all the way round, so at most n-1 adjacent pairs differ: R = 1 - 1/n and
+    S = -(n-2).  The witness 0, 0, 1, 0, 1, ..., 0, 1 is the lexicographically
+    first optimum: an optimum has one equal adjacent pair, and X_1 = X_2 = 0
+    puts it first."""
+    r_exact = Fraction(n - 1, n)
+    return classical.KsBoundResult(n, n - 1, float(r_exact), float(2 - n), r_exact, (0,) + (0, 1) * ((n - 1) // 2))
+
+
 def _ks_enumeration(n):
     """Oracle: the best anti-correlated adjacent-pair count over all 2^n
     valuations, with the lexicographically first valuation attaining it."""
@@ -72,13 +82,14 @@ def test_ks_bound_matches_enumeration(n):
 def test_ks_bound_witness_attains_the_bound_up_to_game_cap():
     for n in [*range(3, 1002, 2), *range(games.MAX_N - 10, games.MAX_N + 1, 2)]:
         result = ks_bound_ncycle(n)
+        assert result == _ks_closed_form(n)
         witness = np.array(result.witness)
         assert witness.size == n and set(result.witness) == {0, 1}
         assert np.count_nonzero(witness != np.roll(witness, -1)) == result.max_anticorrelated == n - 1
 
 
 def test_ks_bound_rejects_even_n():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the cycle bound is only nontrivial for odd n$"):
         ks_bound_ncycle(4)
 
 
@@ -439,7 +450,8 @@ def test_ks_bound_larger_cycle_chunked_enumeration():
     assert result.r_nc_exact == Fraction(16, 17)
     assert result.s_nc == -15.0
     for n in (games.MAX_N + 2, games.MAX_N + 1, 26, 1, -1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^(supported cycle sizes are odd 3\.\.{MAX_N}|"
+                                             "the cycle bound is only nontrivial for odd n)$"):
             ks_bound_ncycle(n)
 
 
@@ -666,7 +678,7 @@ def test_max_sum_on_the_anticorrelation_cycle_is_the_ks_bound(n):
     # One unit per anti-correlated adjacent pair of the odd n-cycle.
     contexts = [(a - 1, b - 1) for a, b in scenario.cycle_scenario(n).contexts]
     won, bits = classical.max_sum(n, contexts, [np.array([[0, 1], [1, 0]])] * n)
-    bound = ks_bound_ncycle(n)
+    bound = _ks_closed_form(n)
     assert (Fraction(won, n), bits) == (bound.r_nc_exact, bound.witness)
 
 
@@ -689,6 +701,33 @@ def test_seer_payoff_rejects_even_or_small_n():
     for n in (1, 2, 4, 100):
         with pytest.raises(ValueError, match="odd n >= 3"):
             classical.seer_payoff(n)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 101])
+def test_anticorrelation_payoff_cells_are_the_cycle_contexts_in_sorted_order(n):
+    payoff = classical.anticorrelation_payoff(n)
+    assert payoff.n_measurements == n and payoff.wing_split is None
+    assert payoff.contexts.tolist() == classical.seer_payoff(n).contexts.tolist()
+    assert list(map(tuple, payoff.contexts.tolist())) == sorted(scenario.cycle_scenario(n).contexts)
+    assert payoff.weights.tolist() == [1] * n and payoff.denom == n
+    assert payoff.wins.tolist() == [[False, True, True, False]] * n
+
+
+def test_anticorrelation_payoff_rejects_even_or_small_n():
+    for n in (1, 2, 4, 100):
+        with pytest.raises(ValueError, match="odd n >= 3"):
+            classical.anticorrelation_payoff(n)
+
+
+@pytest.mark.parametrize("n", [*range(5, 202, 2), 1001])
+def test_anticorrelation_payoff_scores_the_star_polygon_and_the_foil(n):
+    payoff = classical.anticorrelation_payoff(n)
+    # klyachko_value keeps its own arithmetic, which differs from the payoff's
+    # exactly rounded sum in the last bit at most sizes.
+    assert abs(payoff.value(quantum.klyachko_table(n)) - quantum.klyachko_value(n).r) <= 1e-15
+    foil = scenario.build_os_ncycle(n)
+    assert payoff.value(foil) == 1.0
+    assert np.array_equal(scenario.foil_table(payoff).vector, foil.vector)
 
 
 def test_payoff_without_wing_split_has_no_wings():

@@ -361,6 +361,40 @@ def test_output_that_cannot_be_written_exits_2_with_one_error_line(argv):
     assert done.stderr.decode().splitlines() == ["error: cannot write the output: [Errno 28] No space left on device"]
 
 
+def _module_env(unbuffered: bool) -> dict:
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return dict(env, PYTHONUNBUFFERED="1") if unbuffered else env
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["bounds", "--help"]], ids=" ".join)
+def test_help_and_version_that_cannot_be_written_exit_2_with_one_error_line(argv, unbuffered):
+    # Unbuffered, argparse's own write fails; buffered, run's final flush does.
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run([sys.executable, "-m", "seer_lab.cli", *argv], env=_module_env(unbuffered),
+                              stdout=full, stderr=subprocess.PIPE, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.decode().splitlines() == ["error: cannot write the output: [Errno 28] No space left on device"]
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["bounds", "--help"], ["bounds", "pnc"]], ids=" ".join)
+def test_reader_gone_before_the_first_write_exits_zero_quietly(argv, unbuffered):
+    # The pipe's read end is closed before the process starts, so its first
+    # write (or flush) fails with a broken pipe.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "seer_lab.cli", *argv], env=_module_env(unbuffered),
+                              stdout=write, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, b"")
+
+
 def test_run_reports_a_failed_final_flush_with_exit_2(monkeypatch, capsys):
     # A file on a full disk takes argparse's --version text into its buffer
     # and fails only when run flushes it.
